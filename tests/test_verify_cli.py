@@ -1,5 +1,6 @@
 """Verification sweep driver and command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,22 @@ class TestRunSuite:
             {k: v for k, v in c.items() if k != "elapsed_ms"} for c in r["cases"]
         ]
         assert strip(r1) == strip(r2)
+
+    def test_whole_registry_report_is_pinned(self):
+        # Hashed as perfbench's report_digest hashes one report: every case
+        # without elapsed_ms, keys sorted, compact separators.  The digest
+        # was computed with the fractions backend; it pins the sampled
+        # points, both sides and the verdict of all 40 identities.
+        report = run_suite("all", a_max=1, b_max=1, trials=1, seed=42)
+        assert len(report["cases"]) == 209
+        assert {c["identity_id"] for c in report["cases"]} == EXPECTED_IDS
+        cases = [{k: v for k, v in c.items() if k != "elapsed_ms"}
+                 for c in report["cases"]]
+        body = json.dumps(dict(report, cases=cases), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "6d284ddc8bcdd5dac91b635e17a2fa930c3bb2efbfc69318555753e6049c7ed1"
+        )
 
     def test_small_sweep_all_green(self):
         report = run_suite("izergin", a_max=1, b_max=1, trials=2, seed=12)
