@@ -8,7 +8,7 @@ import sys
 
 from .exactnum import Rat, scalar_format, scalar_parse
 from .highest import REPRESENTATIONS, hc
-from .izergin import Kernel, izergin, izergin_left, izergin_right
+from .izergin import Kernel, izergin, izergin_side
 from .params import Config
 from .scalar import (
     RationalFunctionSpec,
@@ -82,8 +82,11 @@ def build_parser():
 def _cmd_izergin(args):
     kern = Kernel(scalar_parse(args.q))
     xs, ys = _parse_set(args.x), _parse_set(args.y)
-    func = {"plain": izergin, "left": izergin_left, "right": izergin_right}
-    print(scalar_format(func[args.variant](kern, xs, ys)))
+    if args.variant == "plain":
+        value = izergin(kern, xs, ys)
+    else:
+        value = izergin_side(kern, {"left": "l", "right": "r"}[args.variant], xs, ys)
+    print(scalar_format(value))
     return 0
 
 

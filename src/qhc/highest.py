@@ -18,15 +18,12 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import Kernel, izergin_side
+from .izergin import izergin_side
 from .params import qshift
 from .partitions import enumerate_partitions, enumerate_two_set_partitions
 
 __all__ = [
-    "HCQuery",
     "REPRESENTATIONS",
     "hc",
     "hc_closed_11",
@@ -42,26 +39,6 @@ __all__ = [
 ]
 
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
-
-
-@dataclass(frozen=True)
-class HCQuery:
-    """A fully specified highest-coefficient evaluation request."""
-
-    side: str
-    ts: tuple
-    xs: tuple
-    ss: tuple
-    ys: tuple
-    rep: str = "ws"
-
-    def __post_init__(self):
-        if self.side not in ("l", "r"):
-            raise ValueError(f"side must be 'l' or 'r', got {self.side!r}")
-        if self.rep not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {self.rep!r}")
-        if len(self.ts) != len(self.xs) or len(self.ss) != len(self.ys):
-            raise ValueError("cardinality mismatch: #t != #x or #s != #y")
 
 
 def _hc_ws(kern, side, ts, xs, ss, ys):
@@ -219,7 +196,7 @@ def hc_difference_11(kern, t, x, s, y):
     return lhs, rhs
 
 
-def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None, rep="ws"):
+def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None):
     """Both sides of a global symmetry of Z.
 
     Z_SCAL: rescaling all arguments by alpha leaves Z invariant.
@@ -238,17 +215,16 @@ def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None, rep="ws"):
             tuple(alpha * x for x in xs),
             tuple(alpha * s for s in ss),
             tuple(alpha * y for y in ys),
-            rep,
         )
-        rhs = hc(kern, side, ts, xs, ss, ys, rep)
+        rhs = hc(kern, side, ts, xs, ss, ys)
     elif variant == "Z_INVERS":
-        lhs = hc(kern, side, ss, ys, qshift(ts, -2, q), qshift(xs, -2, q), rep)
-        rhs = hc(kern, side, ts, xs, ss, ys, rep) / (
+        lhs = hc(kern, side, ss, ys, qshift(ts, -2, q), qshift(xs, -2, q))
+        rhs = hc(kern, side, ts, xs, ss, ys) / (
             kern.fprod(ys, xs) * kern.fprod(ss, ts)
         )
     elif variant == "Z_INVERS1":
-        lhs = hc(kern.inverted(), side, ts, xs, ss, ys, rep)
-        rhs = hc(kern, kern.other(side), ys, ss, xs, ts, rep)
+        lhs = hc(kern.inverted(), side, ts, xs, ss, ys)
+        rhs = hc(kern, kern.other(side), ys, ss, xs, ts)
     else:
         raise ValueError(f"unknown symmetry variant {variant!r}")
     return lhs, rhs
@@ -261,7 +237,7 @@ def singular_coeff(value, k=-1):
     return value if k == 0 else Rat(0)
 
 
-def hc_residue_pair(variant, kern, side, ts, xs, ss, ys, rep="ws"):
+def hc_residue_pair(variant, kern, side, ts, xs, ss, ys):
     """The eps^-1 coefficients of both sides of a simple-pole residue formula.
 
     The colliding variable is replaced by its target plus an infinitesimal;
@@ -273,27 +249,27 @@ def hc_residue_pair(variant, kern, side, ts, xs, ss, ys, rep="ws"):
     e = eps()
     if variant == "S_TO_Y":
         sb = ys[-1] + e
-        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys, rep)
+        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
         rhs = (
             f(ys[-1], sb)
             * fprod((ys[-1],), ss[:-1])
             * fprod(ys[:-1], (ys[-1],))
             * fprod((ys[-1],), xs)
-            * hc(kern, side, ts, xs, ss[:-1], ys[:-1], rep)
+            * hc(kern, side, ts, xs, ss[:-1], ys[:-1])
         )
     elif variant == "T_TO_X":
         ta = xs[-1] + e
-        lhs = hc(kern, side, ts[:-1] + (ta,), xs, ss, ys, rep)
+        lhs = hc(kern, side, ts[:-1] + (ta,), xs, ss, ys)
         rhs = (
             f(xs[-1], ta)
             * fprod((xs[-1],), ts[:-1])
             * fprod(xs[:-1], (xs[-1],))
             * fprod(ss, (xs[-1],))
-            * hc(kern, side, ts[:-1], xs[:-1], ss, ys, rep)
+            * hc(kern, side, ts[:-1], xs[:-1], ss, ys)
         )
     elif variant == "S_TO_T":
         sb = ts[-1] + e
-        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys, rep)
+        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
         total = Rat(0)
         for p in range(len(xs)):
             xp = xs[p]
@@ -301,12 +277,12 @@ def hc_residue_pair(variant, kern, side, ts, xs, ss, ys, rep="ws"):
             total = total + (
                 izergin_side(kern, side, (xp,), (ts[-1],))
                 * fprod(rest, (xp,))
-                * hc(kern, side, ts[:-1], rest, ss[:-1] + (xp,), ys, rep)
+                * hc(kern, side, ts[:-1], rest, ss[:-1] + (xp,), ys)
             )
         rhs = f(sb, ts[-1]) * fprod(ss[:-1], (sb,)) * fprod((ts[-1],), ts[:-1]) * total
     elif variant == "Y_TO_X":
         yb = xs[-1] + e
-        lhs = hc(kern, side, ts, xs, ss, ys[:-1] + (yb,), rep)
+        lhs = hc(kern, side, ts, xs, ss, ys[:-1] + (yb,))
         total = Rat(0)
         for p in range(len(ss)):
             sp = ss[p]
@@ -314,7 +290,7 @@ def hc_residue_pair(variant, kern, side, ts, xs, ss, ys, rep="ws"):
             total = total + (
                 izergin_side(kern, side, (xs[-1],), (sp,))
                 * fprod((sp,), rest)
-                * hc(kern, side, ts, xs[:-1] + (sp,), rest, ys[:-1], rep)
+                * hc(kern, side, ts, xs[:-1] + (sp,), rest, ys[:-1])
             )
         rhs = f(yb, xs[-1]) * fprod(ys[:-1], (yb,)) * fprod((xs[-1],), xs[:-1]) * total
     else:
@@ -327,7 +303,7 @@ def _nested_primes(zs):
     return tuple(z + eps(level=j + 1) for j, z in enumerate(zs))
 
 
-def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
+def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs):
     """Both sides of a multiple-pole limit identity.
 
     The LHS limit z' -> z is evaluated one variable at a time via nested
@@ -340,46 +316,46 @@ def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
     zp = _nested_primes(zs)
     if variant == "RED1":
         lhs = take_limit(
-            hc(kern, side, ts + zs, xs + zp, ss, ys, rep) / fprod(zp, zs)
+            hc(kern, side, ts + zs, xs + zp, ss, ys) / fprod(zp, zs)
         )
         rhs = (
             fprod(zs, ts)
             * fprod(xs, zs)
             * fprod(ss, zs)
-            * hc(kern, side, ts, xs, ss, ys, rep)
+            * hc(kern, side, ts, xs, ss, ys)
         )
     elif variant == "RED2":
         lhs = take_limit(
-            hc(kern, side, ts, xs, ss + zs, ys + zp, rep) / fprod(zp, zs)
+            hc(kern, side, ts, xs, ss + zs, ys + zp) / fprod(zp, zs)
         )
         rhs = (
             fprod(zs, xs)
             * fprod(zs, ss)
             * fprod(ys, zs)
-            * hc(kern, side, ts, xs, ss, ys, rep)
+            * hc(kern, side, ts, xs, ss, ys)
         )
     elif variant == "NONTRIV2":
         lhs = take_limit(
-            hc(kern, side, ts + zp, xs, ss + zs, ys, rep) / fprod(zs, zp)
+            hc(kern, side, ts + zp, xs, ss + zs, ys) / fprod(zs, zp)
         )
         total = Rat(0)
         for x1, x2 in enumerate_partitions(xs, (n, len(xs) - n)):
             total = total + (
                 izergin_side(kern, side, x1, zs)
                 * fprod(x2, x1)
-                * hc(kern, side, ts, x2, ss + x1, ys, rep)
+                * hc(kern, side, ts, x2, ss + x1, ys)
             )
         rhs = fprod(ss, zs) * fprod(zs, ts) * total
     elif variant == "NONTRIV22":
         lhs = take_limit(
-            hc(kern, side, ts, xs + zp, ss, ys + zs, rep) / fprod(zs, zp)
+            hc(kern, side, ts, xs + zp, ss, ys + zs) / fprod(zs, zp)
         )
         total = Rat(0)
         for s1, s2 in enumerate_partitions(ss, (n, len(ss) - n)):
             total = total + (
                 izergin_side(kern, side, zs, s1)
                 * fprod(s1, s2)
-                * hc(kern, side, ts, xs + s1, s2, ys, rep)
+                * hc(kern, side, ts, xs + s1, s2, ys)
             )
         rhs = fprod(ys, zs) * fprod(zs, xs) * total
     else:
@@ -387,31 +363,31 @@ def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
     return lhs, rhs
 
 
-def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
+def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
     """Both sides of a plain (limit-free) reduction at shifted-coincident points."""
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     q = kern.q
     fprod = kern.fprod
     n = len(zs)
     if variant == "DEC2":
-        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, ss + zs, ys, rep)
+        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, ss + zs, ys)
         total = Rat(0)
         for y1, y2 in enumerate_partitions(ys, (n, len(ys) - n)):
             total = total + (
                 izergin_side(kern, side, y1, zs)
-                * hc(kern, side, ts + qshift(y1, 2, q), xs, ss, y2, rep)
+                * hc(kern, side, ts + qshift(y1, 2, q), xs, ss, y2)
                 * fprod(y2, y1)
                 * fprod(y1, xs)
                 * fprod(y1, ss)
             )
         rhs = total
     elif variant == "DEC1":
-        lhs = hc(kern, side, ts, xs + zs, ss, ys + qshift(zs, -2, q), rep)
+        lhs = hc(kern, side, ts, xs + zs, ss, ys + qshift(zs, -2, q))
         total = Rat(0)
         for t1, t2 in enumerate_partitions(ts, (n, len(ts) - n)):
             total = total + (
                 izergin_side(kern, side, zs, t1)
-                * hc(kern, side, t2, xs, ss, ys + qshift(t1, -2, q), rep)
+                * hc(kern, side, t2, xs, ss, ys + qshift(t1, -2, q))
                 * fprod(t1, t2)
                 * fprod(xs, t1)
                 * fprod(ss, t1)
@@ -421,7 +397,7 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
         # b <= a, #z = b, s-slot = z itself
         if len(zs) != len(ys):
             raise ValueError("DEC2_PC requires #z = b")
-        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, zs, ys, rep)
+        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, zs, ys)
         rhs = (
             fprod(ys, xs)
             * izergin_side(kern, side, ys, zs)
@@ -431,7 +407,7 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
         # a <= b, #z = a, x-slot = z itself
         if len(zs) != len(ts):
             raise ValueError("DEC1_PC requires #z = a")
-        lhs = hc(kern, side, ts, zs, ss, ys + qshift(zs, -2, q), rep)
+        lhs = hc(kern, side, ts, zs, ss, ys + qshift(zs, -2, q))
         rhs = (
             fprod(ss, ts)
             * izergin_side(kern, side, zs, ts)
@@ -442,7 +418,7 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs, rep="ws"):
     return lhs, rhs
 
 
-def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi, rep="ws"):
+def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
     """Both sides of a three-determinant partition sum reducible to Z.
 
     Variants 1 and 2 need a >= b and sum over t-partitions (xs is unused and
@@ -473,9 +449,9 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi, rep="ws"):
             )
         lhs = total
         if variant == 1:
-            z = hc(kern, side, ts, xi + ys, ss, qshift(ys, -2, q), rep)
+            z = hc(kern, side, ts, xi + ys, ss, qshift(ys, -2, q))
         else:
-            z = hc(kern, side, ts, xi + ss, ys, qshift(ss, -2, q), rep)
+            z = hc(kern, side, ts, xi + ss, ys, qshift(ss, -2, q))
         rhs = kern.mq(u * b) * z / (fprod(ys, ts) * fprod(ss, ts))
     elif variant in (3, 4):
         if ss:
@@ -494,16 +470,16 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi, rep="ws"):
             )
         lhs = total
         if variant == 3:
-            z = hc(kern, side, qshift(ts, 2, q), xs, xi + ts, ys, rep)
+            z = hc(kern, side, qshift(ts, 2, q), xs, xi + ts, ys)
         else:
-            z = hc(kern, side, qshift(xs, 2, q), ts, xi + xs, ys, rep)
+            z = hc(kern, side, qshift(xs, 2, q), ts, xi + xs, ys)
         rhs = kern.mq(u * a) * z / (fprod(ys, ts) * fprod(ys, xs))
     else:
         raise ValueError(f"unknown twin variant {variant!r}")
     return lhs, rhs
 
 
-def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs, rep="ws"):
+def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     """Both sides of the double-partition summation identity.
 
     Cardinalities: #t = #x = a, #s = b, #y = p <= b, #w = b - p, #z = n.
@@ -517,7 +493,7 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs, rep="ws"):
     opp = kern.other(side)
     fprod = kern.fprod
     xi = qshift(xs, -2, q) + qshift(zs, -2, q)
-    lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws, rep)
+    lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws)
     total = Rat(0)
     for k in range(max(0, p - len(xi)), min(p, b) + 1):
         for (s1, s2), (x1, x2) in enumerate_two_set_partitions(
@@ -526,7 +502,7 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs, rep="ws"):
             total = total + (
                 kern.mq(-u * k)
                 * izergin_side(kern, opp, qshift(s1, -2, q) + x1, ys)
-                * hc(kern, side, ts, xs, s2, ws + x1, rep)
+                * hc(kern, side, ts, xs, s2, ws + x1)
                 * fprod(s1, s2)
                 * fprod(x2, x1)
                 * fprod(ys, s1)
@@ -536,22 +512,20 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs, rep="ws"):
     return lhs, total
 
 
-def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, index, rep="ws"):
+def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, index):
     """Series valuation of Z when one argument is sent to infinity.
 
     The chosen argument is replaced by 1/delta; returns the valuation of the
     resulting series in delta.  Valuation >= 1 means decay, >= 0 means
-    bounded.
+    bounded.  A result that is zero only below its truncation order returns
+    that order, which is all that is known: a lower bound.
     """
     big = eps().invert()
     sets = {"t": list(ts), "x": list(xs), "s": list(ss), "y": list(ys)}
     sets[slot][index] = big
-    value = hc(
-        kern, side, tuple(sets["t"]), tuple(sets["x"]), tuple(sets["s"]),
-        tuple(sets["y"]), rep,
-    )
+    value = hc(kern, side, *(tuple(sets[k]) for k in "txsy"))
     if not isinstance(value, LaurentSeries):
         raise ValueError("expected a series result for an infinite argument")
     if value.is_zero():
-        return max(1, int(value.order)) if value.order != float("inf") else 1
+        return 1 if value.is_exact() else int(value.order)
     return value.valuation

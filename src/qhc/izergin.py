@@ -26,8 +26,6 @@ __all__ = [
     "Kernel",
     "det",
     "izergin",
-    "izergin_left",
-    "izergin_right",
     "izergin_side",
     "lemma_partition_sum",
     "mult_pole_limit",
@@ -163,27 +161,14 @@ def izergin(kern, xs, ys):
     return _div(det(rows), denom)
 
 
-def izergin_left(kern, xs, ys):
-    out = izergin(kern, xs, ys)
-    for x in xs:
-        out = out * x
-    return out
-
-
-def izergin_right(kern, xs, ys):
-    out = izergin(kern, xs, ys)
-    for y in ys:
-        out = out * y
-    return out
-
-
 def izergin_side(kern, side, xs, ys):
-    """K^(l) or K^(r) selected by side."""
-    if side == "l":
-        return izergin_left(kern, xs, ys)
-    if side == "r":
-        return izergin_right(kern, xs, ys)
-    raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side."""
+    if side not in ("l", "r"):
+        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    out = izergin(kern, xs, ys)
+    for v in xs if side == "l" else ys:
+        out = out * v
+    return out
 
 
 def lemma_partition_sum(kern, side, gamma, alpha, beta):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exactnum import Rat
 
-__all__ = ["Config", "qshift", "complement", "sample_generic", "GenericityError"]
+__all__ = ["Config", "qshift", "sample_generic", "GenericityError"]
 
 _QPOWERS = (-4, -2, 0, 2, 4)
 _MAX_RETRIES = 200
@@ -28,7 +28,6 @@ class Config:
     """Sampler and evaluation configuration."""
 
     q: object = None  # fixed deformation parameter, or None to sample one
-    laurent_window: int = 4
     seed: int = 0
     max_abs: int = 50
 
@@ -43,18 +42,6 @@ def qshift(values, k, q):
         return tuple(values)
     factor = q ** k if k > 0 else (Rat(1) / q) ** (-k)
     return tuple(v * factor for v in values)
-
-
-def complement(values, indices):
-    """Split a set by 1-based indices into (selected, rest), both in order."""
-    n = len(values)
-    idx = sorted(set(indices))
-    for i in idx:
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of range 1..{n}")
-    chosen = tuple(values[i - 1] for i in idx)
-    rest = tuple(values[i] for i in range(n) if i + 1 not in set(idx))
-    return chosen, rest
 
 
 def is_generic(pool, q):

@@ -1,53 +1,35 @@
 """Identity registry and seeded sweep driver.
 
-Every in-scope identity is a descriptor with a stable id, the suites it
+Every in-scope identity is a descriptor with a stable id, the suite it
 belongs to, a shape generator, and a runner that samples a generic point and
-evaluates both sides exactly.  Failures embed full replay data (seed, q, and
-all parameter sets); the only comparison anywhere is exact rational equality.
+evaluates both sides exactly.  Almost every runner is built by `_identity`
+from a table row: the pool cardinalities of a shape, the names of the sampled
+sets, and an evaluator returning both sides.  Every case ends as a record with
+full replay data (seed, q, and all parameter sets), also when it raises; the
+only comparison anywhere is exact rational equality.
 """
 
 from __future__ import annotations
 
+import random
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .exactnum import ExactError, LaurentSeries, Rat, eps, scalar_format
+from .exactnum import LaurentSeries, Rat, eps, scalar_format
 from .highest import (
-    REPRESENTATIONS,
-    hc,
-    hc_difference_11,
-    hc_infinity_valuation,
-    hc_multiple_limit_pair,
-    hc_prop51_pair,
-    hc_reduction_pair,
-    hc_residue_pair,
-    hc_symmetry_pair,
-    hc_twin_sum_pair,
+    REPRESENTATIONS, hc, hc_difference_11, hc_infinity_valuation, hc_multiple_limit_pair,
+    hc_prop51_pair, hc_reduction_pair, hc_residue_pair, hc_symmetry_pair, hc_twin_sum_pair,
     singular_coeff,
 )
-from .izergin import (
-    Kernel,
-    izergin_side,
-    lemma_partition_sum,
-    mult_pole_limit,
-)
+from .izergin import Kernel, izergin_side, lemma_partition_sum, mult_pole_limit
 from .params import Config, qshift, sample_generic
 from .scalar import extract_coefficient, monomial, scalar_product_symbolic, w_part
 
-__all__ = ["registry", "suites", "run_suite", "SUITES"]
+__all__ = ["registry", "run_suite", "SUITES"]
 
-SUITES = (
-    "all",
-    "izergin",
-    "hc-reps",
-    "symmetries",
-    "residues",
-    "reductions",
-    "twins",
-    "prop51",
-    "scalar",
-)
+SUITES = ("all", "izergin", "hc-reps", "symmetries", "residues", "reductions", "twins",
+          "prop51", "scalar")
 
 SIDES = ("l", "r")
 
@@ -65,17 +47,30 @@ def _case_seed(base_seed, identity_id, shape, trial):
     return zlib.crc32(key.encode())
 
 
-def _sample(pool_shape, cfg, case_seed):
-    sub = Config(q=cfg.q, laurent_window=cfg.laurent_window, seed=case_seed,
-                 max_abs=cfg.max_abs)
-    return sample_generic(pool_shape, sub)
+def _run(pools, names, evaluate, shape, cfg, seed):
+    """Sample one generic point for `shape` and evaluate both sides there.
+
+    `evaluate(kern, *shape, *sets)` returns (lhs, rhs) or (lhs, rhs, ok); with
+    no ok flag the sides are compared exactly.  An exception raised while
+    evaluating carries the sampled point as `params`.
+    """
+    sets, q = sample_generic(pools(*shape), replace(cfg, seed=seed))
+    params = {"q": scalar_format(q)}
+    for name, vals in zip(names, sets):
+        params[name] = [scalar_format(v) for v in vals]
+    try:
+        lhs, rhs, *ok = evaluate(Kernel(q), *shape, *sets)
+    except Exception as exc:
+        exc.params = params
+        raise
+    return lhs, rhs, ok[0] if ok else None, params
 
 
-def _params(q, **sets):
-    out = {"q": scalar_format(q)}
-    for name, vals in sets.items():
-        out[name] = [scalar_format(v) for v in vals]
-    return out
+def _identity(identity_id, suite, shapes, pools, names, evaluate):
+    def run(shape, cfg, seed):
+        return _run(pools, names, evaluate, shape, cfg, seed)
+
+    return IdentityDescriptor(identity_id, suite, shapes, run)
 
 
 def _render(v):
@@ -94,107 +89,44 @@ def _eq(lhs, rhs):
     return lhs == rhs
 
 
+def _bounded(vals, bounds):
+    """A valuation check: each value must reach its lower bound."""
+    return vals, bounds, all(v >= n for v, n in zip(vals, bounds))
+
+
 # ---------------------------------------------------------------------------
-# Izergin suite
+# Shape generators
 # ---------------------------------------------------------------------------
 
 
-def _shapes_sk(a_max, b_max, kmin=1):
-    kmax = max(a_max, b_max)
-    return [(side, k) for side in SIDES for k in range(kmin, kmax + 1)]
+def _shapes_sk(kmin=1, shift=0):
+    """(side, k) for kmin <= k <= max(a_max, b_max) + shift."""
+    return lambda a_max, b_max: [
+        (side, k) for side in SIDES for k in range(kmin, max(a_max, b_max) + shift + 1)
+    ]
 
 
-def _run_k_init(shape, cfg, seed):
-    side, _ = shape
-    (xs, ys), q = _sample((1, 1), cfg, seed)
-    kern = Kernel(q)
-    x, y = xs[0], ys[0]
-    lhs = izergin_side(kern, side, xs, ys)
-    rhs = (x if side == "l" else y) * kern.g(x, y)
-    return lhs, rhs, None, _params(q, x=xs, y=ys)
+def _shapes_ab(amin=0, bmin=0, keep=None):
+    """(side, a, b) for amin <= a <= a_max, bmin <= b <= b_max, filtered by keep."""
+    return lambda a_max, b_max: [
+        (side, a, b)
+        for side in SIDES
+        for a in range(amin, a_max + 1)
+        for b in range(bmin, b_max + 1)
+        if keep is None or keep(a, b)
+    ]
 
 
-def _run_k_scal(shape, cfg, seed):
-    side, k = shape
-    (xs, ys, al), q = _sample((k, k, 1), cfg, seed)
-    kern = Kernel(q)
-    a = al[0]
-    lhs = izergin_side(kern, side, tuple(a * v for v in xs), tuple(a * v for v in ys))
-    rhs = izergin_side(kern, side, xs, ys)
-    return lhs, rhs, None, _params(q, x=xs, y=ys, alpha=al)
-
-
-def _run_k_red(shape, cfg, seed):
-    side, k = shape
-    (xs, ys, zs), q = _sample((k, k, 1), cfg, seed)
-    kern = Kernel(q)
-    u = kern.usign(side)
-    form1 = izergin_side(kern, side, xs + qshift(zs, -2, q), ys + zs)
-    form2 = izergin_side(kern, side, xs + zs, ys + qshift(zs, 2, q))
-    expected = -(q if u < 0 else kern.qinv) * izergin_side(kern, side, xs, ys)
-    return [form1, form2], [expected, expected], None, _params(q, x=xs, y=ys, z=zs)
-
-
-def _run_k_invers(shape, cfg, seed):
-    side, k = shape
-    (xs, ys), q = _sample((k, k), cfg, seed)
-    kern = Kernel(q)
-    u = kern.usign(side)
-    lhs = izergin_side(kern, side, qshift(xs, -2, q), ys)
-    rhs = kern.mq(-u * k) / kern.fprod(ys, xs) * izergin_side(
-        kern, kern.other(side), ys, xs
-    )
-    return lhs, rhs, None, _params(q, x=xs, y=ys)
-
-
-def _run_k_invers1(shape, cfg, seed):
-    side, k = shape
-    (xs, ys), q = _sample((k, k), cfg, seed)
-    kern = Kernel(q)
-    lhs = izergin_side(kern.inverted(), side, xs, ys)
-    rhs = izergin_side(kern, kern.other(side), ys, xs)
-    return lhs, rhs, None, _params(q, x=xs, y=ys)
-
-
-def _run_k_res(shape, cfg, seed):
-    side, k = shape
-    (xs, ys, zs), q = _sample((k, k, 1), cfg, seed)
-    kern = Kernel(q)
-    z = zs[0]
-    zp = z + eps()
-    lhs = izergin_side(kern, side, xs + (z,), ys + (zp,))
-    rhs = (
-        kern.f(z, zp)
-        * kern.fprod((z,), ys)
-        * kern.fprod(xs, (z,))
-        * izergin_side(kern, side, xs, ys)
-    )
-    return singular_coeff(lhs), singular_coeff(rhs), None, _params(q, x=xs, y=ys, z=zs)
-
-
-def _k_inf_valuation(kern, side, xs, ys, slot, idx):
-    big = eps().invert()
-    xs, ys = list(xs), list(ys)
-    (xs if slot == "x" else ys)[idx] = big
-    v = izergin_side(kern, side, tuple(xs), tuple(ys))
-    if isinstance(v, LaurentSeries) and not v.is_zero():
-        return v.valuation
-    return 0
-
-
-def _run_k_inf(shape, cfg, seed):
-    side, k = shape
-    (xs, ys), q = _sample((k, k), cfg, seed)
-    kern = Kernel(q)
-    vals, bounds = [], []
-    for slot in ("x", "y"):
-        decay = (side == "l" and slot == "y") or (side == "r" and slot == "x")
-        need = 1 if decay else 0
-        got = _k_inf_valuation(kern, side, xs, ys, slot, 0)
-        vals.append(got)
-        bounds.append(need)
-    ok = all(g >= n for g, n in zip(vals, bounds))
-    return vals, bounds, ok, _params(q, x=xs, y=ys)
+def _shapes_abn(keep=None):
+    """(side, a, b, n) with n in {1, 2} collapsing variables, filtered by keep."""
+    return lambda a_max, b_max: [
+        (side, a, b, n)
+        for side in SIDES
+        for a in range(a_max + 1)
+        for b in range(b_max + 1)
+        for n in range(1, 3)
+        if keep is None or keep(a, b, n)
+    ]
 
 
 def _shapes_lemma(a_max, b_max):
@@ -208,14 +140,6 @@ def _shapes_lemma(a_max, b_max):
     ]
 
 
-def _run_lemma(shape, cfg, seed):
-    side, m1, m2 = shape
-    (gamma, alpha, beta), q = _sample((m1 + m2, m1, m2), cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs1, rhs2 = lemma_partition_sum(kern, side, gamma, alpha, beta)
-    return [lhs, lhs], [rhs1, rhs2], None, _params(q, gamma=gamma, alpha=alpha, beta=beta)
-
-
 def _shapes_mult_pole(a_max, b_max):
     nmax = max(a_max, b_max)
     return [
@@ -225,258 +149,6 @@ def _shapes_mult_pole(a_max, b_max):
         for m in range(min(2, nmax) + 1)
         if n + m >= 1
     ]
-
-
-def _run_mult_pole(shape, cfg, seed):
-    side, n, m = shape
-    (xs, ys, zs), q = _sample((n, n, m), cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs = mult_pole_limit(kern, side, xs, ys, zs)
-    return lhs, rhs, None, _params(q, x=xs, y=ys, z=zs)
-
-
-# ---------------------------------------------------------------------------
-# Highest-coefficient suite
-# ---------------------------------------------------------------------------
-
-
-def _shapes_ab(a_max, b_max, amin=0, bmin=0):
-    return [
-        (side, a, b)
-        for side in SIDES
-        for a in range(amin, a_max + 1)
-        for b in range(bmin, b_max + 1)
-    ]
-
-
-def _sample_core(a, b, cfg, seed, extra=()):
-    pools, q = _sample((a, a, b, b) + tuple(extra), cfg, seed)
-    return pools, q
-
-
-def _run_rep_agree(shape, cfg, seed):
-    side, a, b = shape
-    (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-    kern = Kernel(q)
-    vals = [hc(kern, side, ts, xs, ss, ys, rep) for rep in REPRESENTATIONS]
-    ok = all(v == vals[0] for v in vals)
-    return vals, [vals[0]] * len(vals), ok, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _run_sym_perm(shape, cfg, seed):
-    import random
-
-    side, a, b = shape
-    (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-    kern = Kernel(q)
-    rng = random.Random(seed ^ 0x5F5F)
-    perm = lambda vals: tuple(rng.sample(vals, len(vals)))
-    lhs = hc(kern, side, perm(ts), perm(xs), perm(ss), perm(ys))
-    rhs = hc(kern, side, ts, xs, ss, ys)
-    return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _run_z_triv(shape, cfg, seed):
-    side, a, b = shape
-    (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-    kern = Kernel(q)
-    lhs = [
-        hc(kern, side, ts, xs, (), ()),
-        hc(kern, side, (), (), ss, ys),
-        hc(kern, side, (), (), (), ()),
-    ]
-    rhs = [
-        izergin_side(kern, side, xs, ts),
-        izergin_side(kern, side, ys, ss),
-        Rat(1),
-    ]
-    return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _make_symmetry_runner(variant):
-    def run(shape, cfg, seed):
-        side, a, b = shape
-        (ts, xs, ss, ys, al), q = _sample_core(a, b, cfg, seed, extra=(1,))
-        kern = Kernel(q)
-        alpha = al[0] if variant == "Z_SCAL" else None
-        lhs, rhs = hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=alpha)
-        return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys, alpha=al)
-
-    return run
-
-
-def _run_z_inf(shape, cfg, seed):
-    side, a, b = shape
-    (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-    kern = Kernel(q)
-    vals, bounds = [], []
-    for slot, count in (("t", a), ("x", a), ("s", b), ("y", b)):
-        if count == 0:
-            continue
-        decay = (side == "l" and slot in ("t", "s")) or (
-            side == "r" and slot in ("x", "y")
-        )
-        need = 1 if decay else 0
-        got = hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, 0)
-        vals.append(got)
-        bounds.append(need)
-    ok = all(g >= n for g, n in zip(vals, bounds))
-    return vals, bounds, ok, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _run_z_zero(shape, cfg, seed):
-    side, a, b = shape
-    (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-    kern = Kernel(q)
-    if side == "l":
-        lhs = hc(kern, side, ts, xs, ss, (Rat(0),) + ys[1:])
-    else:
-        lhs = hc(kern, side, (Rat(0),) + ts[1:], xs, ss, ys)
-    return lhs, Rat(0), None, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _run_diff_11(shape, cfg, seed):
-    (ts, xs, ss, ys), q = _sample_core(1, 1, cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs = hc_difference_11(kern, ts[0], xs[0], ss[0], ys[0])
-    return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-
-def _make_residue_runner(variant, need_a, need_b):
-    def run(shape, cfg, seed):
-        side, a, b = shape
-        (ts, xs, ss, ys), q = _sample_core(a, b, cfg, seed)
-        kern = Kernel(q)
-        lhs, rhs = hc_residue_pair(variant, kern, side, ts, xs, ss, ys)
-        return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys)
-
-    return run
-
-
-def _shapes_red(a_max, b_max):
-    return [
-        (side, a, b, n)
-        for side in SIDES
-        for a in range(a_max + 1)
-        for b in range(b_max + 1)
-        for n in range(1, 3)
-    ]
-
-
-def _make_red_runner(variant):
-    def run(shape, cfg, seed):
-        side, a, b, n = shape
-        (ts, xs, ss, ys, zs), q = _sample((a, a, b, b, n), cfg, seed)
-        kern = Kernel(q)
-        lhs, rhs = hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs)
-        return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys, z=zs)
-
-    return run
-
-
-def _shapes_nontriv2(a_max, b_max):
-    return [
-        (side, a, b, n)
-        for side in SIDES
-        for a in range(a_max + 1)
-        for b in range(b_max + 1)
-        for n in range(1, 3)
-        if n <= a and n <= b
-    ]
-
-
-def _make_nontriv_runner(variant):
-    def run(shape, cfg, seed):
-        side, a, b, n = shape
-        if variant == "NONTRIV2":
-            pool = (a - n, a, b - n, b, n)
-        else:
-            pool = (a, a - n, b, b - n, n)
-        (ts, xs, ss, ys, zs), q = _sample(pool, cfg, seed)
-        kern = Kernel(q)
-        lhs, rhs = hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs)
-        return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys, z=zs)
-
-    return run
-
-
-def _make_dec_runner(variant):
-    def run(shape, cfg, seed):
-        side, a, b, n = shape
-        if variant == "DEC2":
-            pool = (a - n, a, b - n, b, n)
-        else:
-            pool = (a, a - n, b, b - n, n)
-        (ts, xs, ss, ys, zs), q = _sample(pool, cfg, seed)
-        kern = Kernel(q)
-        lhs, rhs = hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs)
-        return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys, z=zs)
-
-    return run
-
-
-def _shapes_dec_pc(which):
-    def shapes(a_max, b_max):
-        out = []
-        for side in SIDES:
-            for a in range(a_max + 1):
-                for b in range(b_max + 1):
-                    if which == 2 and 1 <= b <= a:
-                        out.append((side, a, b))
-                    if which == 1 and 1 <= a <= b:
-                        out.append((side, a, b))
-        return out
-
-    return shapes
-
-
-def _run_dec2_pc(shape, cfg, seed):
-    side, a, b = shape
-    (ts, xs, ys, zs), q = _sample((a - b, a, b, b), cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs = hc_reduction_pair("DEC2_PC", kern, side, ts, xs, (), ys, zs)
-    return lhs, rhs, None, _params(q, t=ts, x=xs, y=ys, z=zs)
-
-
-def _run_dec1_pc(shape, cfg, seed):
-    side, a, b = shape
-    (ts, ss, ys, zs), q = _sample((a, b, b - a, a), cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs = hc_reduction_pair("DEC1_PC", kern, side, ts, (), ss, ys, zs)
-    return lhs, rhs, None, _params(q, t=ts, s=ss, y=ys, z=zs)
-
-
-def _shapes_twin(low):
-    def shapes(a_max, b_max):
-        out = []
-        for side in SIDES:
-            for a in range(a_max + 1):
-                for b in range(b_max + 1):
-                    if low and b <= a and a >= 1:
-                        out.append((side, a, b))
-                    if not low and a <= b and b >= 1:
-                        out.append((side, a, b))
-        return out
-
-    return shapes
-
-
-def _make_twin_runner(variant):
-    def run(shape, cfg, seed):
-        side, a, b = shape
-        if variant in (1, 2):
-            (ts, ss, ys, xi), q = _sample((a, b, b, a - b), cfg, seed)
-            kern = Kernel(q)
-            lhs, rhs = hc_twin_sum_pair(variant, kern, side, ts, (), ss, ys, xi)
-            params = _params(q, t=ts, s=ss, y=ys, xi=xi)
-        else:
-            (ts, xs, ys, xi), q = _sample((a, a, b, b - a), cfg, seed)
-            kern = Kernel(q)
-            lhs, rhs = hc_twin_sum_pair(variant, kern, side, ts, xs, (), ys, xi)
-            params = _params(q, t=ts, x=xs, y=ys, xi=xi)
-        return lhs, rhs, None, params
-
-    return run
 
 
 def _shapes_prop51(a_max, b_max):
@@ -490,134 +162,250 @@ def _shapes_prop51(a_max, b_max):
     ]
 
 
-def _run_prop51(shape, cfg, seed):
-    side, a, b, p, n = shape
-    (ts, xs, ss, ys, ws, zs), q = _sample((a, a, b, p, b - p, n), cfg, seed)
-    kern = Kernel(q)
-    lhs, rhs = hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs)
-    return lhs, rhs, None, _params(q, t=ts, x=xs, s=ss, y=ys, w=ws, z=zs)
-
-
-# ---------------------------------------------------------------------------
-# Scalar-product suite
-# ---------------------------------------------------------------------------
-
-
 def _shapes_scalar(a_max, b_max):
     return [(a, b) for a in range(a_max + 1) for b in range(b_max + 1)]
 
 
-def _run_w_corner(side):
-    def run(shape, cfg, seed):
-        a, b = shape
-        (uC, uB, vC, vB), q = _sample((a, a, b, b), cfg, seed)
-        kern = Kernel(q)
-        if side == "l":
-            lhs = w_part(kern, ((), uC), ((), uB), (vC, ()), (vB, ()))
-            rhs = hc(kern, "l", uC, uB, vC, vB)
-        else:
-            lhs = w_part(kern, (uC, ()), (uB, ()), ((), vC), ((), vB))
-            rhs = hc(kern, "r", uB, uC, vB, vC)
-        return lhs, rhs, None, _params(q, uC=uC, uB=uB, vC=vC, vB=vB)
-
-    return run
+# ---------------------------------------------------------------------------
+# Evaluators that do more than call one library function
+# ---------------------------------------------------------------------------
 
 
-def _make_scal_res_runner(which):
-    def run(shape, cfg, seed):
-        a, b = shape
-        (uC, uB, vC, vB), q = _sample((a, a, b, b), cfg, seed)
-        kern = Kernel(q)
+def _k_red(kern, side, k, xs, ys, zs):
+    q = kern.q
+    form1 = izergin_side(kern, side, xs + qshift(zs, -2, q), ys + zs)
+    form2 = izergin_side(kern, side, xs + zs, ys + qshift(zs, 2, q))
+    expected = -(q if kern.usign(side) < 0 else kern.qinv) * izergin_side(kern, side, xs, ys)
+    return [form1, form2], [expected, expected]
+
+
+def _k_invers(kern, side, k, xs, ys):
+    lhs = izergin_side(kern, side, qshift(xs, -2, kern.q), ys)
+    rhs = kern.mq(-kern.usign(side) * k) / kern.fprod(ys, xs) * izergin_side(
+        kern, kern.other(side), ys, xs
+    )
+    return lhs, rhs
+
+
+def _k_res(kern, side, k, xs, ys, zs):
+    z = zs[0]
+    zp = z + eps()
+    lhs = izergin_side(kern, side, xs + (z,), ys + (zp,))
+    rhs = (
+        kern.f(z, zp)
+        * kern.fprod((z,), ys)
+        * kern.fprod(xs, (z,))
+        * izergin_side(kern, side, xs, ys)
+    )
+    return singular_coeff(lhs), singular_coeff(rhs)
+
+
+def _k_inf(kern, side, k, xs, ys):
+    """K^(l) decays as y -> infinity and K^(r) as x -> infinity."""
+    big = eps().invert()
+    vals = []
+    for v in (izergin_side(kern, side, (big,) + xs[1:], ys),
+              izergin_side(kern, side, xs, (big,) + ys[1:])):
+        vals.append(v.valuation if isinstance(v, LaurentSeries) and not v.is_zero() else 0)
+    return _bounded(vals, [int(side == "r"), int(side == "l")])
+
+
+def _lemma(kern, side, m1, m2, gamma, alpha, beta):
+    lhs, rhs1, rhs2 = lemma_partition_sum(kern, side, gamma, alpha, beta)
+    return [lhs, lhs], [rhs1, rhs2]
+
+
+def _rep_agree(kern, side, a, b, ts, xs, ss, ys):
+    vals = [hc(kern, side, ts, xs, ss, ys, rep) for rep in REPRESENTATIONS]
+    return vals, [vals[0]] * len(vals), all(v == vals[0] for v in vals)
+
+
+def _z_inf(kern, side, a, b, ts, xs, ss, ys):
+    """Z^(l) decays as t or s -> infinity and Z^(r) as x or y -> infinity."""
+    slots = [slot for slot, n in zip("txsy", (a, a, b, b)) if n]
+    decaying = ("t", "s") if side == "l" else ("x", "y")
+    vals = [hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, 0) for slot in slots]
+    return _bounded(vals, [int(slot in decaying) for slot in slots])
+
+
+def _z_zero(kern, side, a, b, ts, xs, ss, ys):
+    if side == "l":
+        return hc(kern, side, ts, xs, ss, (Rat(0),) + ys[1:]), Rat(0)
+    return hc(kern, side, (Rat(0),) + ts[1:], xs, ss, ys), Rat(0)
+
+
+def _z_triv(kern, side, a, b, ts, xs, ss, ys):
+    lhs = [hc(kern, side, ts, xs, (), ()), hc(kern, side, (), (), ss, ys),
+           hc(kern, side, (), (), (), ())]
+    return lhs, [izergin_side(kern, side, xs, ts), izergin_side(kern, side, ys, ss), Rat(1)]
+
+
+def _run_sym_perm(shape, cfg, seed):
+    """Z is symmetric within each of its four sets; the shuffles use the case seed."""
+    rng = random.Random(seed ^ 0x5F5F)
+
+    def perm(vals):
+        return tuple(rng.sample(vals, len(vals)))
+
+    def evaluate(kern, side, a, b, ts, xs, ss, ys):
+        lhs = hc(kern, side, perm(ts), perm(xs), perm(ss), perm(ys))
+        return lhs, hc(kern, side, ts, xs, ss, ys)
+
+    return _run(_core, _TXSY, evaluate, shape, cfg, seed)
+
+
+def _limit_pair(variant):
+    return lambda kern, side, a, b, n, *sets: hc_multiple_limit_pair(
+        variant, kern, side, *sets)
+
+
+def _reduction_pair(variant):
+    return lambda kern, side, a, b, n, *sets: hc_reduction_pair(variant, kern, side, *sets)
+
+
+def _scal_res(which):
+    """The two extreme coefficients of the scalar product are Z^(r) and Z^(l)."""
+
+    def evaluate(kern, a, b, uC, uB, vC, vB):
         poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
         ff = kern.fprod(vC, uC) * kern.fprod(vB, uB)
         if which == 1:
-            mono = monomial(
-                [("uB", i) for i in range(a)], [("vC", j) for j in range(b)]
-            )
-            rhs = hc(kern, "r", uB, uC, vB, vC) / ff
+            mono = monomial([("uB", i) for i in range(a)], [("vC", j) for j in range(b)])
+            z = hc(kern, "r", uB, uC, vB, vC)
         else:
-            mono = monomial(
-                [("uC", i) for i in range(a)], [("vB", j) for j in range(b)]
-            )
-            rhs = hc(kern, "l", uC, uB, vC, vB) / ff
-        lhs = extract_coefficient(poly, mono)
-        return lhs, rhs, None, _params(q, uC=uC, uB=uB, vC=vC, vB=vB)
+            mono = monomial([("uC", i) for i in range(a)], [("vB", j) for j in range(b)])
+            z = hc(kern, "l", uC, uB, vC, vB)
+        return extract_coefficient(poly, mono), z / ff
 
-    return run
+    return evaluate
 
 
-def _run_scal_multilinear(shape, cfg, seed):
-    a, b = shape
-    (uC, uB, vC, vB), q = _sample((a, a, b, b), cfg, seed)
-    kern = Kernel(q)
+def _scal_multilinear(kern, a, b, uC, uB, vC, vB):
+    """No monomial of the scalar product repeats a symbol."""
     poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
-    bad = 0
-    for mono in poly:
-        seen = set()
-        for sym in mono:
-            if sym in seen:
-                bad += 1
-            seen.add(sym)
-    return bad, 0, None, _params(q, uC=uC, uB=uB, vC=vC, vB=vB)
+    return sum(len(mono) - len(set(mono)) for mono in poly), 0
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
+# Set names and pool cardinalities shared by many rows.
+_XY, _TXSY, _UV = ("x", "y"), ("t", "x", "s", "y"), ("uC", "uB", "vC", "vB")
+_kk = lambda side, k: (k, k)
+_kk1 = lambda side, k: (k, k, 1)
+_core = lambda side, a, b: (a, a, b, b)
+_uv = lambda a, b: (a, a, b, b)
+
 
 def registry():
     descs = [
-        IdentityDescriptor("K_INIT", "izergin", lambda a, b: [(s, 1) for s in SIDES], _run_k_init),
-        IdentityDescriptor("K_SCAL", "izergin", _shapes_sk, _run_k_scal),
-        IdentityDescriptor("K_RED", "izergin", lambda a, b: [(s, k) for s in SIDES for k in range(max(a, b))], _run_k_red),
-        IdentityDescriptor("K_INVERS", "izergin", _shapes_sk, _run_k_invers),
-        IdentityDescriptor("K_INVERS1", "izergin", _shapes_sk, _run_k_invers1),
-        IdentityDescriptor("K_RES", "izergin", lambda a, b: _shapes_sk(a, b, kmin=0), _run_k_res),
-        IdentityDescriptor("K_INF", "izergin", _shapes_sk, _run_k_inf),
-        IdentityDescriptor("LEMMA_SUM", "izergin", _shapes_lemma, _run_lemma),
-        IdentityDescriptor("MULT_POLE", "izergin", _shapes_mult_pole, _run_mult_pole),
-        IdentityDescriptor("HC_REP_AGREE", "hc-reps", _shapes_ab, _run_rep_agree),
-        IdentityDescriptor("DIFF_11", "hc-reps", lambda a, b: [()], _run_diff_11),
-        IdentityDescriptor("Z_INF", "hc-reps", lambda a, b: _shapes_ab(a, b, amin=1, bmin=1), _run_z_inf),
-        IdentityDescriptor("Z_ZERO_VANISH", "hc-reps", lambda a, b: _shapes_ab(a, b, amin=1, bmin=1), _run_z_zero),
-        IdentityDescriptor("HC_SYM_PERM", "symmetries", _shapes_ab, _run_sym_perm),
-        IdentityDescriptor("Z_TRIV", "symmetries", _shapes_ab, _run_z_triv),
-        IdentityDescriptor("Z_SCAL", "symmetries", _shapes_ab, _make_symmetry_runner("Z_SCAL")),
-        IdentityDescriptor("Z_INVERS", "symmetries", _shapes_ab, _make_symmetry_runner("Z_INVERS")),
-        IdentityDescriptor("Z_INVERS1", "symmetries", _shapes_ab, _make_symmetry_runner("Z_INVERS1")),
-        IdentityDescriptor("REC_Z_TRIV1", "residues", lambda a, b: _shapes_ab(a, b, bmin=1), _make_residue_runner("S_TO_Y", 0, 1)),
-        IdentityDescriptor("REC_Z_TRIV2", "residues", lambda a, b: _shapes_ab(a, b, amin=1), _make_residue_runner("T_TO_X", 1, 0)),
-        IdentityDescriptor("REC_Z_NONTRIV", "residues", lambda a, b: _shapes_ab(a, b, amin=1, bmin=1), _make_residue_runner("S_TO_T", 1, 1)),
-        IdentityDescriptor("REC_Z_NONTRIV_D", "residues", lambda a, b: _shapes_ab(a, b, amin=1, bmin=1), _make_residue_runner("Y_TO_X", 1, 1)),
-        IdentityDescriptor("RED1", "residues", _shapes_red, _make_red_runner("RED1")),
-        IdentityDescriptor("RED2", "residues", _shapes_red, _make_red_runner("RED2")),
-        IdentityDescriptor("NONTRIV2", "residues", _shapes_nontriv2, _make_nontriv_runner("NONTRIV2")),
-        IdentityDescriptor("NONTRIV22", "residues", _shapes_nontriv2, _make_nontriv_runner("NONTRIV22")),
-        IdentityDescriptor("DEC1", "reductions", _shapes_nontriv2, _make_dec_runner("DEC1")),
-        IdentityDescriptor("DEC2", "reductions", _shapes_nontriv2, _make_dec_runner("DEC2")),
-        IdentityDescriptor("DEC1_PC", "reductions", _shapes_dec_pc(1), _run_dec1_pc),
-        IdentityDescriptor("DEC2_PC", "reductions", _shapes_dec_pc(2), _run_dec2_pc),
-        IdentityDescriptor("TWIN_1", "twins", _shapes_twin(True), _make_twin_runner(1)),
-        IdentityDescriptor("TWIN_2", "twins", _shapes_twin(True), _make_twin_runner(2)),
-        IdentityDescriptor("TWIN_3", "twins", _shapes_twin(False), _make_twin_runner(3)),
-        IdentityDescriptor("TWIN_4", "twins", _shapes_twin(False), _make_twin_runner(4)),
-        IdentityDescriptor("PROP_5_1", "prop51", _shapes_prop51, _run_prop51),
-        IdentityDescriptor("W_CORNER_L", "scalar", _shapes_scalar, _run_w_corner("l")),
-        IdentityDescriptor("W_CORNER_R", "scalar", _shapes_scalar, _run_w_corner("r")),
-        IdentityDescriptor("SCAL_RES1", "scalar", _shapes_scalar, _make_scal_res_runner(1)),
-        IdentityDescriptor("SCAL_RES2", "scalar", _shapes_scalar, _make_scal_res_runner(2)),
-        IdentityDescriptor("SCAL_MULTILINEAR", "scalar", _shapes_scalar, _run_scal_multilinear),
+        _identity("K_INIT", "izergin", lambda a, b: [(s, 1) for s in SIDES], _kk, _XY,
+                  lambda kern, side, k, xs, ys: (
+                      izergin_side(kern, side, xs, ys),
+                      (xs if side == "l" else ys)[0] * kern.g(xs[0], ys[0]))),
+        _identity("K_SCAL", "izergin", _shapes_sk(), _kk1, _XY + ("alpha",),
+                  lambda kern, side, k, xs, ys, al: (
+                      izergin_side(kern, side, tuple(al[0] * v for v in xs),
+                                   tuple(al[0] * v for v in ys)),
+                      izergin_side(kern, side, xs, ys))),
+        _identity("K_RED", "izergin", _shapes_sk(kmin=0, shift=-1), _kk1, _XY + ("z",), _k_red),
+        _identity("K_INVERS", "izergin", _shapes_sk(), _kk, _XY, _k_invers),
+        _identity("K_INVERS1", "izergin", _shapes_sk(), _kk, _XY,
+                  lambda kern, side, k, xs, ys: (
+                      izergin_side(kern.inverted(), side, xs, ys),
+                      izergin_side(kern, kern.other(side), ys, xs))),
+        _identity("K_RES", "izergin", _shapes_sk(kmin=0), _kk1, _XY + ("z",), _k_res),
+        _identity("K_INF", "izergin", _shapes_sk(), _kk, _XY, _k_inf),
+        _identity("LEMMA_SUM", "izergin", _shapes_lemma,
+                  lambda side, m1, m2: (m1 + m2, m1, m2), ("gamma", "alpha", "beta"),
+                  _lemma),
+        _identity("MULT_POLE", "izergin", _shapes_mult_pole,
+                  lambda side, n, m: (n, n, m), _XY + ("z",),
+                  lambda kern, side, n, m, *sets: mult_pole_limit(kern, side, *sets)),
+        _identity("HC_REP_AGREE", "hc-reps", _shapes_ab(), _core, _TXSY, _rep_agree),
+        _identity("DIFF_11", "hc-reps", lambda a, b: [()], lambda: (1, 1, 1, 1), _TXSY,
+                  lambda kern, *sets: hc_difference_11(kern, *(v[0] for v in sets))),
+        _identity("Z_INF", "hc-reps", _shapes_ab(1, 1), _core, _TXSY, _z_inf),
+        _identity("Z_ZERO_VANISH", "hc-reps", _shapes_ab(1, 1), _core, _TXSY, _z_zero),
+        IdentityDescriptor("HC_SYM_PERM", "symmetries", _shapes_ab(), _run_sym_perm),
+        _identity("Z_TRIV", "symmetries", _shapes_ab(), _core, _TXSY, _z_triv),
+    ]
+    for v in ("Z_SCAL", "Z_INVERS", "Z_INVERS1"):
+        descs.append(_identity(
+            v, "symmetries", _shapes_ab(), lambda side, a, b: (a, a, b, b, 1),
+            _TXSY + ("alpha",),
+            lambda kern, side, a, b, ts, xs, ss, ys, al, v=v: hc_symmetry_pair(
+                v, kern, side, ts, xs, ss, ys, alpha=al[0] if v == "Z_SCAL" else None)))
+    for ident, v, amin, bmin in (("REC_Z_TRIV1", "S_TO_Y", 0, 1),
+                                 ("REC_Z_TRIV2", "T_TO_X", 1, 0),
+                                 ("REC_Z_NONTRIV", "S_TO_T", 1, 1),
+                                 ("REC_Z_NONTRIV_D", "Y_TO_X", 1, 1)):
+        descs.append(_identity(
+            ident, "residues", _shapes_ab(amin, bmin), _core, _TXSY,
+            lambda kern, side, a, b, *sets, v=v: hc_residue_pair(v, kern, side, *sets)))
+    for v in ("RED1", "RED2"):
+        descs.append(_identity(v, "residues", _shapes_abn(),
+                               lambda side, a, b, n: (a, a, b, b, n), _TXSY + ("z",),
+                               _limit_pair(v)))
+    # The n z's fill up the t and s (or x and y) sets, so those pools are n short.
+    fewer_ts = lambda side, a, b, n: (a - n, a, b - n, b, n)
+    fewer_xy = lambda side, a, b, n: (a, a - n, b, b - n, n)
+    for v, suite, pools, pair in (("NONTRIV2", "residues", fewer_ts, _limit_pair),
+                                  ("NONTRIV22", "residues", fewer_xy, _limit_pair),
+                                  ("DEC1", "reductions", fewer_xy, _reduction_pair),
+                                  ("DEC2", "reductions", fewer_ts, _reduction_pair)):
+        descs.append(_identity(v, suite, _shapes_abn(lambda a, b, n: n <= a and n <= b),
+                               pools, _TXSY + ("z",), pair(v)))
+    a_le_b = _shapes_ab(amin=1, keep=lambda a, b: a <= b)
+    b_le_a = _shapes_ab(bmin=1, keep=lambda a, b: b <= a)
+    descs += [
+        _identity("DEC1_PC", "reductions", a_le_b, lambda side, a, b: (a, b, b - a, a),
+                  ("t", "s", "y", "z"),
+                  lambda kern, side, a, b, ts, ss, ys, zs: hc_reduction_pair(
+                      "DEC1_PC", kern, side, ts, (), ss, ys, zs)),
+        _identity("DEC2_PC", "reductions", b_le_a, lambda side, a, b: (a - b, a, b, b),
+                  ("t", "x", "y", "z"),
+                  lambda kern, side, a, b, ts, xs, ys, zs: hc_reduction_pair(
+                      "DEC2_PC", kern, side, ts, xs, (), ys, zs)),
+    ]
+    for v in (1, 2):
+        descs.append(_identity(
+            f"TWIN_{v}", "twins", _shapes_ab(amin=1, keep=lambda a, b: b <= a),
+            lambda side, a, b: (a, b, b, a - b), ("t", "s", "y", "xi"),
+            lambda kern, side, a, b, ts, ss, ys, xi, v=v: hc_twin_sum_pair(
+                v, kern, side, ts, (), ss, ys, xi)))
+    for v in (3, 4):
+        descs.append(_identity(
+            f"TWIN_{v}", "twins", _shapes_ab(bmin=1, keep=lambda a, b: a <= b),
+            lambda side, a, b: (a, a, b, b - a), ("t", "x", "y", "xi"),
+            lambda kern, side, a, b, ts, xs, ys, xi, v=v: hc_twin_sum_pair(
+                v, kern, side, ts, xs, (), ys, xi)))
+    descs += [
+        _identity("PROP_5_1", "prop51", _shapes_prop51,
+                  lambda side, a, b, p, n: (a, a, b, p, b - p, n), _TXSY + ("w", "z"),
+                  lambda kern, side, a, b, p, n, *sets: hc_prop51_pair(kern, side, *sets)),
+        _identity("W_CORNER_L", "scalar", _shapes_scalar, _uv, _UV,
+                  lambda kern, a, b, uC, uB, vC, vB: (
+                      w_part(kern, ((), uC), ((), uB), (vC, ()), (vB, ())),
+                      hc(kern, "l", uC, uB, vC, vB))),
+        _identity("W_CORNER_R", "scalar", _shapes_scalar, _uv, _UV,
+                  lambda kern, a, b, uC, uB, vC, vB: (
+                      w_part(kern, (uC, ()), (uB, ()), ((), vC), ((), vB)),
+                      hc(kern, "r", uB, uC, vB, vC))),
+        _identity("SCAL_RES1", "scalar", _shapes_scalar, _uv, _UV, _scal_res(1)),
+        _identity("SCAL_RES2", "scalar", _shapes_scalar, _uv, _UV, _scal_res(2)),
+        _identity("SCAL_MULTILINEAR", "scalar", _shapes_scalar, _uv, _UV, _scal_multilinear),
     ]
     return descs
 
 
-def suites():
-    return SUITES
-
-
 def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
-    """Run every applicable identity over its shapes and seeded trials."""
+    """Run every applicable identity over its shapes and seeded trials.
+
+    A case that raises is recorded as an error, with the exception's type and
+    message and the sampled point, and the sweep goes on.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if cfg is None:
@@ -637,9 +425,9 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
                 try:
                     lhs, rhs, ok_flag, params = desc.run(shape, cfg, case_seed)
                     ok = _eq(lhs, rhs) if ok_flag is None else ok_flag
-                except ExactError as exc:
+                except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    params = {}
+                    params = getattr(exc, "params", {})
                 elapsed = int((time.monotonic() - t0) * 1000)
                 cases.append(
                     {

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc.exactnum import Rat
+import qhc.highest
+from qhc.exactnum import LaurentSeries, Rat
 from qhc.highest import (
     REPRESENTATIONS,
     hc,
@@ -206,3 +207,18 @@ class TestAsymptotics:
         (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), Config(seed=61))
         got = hc_infinity_valuation(Kernel(q), side, ts, xs, ss, ys, slot, 0)
         assert got >= need
+
+    @pytest.mark.parametrize(
+        "zero,want",
+        [
+            # zero only below eps^0: nothing shown about decay
+            (LaurentSeries(0, (), order=0), 0),
+            (LaurentSeries(0, (), order=3), 3),
+            # an exact zero decays
+            (LaurentSeries.zero(), 1),
+        ],
+    )
+    def test_zero_valuation_is_a_lower_bound(self, monkeypatch, zero, want):
+        monkeypatch.setattr(qhc.highest, "hc", lambda *args: zero)
+        sets = ((Rat(2),), (Rat(3),), (Rat(5),), (Rat(7),))
+        assert hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, "t", 0) == want

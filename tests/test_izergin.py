@@ -12,8 +12,6 @@ from qhc.izergin import (
     Kernel,
     det,
     izergin,
-    izergin_left,
-    izergin_right,
     izergin_side,
     lemma_partition_sum,
     mult_pole_limit,
@@ -122,9 +120,10 @@ class TestIzergin:
         (xs, ys), q = sample_generic((2, 2), Config(seed=9))
         kern = Kernel(q)
         base = izergin(kern, xs, ys)
-        assert izergin_left(kern, xs, ys) == xs[0] * xs[1] * base
-        assert izergin_right(kern, xs, ys) == ys[0] * ys[1] * base
-        assert izergin_side(kern, "l", xs, ys) == izergin_left(kern, xs, ys)
+        assert izergin_side(kern, "l", xs, ys) == xs[0] * xs[1] * base
+        assert izergin_side(kern, "r", xs, ys) == ys[0] * ys[1] * base
+        with pytest.raises(ValueError):
+            izergin_side(kern, "m", xs, ys)
 
     @given(st.integers(min_value=0, max_value=10**5))
     @settings(max_examples=20, deadline=None)

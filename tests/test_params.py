@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import Rat
-from qhc.params import Config, complement, is_generic, qshift, sample_generic
+from qhc.params import Config, is_generic, qshift, sample_generic
 
 
 class TestConfig:
@@ -30,18 +30,6 @@ class TestQShift:
         vals = (Rat(3), Rat(5))
         q = Rat(7, 2)
         assert qshift(qshift(vals, -2, q), 2, q) == vals
-
-
-class TestComplement:
-    def test_basic(self):
-        assert complement((10, 20, 30), (2,)) == ((20,), (10, 30))
-
-    def test_empty_selection(self):
-        assert complement((1, 2), ()) == ((), (1, 2))
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            complement((1, 2), (3,))
 
 
 class TestSampler:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import qhc.verify
 from qhc.cli import build_parser, main
+from qhc.exactnum import PoleError
 from qhc.verify import SUITES, registry, run_suite
 
 EXPECTED_IDS = {
@@ -80,6 +82,25 @@ class TestRunSuite:
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "6d284ddc8bcdd5dac91b635e17a2fa930c3bb2efbfc69318555753e6049c7ed1"
         )
+
+    @pytest.mark.parametrize("exc", [PoleError, ZeroDivisionError, ValueError])
+    def test_every_failing_case_keeps_its_replay_data(self, monkeypatch, tmp_path, exc):
+        def fail(*args):
+            raise exc("injected")
+
+        monkeypatch.setattr(qhc.verify, "hc_twin_sum_pair", fail)
+        report = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)
+        cases = report["cases"]
+        assert len(cases) == 16  # 4 identities x 2 sides x 2 shapes
+        assert report["summary"] == {"pass": 0, "fail": 0, "error": 16}
+        for case in cases:
+            assert case["error"] == f"{exc.__name__}: injected"
+            assert case["equal"] is False
+            assert {"q", "t"} <= set(case["params"])
+        code = main(["verify", "--suite", "twins", "--a-max", "1", "--b-max", "1",
+                     "--trials", "1", "--seed", "5",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
 
     def test_small_sweep_all_green(self):
         report = run_suite("izergin", a_max=1, b_max=1, trials=2, seed=12)
