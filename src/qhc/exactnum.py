@@ -85,9 +85,27 @@ def _level(x):
 
 
 def _coeff_is_zero(c):
+    """True only for an exact zero: a truncated zero is unknown, not zero."""
     if _is_series(c):
-        return c.is_zero()
+        return c.is_zero() and c.is_exact()
     return c == 0
+
+
+def _known_nonzero(c):
+    """True when some coefficient of ``c``, at any level, is a nonzero scalar."""
+    if _is_series(c):
+        return any(_known_nonzero(x) for x in c.coeffs)
+    return c != 0
+
+
+def _low(s):
+    """A lower bound on the true valuation: ``order`` for a truncated zero."""
+    return s.order if s.is_zero() else s.valuation
+
+
+def _shift(v, order):
+    """``v + order``, keeping the ``_INF`` sentinel identical."""
+    return _INF if order is _INF else v + order
 
 
 def _coeff_invert(c):
@@ -126,6 +144,7 @@ class LaurentSeries:
         if o is not _INF:
             keep = max(0, int(o) - v)
             cs = cs[:keep]
+        # then zeros at either end, but only exact ones
         while cs and _coeff_is_zero(cs[0]):
             cs.pop(0)
             v += 1
@@ -165,15 +184,15 @@ class LaurentSeries:
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
-        """Lift ``other`` to a constant series of this level, or None."""
+        """Lift ``other`` to a constant series of this level, or None.
+
+        Only an exact zero lifts to the zero series; a truncated zero of a
+        lower level stays a coefficient that is known only in its window.
+        """
         lo = _level(other)
         if lo == self.level:
             return other
         if lo < self.level:
-            if _is_series(other) and other.is_zero():
-                return LaurentSeries.zero(self.level)
-            if not _is_series(other) and other == 0:
-                return LaurentSeries.zero(self.level)
             return LaurentSeries.constant(other, self.level)
         return None
 
@@ -214,12 +233,12 @@ class LaurentSeries:
         if b is None:
             return other * self
         a = self
-        if a.is_zero() or b.is_zero():
+        if _coeff_is_zero(a) or _coeff_is_zero(b):
             return LaurentSeries.zero(self.level)
-        order = min(
-            a.valuation + b.order if b.order is not _INF else _INF,
-            b.valuation + a.order if a.order is not _INF else _INF,
-        )
+        order = min(_shift(_low(a), b.order), _shift(_low(b), a.order))
+        if a.is_zero() or b.is_zero():
+            # a truncated zero times anything is known only up to that order
+            return LaurentSeries(0, (), order, self.level)
         v = a.valuation + b.valuation
         n = len(a.coeffs) + len(b.coeffs) - 1
         if order is not _INF:
@@ -287,6 +306,9 @@ class LaurentSeries:
         lo = min(a.valuation, b.valuation) if (a.coeffs or b.coeffs) else 0
         hi = max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs))
         if o is not _INF:
+            if any(s.coeffs and s.valuation + len(s.coeffs) > o for s in (a, b)):
+                # one side holds a coefficient the other does not know
+                raise WindowError(f"equality undecided at order {int(o)} and above")
             hi = min(hi, int(o))
         for k in range(lo, hi):
             ca = a.coeffs[k - a.valuation] if a.valuation <= k < a.valuation + len(a.coeffs) else Rat(0)
@@ -336,6 +358,8 @@ def take_limit(value):
             raise WindowError("constant term not retained in truncated zero series")
         return Rat(0)
     if value.valuation < 0:
+        if not any(_known_nonzero(c) for c in value.coeffs[:-value.valuation]):
+            raise WindowError("singular part not resolved at this truncation")
         raise SingularPartError(
             f"non-vanishing singular part (valuation {value.valuation}) in limit"
         )

@@ -34,6 +34,7 @@ __all__ = [
     "hc_reduction_pair",
     "hc_twin_sum_pair",
     "hc_prop51_pair",
+    "decay_valuation",
     "hc_infinity_valuation",
     "singular_coeff",
 ]
@@ -512,13 +513,25 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     return lhs, total
 
 
+def decay_valuation(value):
+    """A lower bound on the valuation in delta of a value at an argument 1/delta.
+
+    Valuation >= 1 means decay, >= 0 means bounded.  An exact zero decays; a
+    zero known only below its truncation order returns that order, which is
+    all that is known.  A nonzero scalar is bounded.
+    """
+    if not isinstance(value, LaurentSeries):
+        return 1 if value == 0 else 0
+    if value.is_zero():
+        return 1 if value.is_exact() else int(value.order)
+    return value.valuation
+
+
 def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, index):
     """Series valuation of Z when one argument is sent to infinity.
 
-    The chosen argument is replaced by 1/delta; returns the valuation of the
-    resulting series in delta.  Valuation >= 1 means decay, >= 0 means
-    bounded.  A result that is zero only below its truncation order returns
-    that order, which is all that is known: a lower bound.
+    The chosen argument is replaced by 1/delta; returns `decay_valuation` of
+    the resulting series in delta.
     """
     big = eps().invert()
     sets = {"t": list(ts), "x": list(xs), "s": list(ss), "y": list(ys)}
@@ -526,6 +539,4 @@ def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, index):
     value = hc(kern, side, *(tuple(sets[k]) for k in "txsy"))
     if not isinstance(value, LaurentSeries):
         raise ValueError("expected a series result for an infinite argument")
-    if value.is_zero():
-        return 1 if value.is_exact() else int(value.order)
-    return value.valuation
+    return decay_valuation(value)

@@ -12,13 +12,18 @@ product of (q x_i - q^{-1} y_j) into the matrix rows gives entries
 so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.
+
+A `Kernel` stands for one sampled point: it memoises K_k(xs|ys) and f(u, v)
+at rational arguments, which the partition sums of Z and of the scalar
+product ask for many times over.  Series arguments are unhashable and bypass
+the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactnum import LaurentSeries, PoleError, Rat, eps, take_limit
+from .exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
 from .params import qshift
 from .partitions import enumerate_partitions
 
@@ -39,7 +44,8 @@ def _is_series(x):
 
 
 def _is_zero(x):
-    return x.is_zero() if _is_series(x) else x == 0
+    """True only for an exact zero; a truncated zero is unknown."""
+    return x.is_zero() and x.is_exact() if _is_series(x) else x == 0
 
 
 def _val(x):
@@ -55,12 +61,29 @@ def _div(a, b):
     return a / b
 
 
+def _memoised(memo, key, compute, *args):
+    """``compute(*args)``, stored in ``memo`` under ``key`` if it is hashable."""
+    try:
+        out = memo.get(key)
+    except TypeError:  # a series argument: no memo
+        return compute(*args)
+    if out is None:
+        out = memo[key] = compute(*args)
+    return out
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """The deformation parameter q and the rational kernel functions."""
+    """The deformation parameter q and the rational kernel functions.
+
+    Build one instance per sampled point: it memoises K and f at every
+    rational argument it is asked for, for as long as it lives.
+    """
 
     q: object
     qinv: object = field(init=False)
+    _k_memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _f_memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         q = Rat(self.q)
@@ -70,6 +93,9 @@ class Kernel:
         object.__setattr__(self, "qinv", Rat(1) / q)
 
     def f(self, u, v):
+        return _memoised(self._f_memo, (u, v), self._f, u, v)
+
+    def _f(self, u, v):
         return _div(self.q * u - self.qinv * v, u - v)
 
     def g(self, u, v):
@@ -108,7 +134,9 @@ def det(rows):
     """Determinant by Gaussian elimination, generic over the scalar ring.
 
     Pivots on the entry of minimal valuation (plain nonzero scalars count as
-    valuation 0), which keeps series windows as wide as possible.
+    valuation 0), which keeps series windows as wide as possible.  Only exact
+    zeros are skipped: a pivot column of zeros known only within their
+    windows raises WindowError.
     """
     n = len(rows)
     if n == 0:
@@ -118,8 +146,10 @@ def det(rows):
     result = Rat(1)
     for k in range(n):
         piv = min(range(k, n), key=lambda i: _val(m[i][k]))
-        if _is_zero(m[piv][k]):
-            return Rat(0)
+        if _val(m[piv][k]) == _INF:
+            if all(_is_zero(m[i][k]) for i in range(k, n)):
+                return Rat(0)
+            raise WindowError("pivot column is zero only within its truncation window")
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -141,6 +171,11 @@ def izergin(kern, xs, ys):
         raise ValueError(f"cardinality mismatch: {k} vs {len(ys)}")
     if k == 0:
         return Rat(1)
+    return _memoised(kern._k_memo, (tuple(xs), tuple(ys)), _izergin, kern, xs, ys)
+
+
+def _izergin(kern, xs, ys):
+    k = len(xs)
     q, qi = kern.q, kern.qinv
     gq = q - qi
     rows = []

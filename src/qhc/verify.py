@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 from .exactnum import LaurentSeries, Rat, eps, scalar_format
 from .highest import (
-    REPRESENTATIONS, hc, hc_difference_11, hc_infinity_valuation, hc_multiple_limit_pair,
-    hc_prop51_pair, hc_reduction_pair, hc_residue_pair, hc_symmetry_pair, hc_twin_sum_pair,
-    singular_coeff,
+    REPRESENTATIONS, decay_valuation, hc, hc_difference_11, hc_infinity_valuation,
+    hc_multiple_limit_pair, hc_prop51_pair, hc_reduction_pair, hc_residue_pair,
+    hc_symmetry_pair, hc_twin_sum_pair, singular_coeff,
 )
 from .izergin import Kernel, izergin_side, lemma_partition_sum, mult_pole_limit
 from .params import Config, qshift, sample_generic
@@ -203,10 +203,8 @@ def _k_res(kern, side, k, xs, ys, zs):
 def _k_inf(kern, side, k, xs, ys):
     """K^(l) decays as y -> infinity and K^(r) as x -> infinity."""
     big = eps().invert()
-    vals = []
-    for v in (izergin_side(kern, side, (big,) + xs[1:], ys),
-              izergin_side(kern, side, xs, (big,) + ys[1:])):
-        vals.append(v.valuation if isinstance(v, LaurentSeries) and not v.is_zero() else 0)
+    vals = [decay_valuation(izergin_side(kern, side, (big,) + xs[1:], ys)),
+            decay_valuation(izergin_side(kern, side, xs, (big,) + ys[1:]))]
     return _bounded(vals, [int(side == "r"), int(side == "l")])
 
 

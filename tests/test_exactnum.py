@@ -136,3 +136,120 @@ class TestEpsilonLimits:
         narrow = LaurentSeries(0, (), order=0)
         with pytest.raises(WindowError):
             take_limit(narrow)
+
+
+class TestTruncationIsSound:
+    """A truncated series claims nothing at or above its order."""
+
+    def test_equality_beyond_the_common_order_raises(self):
+        with pytest.raises(WindowError):
+            LaurentSeries(0, (3,), order=0) == 5
+        with pytest.raises(WindowError):
+            series(0, [1, 2], order=1) == series(0, [1, 2])
+        assert LaurentSeries(0, (), order=8) == 0
+        assert series(0, [1, 2], order=3) == series(0, [1, 2])
+
+    def test_nested_zero_known_only_in_its_window_is_kept(self):
+        inner = LaurentSeries(1, (), order=1)
+        with pytest.raises(WindowError):
+            take_limit(LaurentSeries(-1, (inner, 2), level=2))
+
+    def test_nested_exact_zero_is_trimmed(self):
+        value = LaurentSeries(-1, (LaurentSeries.zero(), 2), level=2)
+        assert value.valuation == 0
+        assert take_limit(value) == Rat(2)
+
+    def test_known_singular_part_still_detected(self):
+        inner = LaurentSeries(1, (), order=1)
+        with pytest.raises(SingularPartError):
+            take_limit(LaurentSeries(-2, (inner, 3), level=2))
+
+    def test_truncated_zero_times_series_is_not_exact(self):
+        prod = LaurentSeries(0, (), order=3) * LaurentSeries(-5, (Rat(1),))
+        assert prod.is_zero() and prod.order == -2
+        with pytest.raises(WindowError):
+            take_limit(prod)
+
+    def test_exact_zero_times_series_is_exact(self):
+        prod = LaurentSeries.zero() * LaurentSeries(0, (), order=3)
+        assert prod.is_zero() and prod.is_exact()
+
+    def test_lower_level_truncated_zero_is_not_lifted_to_exact_zero(self):
+        with pytest.raises(WindowError):
+            take_limit(eps(level=2) + LaurentSeries(0, (), order=0))
+        assert take_limit(eps(level=2) + LaurentSeries.zero()) == Rat(0)
+
+
+def completed_and_truncated(valuation, coeffs, extra):
+    """An exact series and its truncation at valuation + extra (None: exact)."""
+    exact = series(valuation, coeffs)
+    order = math.inf if extra is None else valuation + extra
+    return exact, series(valuation, coeffs, order)
+
+
+truncated_pairs = st.builds(
+    completed_and_truncated,
+    st.integers(min_value=-3, max_value=3),
+    st.lists(rationals, min_size=0, max_size=4),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+)
+
+
+def assert_agrees_below_order(got, want, lo=-12, hi=20):
+    """``got`` matches ``want`` at every power it claims to know."""
+    top = hi if got.order == math.inf else min(hi, int(got.order))
+    for k in range(lo, top):
+        assert got.coeff(k) == want.coeff(k), (k, got, want)
+
+
+class TestTruncatedOperations:
+    @given(truncated_pairs, truncated_pairs)
+    @settings(max_examples=150)
+    def test_sum_agrees_below_its_order(self, s, t):
+        assert_agrees_below_order(s[1] + t[1], s[0] + t[0])
+
+    @given(truncated_pairs, truncated_pairs)
+    @settings(max_examples=150)
+    def test_product_agrees_below_its_order(self, s, t):
+        assert_agrees_below_order(s[1] * t[1], s[0] * t[0])
+
+    @given(truncated_pairs)
+    @settings(max_examples=150)
+    def test_inverse_agrees_with_a_wider_window(self, s):
+        exact, trunc = s
+        if trunc.is_zero():
+            with pytest.raises(PoleError if trunc.is_exact() else WindowError):
+                trunc.invert()
+            return
+        wide = series(exact.valuation, exact.coeffs, exact.valuation + 40).invert()
+        assert_agrees_below_order(trunc.invert(), wide)
+
+
+def small_poly(lo, hi):
+    return st.lists(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=3)
+
+
+class TestSympyOracle:
+    """Limits and residues of small rational functions of eps, against sympy."""
+
+    @given(small_poly(-5, 5), small_poly(-5, 5).filter(lambda d: d[0] != 0),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_limit_and_residue(self, num, den, shift):
+        sympy = pytest.importorskip("sympy")
+        e = sympy.Symbol("e")
+        expr = sum(c * e**i for i, c in enumerate(num)) / (
+            e**shift * sum(c * e**i for i, c in enumerate(den)))
+        value = series(0, num) / series(shift, den)
+
+        residue = value.coeff(-1)
+        assert sympy.Rational(residue.numerator, residue.denominator) == sympy.residue(
+            expr, e, 0)
+
+        want = sympy.limit(expr, e, 0, "+")
+        if want.is_finite:
+            got = take_limit(value)
+            assert sympy.Rational(got.numerator, got.denominator) == want
+        else:
+            with pytest.raises(SingularPartError):
+                take_limit(value)

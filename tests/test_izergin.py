@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc.exactnum import Rat, eps, take_limit
+from qhc.exactnum import LaurentSeries, Rat, WindowError, eps, take_limit
 from qhc.izergin import (
     Kernel,
     det,
@@ -93,6 +93,22 @@ class TestDeterminant:
         rows = [[Rat(0), Rat(1)], [Rat(1), Rat(0)]]
         assert det(rows) == Rat(-1)
 
+    def test_exact_zero_column_gives_zero(self):
+        rows = [[LaurentSeries.zero(), Rat(1)], [Rat(0), Rat(2)]]
+        assert det(rows) == Rat(0)
+
+    def test_truncated_zero_column_raises(self):
+        rows = [[LaurentSeries(0, (), order=2), Rat(1)],
+                [LaurentSeries(0, (), order=3), Rat(2)]]
+        with pytest.raises(WindowError):
+            det(rows)
+
+    def test_truncated_zero_entry_is_not_skipped(self):
+        # det [[1, 1], [O(e^2), 1]] = 1 + O(e^2): only known below e^2
+        rows = [[Rat(1), Rat(1)], [LaurentSeries(0, (), order=2), Rat(1)]]
+        got = det(rows)
+        assert isinstance(got, LaurentSeries) and got.order == 2
+
 
 class TestIzergin:
     def test_k0_is_one(self):
@@ -169,3 +185,47 @@ class TestMultiplePole:
         got = izergin(kern, (x,), (y,))
         assert got == kern.g(x, y)
         assert got == Rat(0) - Rat(3, 2) / (y - x)
+
+
+class TestKernelMemo:
+    """A Kernel memoises K and f for its own point, and only at rational arguments."""
+
+    xs, ys = (Rat(3), Rat(5, 2)), (Rat(7), Rat(-1, 3))
+
+    def test_kernels_with_different_q_keep_their_own_values(self):
+        k2, k3 = Kernel(Rat(2)), Kernel(Rat(3))
+        got = [izergin(k, self.xs, self.ys) for k in (k2, k3, k2, k3)]
+        assert got[0] != got[1]
+        assert got[2:] == got[:2]
+        assert got[1] == as_rat(reference_izergin(3, self.xs, self.ys))
+        assert [k2.f(Rat(3), Rat(1)), k3.f(Rat(3), Rat(1))] == [Rat(11, 4), Rat(13, 3)]
+
+    def test_series_arguments_bypass_the_memo(self):
+        kern = Kernel(Rat(2))
+        izergin(kern, self.xs, self.ys)
+        before = (dict(kern._k_memo), dict(kern._f_memo))
+        shifted = (self.xs[0] + eps(), self.xs[1])
+        first = izergin(kern, shifted, self.ys)
+        kern.f(Rat(3) + eps(), Rat(1))
+        assert (kern._k_memo, kern._f_memo) == before
+        assert izergin(kern, shifted, self.ys) == first
+
+    def test_memo_does_not_change_equality_or_hash(self):
+        used, fresh = Kernel(Rat(2)), Kernel(Rat(2))
+        izergin(used, self.xs, self.ys)
+        used.fprod(self.xs, self.ys)
+        assert used._k_memo and used._f_memo and not fresh._k_memo
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_inverted_kernel_has_its_own_memo(self):
+        kern = Kernel(Rat(2))
+        izergin(kern, self.xs, self.ys)
+        inv = kern.inverted()
+        assert inv._k_memo is not kern._k_memo and not inv._k_memo
+        assert inv._f_memo is not kern._f_memo
+        assert izergin(inv, self.xs, self.ys) == as_rat(
+            reference_izergin(Rat(1, 2), self.xs, self.ys))
+        assert izergin(kern, self.xs, self.ys) == as_rat(
+            reference_izergin(2, self.xs, self.ys))

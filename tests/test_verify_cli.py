@@ -9,7 +9,8 @@ import pytest
 
 import qhc.verify
 from qhc.cli import build_parser, main
-from qhc.exactnum import PoleError
+from qhc.exactnum import LaurentSeries, PoleError
+from qhc.params import Config
 from qhc.verify import SUITES, registry, run_suite
 
 EXPECTED_IDS = {
@@ -101,6 +102,25 @@ class TestRunSuite:
                      "--trials", "1", "--seed", "5",
                      "--out", str(tmp_path / "report.json")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "zero,want,decays",
+        [
+            # an exact zero decays
+            (LaurentSeries.zero(), [1, 1], True),
+            # a zero known only below its order: that order is a lower bound
+            (LaurentSeries(0, (), order=3), [3, 3], True),
+            (LaurentSeries(0, (), order=0), [0, 0], False),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_k_inf_valuation_of_a_zero_is_a_lower_bound(
+            self, monkeypatch, side, zero, want, decays):
+        monkeypatch.setattr(qhc.verify, "izergin_side", lambda *args: zero)
+        (desc,) = [d for d in registry() if d.identity_id == "K_INF"]
+        vals, _, ok, _ = desc.run((side, 1), Config(), 3)
+        assert vals == want
+        assert ok is decays
 
     def test_small_sweep_all_green(self):
         report = run_suite("izergin", a_max=1, b_max=1, trials=2, seed=12)
