@@ -5,7 +5,9 @@ ground field is the rationals (gmpy2.mpq when available, fractions.Fraction
 otherwise).  Limits and residues are computed in a truncated Laurent series
 ring over that field.  Series can be nested (a series whose coefficients are
 themselves series of a lower ``level``), which is how sequential multi-variable
-limits are evaluated one infinitesimal at a time.
+limits are evaluated one infinitesimal at a time.  Level-1 products clear
+denominators and convolve integer numerators, and a level-2 product sums the
+level-1 products of each of its coefficients in one such integer pass.
 """
 
 from __future__ import annotations
@@ -106,6 +108,85 @@ def _low(s):
 def _shift(v, order):
     """``v + order``, keeping the ``_INF`` sentinel identical."""
     return _INF if order is _INF else v + order
+
+
+def _over_common_denominator(cs):
+    """Integer numerators of the scalars ``cs`` over the lcm of their denominators."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _convolve_into(out, xs, ys, shift=0):
+    """Add the product of ``xs`` and ``ys``, moved up ``shift`` places, to ``out``.
+
+    Only the first ``len(out)`` places are kept; exact zeros of ``xs`` are
+    skipped.
+    """
+    n = max(0, len(out) - shift)
+    for i, x in enumerate(xs[:n]):
+        if _coeff_is_zero(x):
+            continue
+        for j, y in enumerate(ys[:n - i], shift + i):
+            out[j] = out[j] + x * y
+
+
+def _integer_rows(coeffs):
+    """Level-0 and level-1 coefficients over one common denominator ``d``.
+
+    Each row is ``(is_series, is_exact_zero, low, order, valuation, nums)``
+    with ``nums`` the integer numerators over ``d``; a scalar is a constant.
+    """
+    flat = [x for c in coeffs for x in (c.coeffs if _is_series(c) else (c,))]
+    nums, d = _over_common_denominator(flat)
+    rows, at = [], 0
+    for c in coeffs:
+        if _is_series(c):
+            row = nums[at:at + len(c.coeffs)]
+            rows.append((True, _coeff_is_zero(c), _low(c), c.order, c.valuation, row))
+        else:
+            row = nums[at:at + 1]
+            rows.append((False, row[0] == 0, 0, _INF, 0, row))
+        at += len(row)
+    return rows, d
+
+
+def _nested_convolve(xs, ys, n):
+    """The first ``n`` coefficients of a product of two level-2 coefficient lists.
+
+    Equals the sum over ``i + j = k`` of ``xs[i] * ys[j]`` in the series ring,
+    type and order included, but adds each coefficient's level-1 products
+    as integers and builds its scalars once.
+    """
+    xs, dx = _integer_rows(xs)
+    ys, dy = _integer_rows(ys)
+    d = dx * dy
+    out = []
+    for k in range(n):
+        is_series, order, terms = False, _INF, []
+        for i in range(max(0, k - len(ys) + 1), min(k + 1, len(xs))):
+            x_series, x_zero, x_low, x_order, x_val, x_nums = xs[i]
+            y_series, y_zero, y_low, y_order, y_val, y_nums = ys[k - i]
+            if x_zero:
+                continue
+            # a product with a series is a series, even an exact zero one
+            is_series = is_series or x_series or y_series
+            if y_zero:
+                continue
+            order = min(order, _shift(x_low, y_order), _shift(y_low, x_order))
+            if x_nums and y_nums:
+                terms.append((x_val + y_val, x_nums, y_nums))
+        if not is_series:
+            out.append(Rat(sum(a[0] * b[0] for _, a, b in terms), d))
+            continue
+        lo = min((v for v, _, _ in terms), default=0)
+        hi = max((v + len(a) + len(b) - 1 for v, a, b in terms), default=0)
+        if order is not _INF:
+            hi = min(hi, int(order))
+        acc = [0] * max(0, hi - lo)
+        for v, a, b in terms:
+            _convolve_into(acc, a, b, v - lo)
+        out.append(LaurentSeries(lo, [Rat(c, d) for c in acc], order, 1))
+    return out
 
 
 def _coeff_invert(c):
@@ -243,13 +324,17 @@ class LaurentSeries:
         n = len(a.coeffs) + len(b.coeffs) - 1
         if order is not _INF:
             n = min(n, int(order) - v)
-        cs = [Rat(0)] * n
-        for i, ca in enumerate(a.coeffs):
-            if _coeff_is_zero(ca):
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if i + j < n:
-                    cs[i + j] = cs[i + j] + ca * cb
+        if self.level == 1:
+            xs, da = _over_common_denominator(a.coeffs)
+            ys, db = _over_common_denominator(b.coeffs)
+            acc = [0] * n
+            _convolve_into(acc, xs, ys)
+            cs = [Rat(c, da * db) for c in acc]
+        elif self.level == 2:
+            cs = _nested_convolve(a.coeffs, b.coeffs, n)
+        else:
+            cs = [Rat(0)] * n
+            _convolve_into(cs, a.coeffs, b.coeffs)
         return LaurentSeries(v, cs, order, self.level)
 
     __rmul__ = __mul__
@@ -306,8 +391,9 @@ class LaurentSeries:
         lo = min(a.valuation, b.valuation) if (a.coeffs or b.coeffs) else 0
         hi = max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs))
         if o is not _INF:
-            if any(s.coeffs and s.valuation + len(s.coeffs) > o for s in (a, b)):
-                # one side holds a coefficient the other does not know
+            # the constant term must be known, and neither side may hold a
+            # coefficient the other does not know
+            if o <= 0 or any(s.coeffs and s.valuation + len(s.coeffs) > o for s in (a, b)):
                 raise WindowError(f"equality undecided at order {int(o)} and above")
             hi = min(hi, int(o))
         for k in range(lo, hi):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import (
@@ -149,6 +149,14 @@ class TestTruncationIsSound:
         assert LaurentSeries(0, (), order=8) == 0
         assert series(0, [1, 2], order=3) == series(0, [1, 2])
 
+    @pytest.mark.parametrize("order", [-5, 0])
+    def test_equality_must_reach_the_constant_term(self, order):
+        with pytest.raises(WindowError):
+            LaurentSeries(0, (), order=order) == 0
+        with pytest.raises(WindowError):
+            series(-2, [1], order=order) == series(-2, [1])
+        assert series(-2, [1], order=1) == series(-2, [1])
+
     def test_nested_zero_known_only_in_its_window_is_kept(self):
         inner = LaurentSeries(1, (), order=1)
         with pytest.raises(WindowError):
@@ -223,6 +231,94 @@ class TestTruncatedOperations:
             return
         wide = series(exact.valuation, exact.coeffs, exact.valuation + 40).invert()
         assert_agrees_below_order(trunc.invert(), wide)
+
+
+scalars = st.one_of(rationals, st.integers(min_value=-9, max_value=9), st.just(Rat(0)))
+
+
+def truncated(valuation, coeffs, extra, level=1):
+    """A series cut at valuation + extra (None: exact); coefficients kept as given."""
+    order = math.inf if extra is None else valuation + extra
+    return LaurentSeries(valuation, coeffs, order, level)
+
+
+windows = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
+level1_series = st.builds(
+    truncated, st.integers(min_value=-3, max_value=3), st.lists(scalars, max_size=5), windows)
+level2_series = st.builds(
+    truncated, st.integers(min_value=-2, max_value=2),
+    st.lists(st.one_of(scalars, level1_series), max_size=4), windows, st.just(2))
+
+
+def fraction_convolution(s, t):
+    """Coefficients of ``s * t`` by power, from a plain ``Fraction`` convolution."""
+    out = {}
+    for i, x in enumerate(s.coeffs):
+        for j, y in enumerate(t.coeffs):
+            k = s.valuation + t.valuation + i + j
+            out[k] = out.get(k, Fraction(0)) + (
+                Fraction(x.numerator, x.denominator) * Fraction(y.numerator, y.denominator))
+    return out
+
+
+def exact_zero(c):
+    return c.is_zero() and c.is_exact() if isinstance(c, LaurentSeries) else c == 0
+
+
+def low(s):
+    return s.order if s.is_zero() else s.valuation
+
+
+def product_order(s, t):
+    if exact_zero(s) or exact_zero(t):
+        return math.inf
+    return min(low(s) + t.order, low(t) + s.order)
+
+
+class TestProductReference:
+    """Series products against a convolution written out with ``Fraction``."""
+
+    @given(level1_series, level1_series)
+    @settings(max_examples=300)
+    def test_level1_product_matches_fraction_convolution(self, s, t):
+        prod = s * t
+        want = fraction_convolution(s, t)
+        assert prod.order == product_order(s, t)
+        top = max(want, default=0) + 1 if prod.order == math.inf else int(prod.order)
+        for k in range(min(want, default=0) - 1, top):
+            w = want.get(k, Fraction(0))
+            got = prod.coeff(k)
+            assert got == Rat(w.numerator, w.denominator), (k, s, t, prod)
+            assert scalar_format(got) == scalar_format(Rat(w.numerator, w.denominator))
+        assert all(type(c) is type(Rat(1)) for c in prod.coeffs)
+
+    @given(level2_series, level2_series)
+    @example(LaurentSeries(0, (Rat(1), Rat(0), LaurentSeries.zero(), Rat(2)), level=2),
+             LaurentSeries(0, (truncated(-1, [Rat(1), Rat(5)], 3), Rat(3)), level=2))
+    @settings(max_examples=200)
+    def test_level2_product_matches_termwise_sums(self, s, t):
+        # the reference adds the level-1 products x * y one by one, skipping
+        # exact zeros of the left factor as the convolution does
+        prod = s * t
+        assert prod.level == 2 and prod.order == product_order(s, t)
+        top = len(s.coeffs) + len(t.coeffs) - 1
+        if prod.order != math.inf:
+            top = min(top, int(prod.order) - s.valuation - t.valuation)
+        for k in range(top):
+            want = Rat(0)
+            for i, x in enumerate(s.coeffs):
+                if 0 <= k - i < len(t.coeffs) and not exact_zero(x):
+                    want = want + x * t.coeffs[k - i]
+            got = prod.coeff(s.valuation + t.valuation + k)
+            if exact_zero(want):
+                assert exact_zero(got)
+                continue
+            assert type(got) is type(want)
+            if isinstance(want, LaurentSeries):
+                assert (got.order, got.coeffs) == (want.order, want.coeffs)
+                assert got.is_zero() or got.valuation == want.valuation
+            else:
+                assert got == want
 
 
 def small_poly(lo, hi):
