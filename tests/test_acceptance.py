@@ -20,7 +20,7 @@ from qhc.highest import (
 )
 from qhc.izergin import Kernel
 from qhc.params import Config, sample_generic
-from qhc.verify import run_suite
+from qhc.verify import registry, run_suite
 
 
 @contextmanager
@@ -172,3 +172,11 @@ def test_criterion_12_cli_full_sweep(tmp_path):
         assert report["summary"]["fail"] == 0
         assert report["summary"]["error"] == 0
         assert report["summary"]["pass"] == len(report["cases"])
+
+
+def test_criterion_13_scalar_residues_at_4_4():
+    with budget("criterion-13 scalar-product extreme coefficients at a=b=4", 20):
+        descs = {d.identity_id: d for d in registry()}
+        for ident in ("SCAL_RES1", "SCAL_RES2"):
+            lhs, rhs, ok, _ = descs[ident].run((4, 4), Config(), 13)
+            assert ok is None and lhs == rhs and lhs != 0, ident

@@ -84,6 +84,20 @@ class TestRunSuite:
             "6d284ddc8bcdd5dac91b635e17a2fa930c3bb2efbfc69318555753e6049c7ed1"
         )
 
+    def test_scalar_suite_report_is_pinned(self):
+        # The scalar-product assembly up to a=b=3, hashed as above; the
+        # digest was computed with the fractions backend.
+        report = run_suite("scalar", a_max=3, b_max=3, trials=1, seed=108)
+        assert len(report["cases"]) == 80
+        assert report["summary"] == {"pass": 80, "fail": 0, "error": 0}
+        cases = [{k: v for k, v in c.items() if k != "elapsed_ms"}
+                 for c in report["cases"]]
+        body = json.dumps(dict(report, cases=cases), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "b5b082829e697206ccd2cb450d6f74f0856ebc23641dc0c92ce4ce43fd774d71"
+        )
+
     @pytest.mark.parametrize("exc", [PoleError, ZeroDivisionError, ValueError])
     def test_every_failing_case_keeps_its_replay_data(self, monkeypatch, tmp_path, exc):
         def fail(*args):
