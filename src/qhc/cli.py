@@ -21,11 +21,34 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "build_parser"]
 
 
+def _literal(parse):
+    """An argparse type from ``parse``: a bad literal is a usage error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _parse_set(text):
     """Comma-separated rational literals; empty string is the empty set."""
     if text is None or text.strip() == "":
         return ()
     return tuple(scalar_parse(tok) for tok in text.split(","))
+
+
+def _parse_q(text):
+    q = scalar_parse(text)
+    if q in (0, 1, -1):
+        raise ValueError("q must not be 0, 1, or -1")
+    return q
+
+
+_SET, _Q = _literal(_parse_set), _literal(_parse_q)
+_FUNCTION = _literal(RationalFunctionSpec.parse)
 
 
 def build_parser():
@@ -41,29 +64,29 @@ def build_parser():
     p_iz = sub.add_parser("izergin", help="evaluate an Izergin determinant")
     p_iz.add_argument("--variant", choices=("plain", "left", "right"),
                       default="plain")
-    p_iz.add_argument("--x", default="", help="comma-separated rationals")
-    p_iz.add_argument("--y", default="", help="comma-separated rationals")
-    p_iz.add_argument("--q", required=True)
+    p_iz.add_argument("--x", type=_SET, default="", help="comma-separated rationals")
+    p_iz.add_argument("--y", type=_SET, default="", help="comma-separated rationals")
+    p_iz.add_argument("--q", type=_Q, required=True)
 
     p_hc = sub.add_parser("hc", help="evaluate a highest coefficient")
     p_hc.add_argument("--side", choices=("l", "r"), required=True)
     p_hc.add_argument("--rep", choices=REPRESENTATIONS + ("all",),
                       default="ws")
-    p_hc.add_argument("--t", default="")
-    p_hc.add_argument("--x", default="")
-    p_hc.add_argument("--s", default="")
-    p_hc.add_argument("--y", default="")
-    p_hc.add_argument("--q", required=True)
+    p_hc.add_argument("--t", type=_SET, default="")
+    p_hc.add_argument("--x", type=_SET, default="")
+    p_hc.add_argument("--s", type=_SET, default="")
+    p_hc.add_argument("--y", type=_SET, default="")
+    p_hc.add_argument("--q", type=_Q, required=True)
 
     p_sp = sub.add_parser("scalar-product", help="evaluate the scalar product")
-    p_sp.add_argument("--uc", default="")
-    p_sp.add_argument("--vc", default="")
-    p_sp.add_argument("--ub", default="")
-    p_sp.add_argument("--vb", default="")
-    p_sp.add_argument("--q", required=True)
-    p_sp.add_argument("--r1", default=None,
+    p_sp.add_argument("--uc", type=_SET, default="")
+    p_sp.add_argument("--vc", type=_SET, default="")
+    p_sp.add_argument("--ub", type=_SET, default="")
+    p_sp.add_argument("--vb", type=_SET, default="")
+    p_sp.add_argument("--q", type=_Q, required=True)
+    p_sp.add_argument("--r1", type=_FUNCTION, default=None,
                       help='rational function, e.g. "num:1,2;den:1,0,1"')
-    p_sp.add_argument("--r3", default=None)
+    p_sp.add_argument("--r3", type=_FUNCTION, default=None)
     p_sp.add_argument("--symbolic", action="store_true",
                       help="print the full monomial expansion")
 
@@ -73,27 +96,26 @@ def build_parser():
     p_v.add_argument("--b-max", type=int, default=2)
     p_v.add_argument("--trials", type=int, default=5)
     p_v.add_argument("--seed", type=int, default=0)
-    p_v.add_argument("--q", default=None,
+    p_v.add_argument("--q", type=_Q, default=None,
                      help="fix q instead of sampling it per case")
     p_v.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 
 
 def _cmd_izergin(args):
-    kern = Kernel(scalar_parse(args.q))
-    xs, ys = _parse_set(args.x), _parse_set(args.y)
+    kern = Kernel(args.q)
     if args.variant == "plain":
-        value = izergin(kern, xs, ys)
+        value = izergin(kern, args.x, args.y)
     else:
-        value = izergin_side(kern, {"left": "l", "right": "r"}[args.variant], xs, ys)
+        value = izergin_side(kern, {"left": "l", "right": "r"}[args.variant],
+                             args.x, args.y)
     print(scalar_format(value))
     return 0
 
 
 def _cmd_hc(args):
-    kern = Kernel(scalar_parse(args.q))
-    ts, xs = _parse_set(args.t), _parse_set(args.x)
-    ss, ys = _parse_set(args.s), _parse_set(args.y)
+    kern = Kernel(args.q)
+    ts, xs, ss, ys = args.t, args.x, args.s, args.y
     if args.rep == "all":
         vals = [hc(kern, args.side, ts, xs, ss, ys, rep)
                 for rep in REPRESENTATIONS]
@@ -107,23 +129,21 @@ def _cmd_hc(args):
 
 
 def _cmd_scalar_product(args):
-    kern = Kernel(scalar_parse(args.q))
-    uC, vC = _parse_set(args.uc), _parse_set(args.vc)
-    uB, vB = _parse_set(args.ub), _parse_set(args.vb)
+    kern = Kernel(args.q)
+    uC, vC, uB, vB = args.uc, args.vc, args.ub, args.vb
     if args.symbolic:
         poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
         for mono in sorted(poly, key=lambda m: (len(m), sorted(m))):
             print(f"{format_monomial(mono)}: {scalar_format(poly[mono])}")
         return 0
-    r1 = RationalFunctionSpec.parse(args.r1) if args.r1 else lambda u: Rat(1)
-    r3 = RationalFunctionSpec.parse(args.r3) if args.r3 else lambda u: Rat(1)
+    r1 = args.r1 or (lambda u: Rat(1))
+    r3 = args.r3 or (lambda u: Rat(1))
     print(scalar_format(scalar_product_numeric(kern, uC, vC, uB, vB, r1, r3)))
     return 0
 
 
 def _cmd_verify(args):
-    cfg = Config(q=None if args.q is None else scalar_parse(args.q),
-                 seed=args.seed)
+    cfg = Config(q=args.q, seed=args.seed)
     report = run_suite(args.suite, a_max=args.a_max, b_max=args.b_max,
                        trials=args.trials, seed=args.seed, cfg=cfg)
     text = json.dumps(report, indent=2)
@@ -135,6 +155,9 @@ def _cmd_verify(args):
           f"fail={summary['fail']} error={summary['error']}")
     if not args.out:
         print(text)
+    if not report["cases"]:
+        print("qhc verify: no case ran, so nothing was verified", file=sys.stderr)
+        return 1
     return 0 if summary["fail"] == 0 and summary["error"] == 0 else 1
 
 

@@ -1,7 +1,8 @@
 """Left/right highest coefficients Z^(l,r) and their identity evaluators.
 
 Z^(l,r)_{a,b}(t;x|s;y) is computed via six equivalent partition-sum
-representations over different set unions:
+representations over different set unions.  Inside them the four sets are
+bitmasks in the kernel's `Point`, and the sums run over submasks:
 
     ws       -- partitions of {s, x}            (the defining formula)
     ws-twin  -- same union, twin rewriting
@@ -19,9 +20,9 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 from __future__ import annotations
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import izergin_side
+from .izergin import izergin_side, union
 from .params import qshift
-from .partitions import enumerate_partitions, enumerate_two_set_partitions
+from .partitions import enumerate_partitions, enumerate_two_set_partitions, submasks
 
 __all__ = [
     "REPRESENTATIONS",
@@ -42,122 +43,123 @@ __all__ = [
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
-def _hc_ws(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
-    u = kern.usign(side)
+def _hc_ws(kern, side, tm, xm, sm, ym):
+    b = sm.bit_count()
+    p = kern.point
     opp = kern.other(side)
-    q = kern.q
-    w = tuple(ss) + tuple(xs)
+    w = union(sm, xm)
     total = Rat(0)
-    for w1, w2 in enumerate_partitions(w, (b, a)):
+    for w1 in submasks(w, b):
+        w2 = w ^ w1
         total = total + (
-            izergin_side(kern, opp, ss, qshift(w1, 2, q))
-            * izergin_side(kern, side, w2, ts)
-            * izergin_side(kern, side, ys, w1)
-            * kern.fprod(w1, w2)
+            p.k_side(opp, sm, p.shift(w1, 2))
+            * p.k_side(side, w2, tm)
+            * p.k_side(side, ym, w1)
+            * p.fprod(w1, w2)
         )
-    return kern.mq(-u * b) * total
+    return kern.mq(-kern.usign(side) * b) * total
 
 
-def _hc_ws_twin(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
-    u = kern.usign(side)
+def _hc_ws_twin(kern, side, tm, xm, sm, ym):
+    p = kern.point
     opp = kern.other(side)
-    q = kern.q
-    w = tuple(ss) + tuple(xs)
+    w = union(sm, xm)
+    xq = p.shift(xm, 2)
     total = Rat(0)
-    for w1, w2 in enumerate_partitions(w, (b, a)):
+    for w1 in submasks(w, sm.bit_count()):
+        w2 = w ^ w1
         total = total + (
-            izergin_side(kern, opp, w2, qshift(xs, 2, q))
-            * izergin_side(kern, side, w2, ts)
-            * izergin_side(kern, side, ys, w1)
-            * kern.fprod(w1, w2)
+            p.k_side(opp, w2, xq)
+            * p.k_side(side, w2, tm)
+            * p.k_side(side, ym, w1)
+            * p.fprod(w1, w2)
         )
-    return kern.mq(-u * a) * total
+    return kern.mq(-kern.usign(side) * tm.bit_count()) * total
 
 
-def _hc_ty(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
-    u = kern.usign(side)
+def _hc_ty(kern, side, tm, xm, sm, ym):
+    p = kern.point
     opp = kern.other(side)
-    q = kern.q
-    eta = tuple(ys) + qshift(ts, -2, q)
-    xq = qshift(xs, -2, q)
-    tq = qshift(ts, -2, q)
+    tq = p.shift(tm, -2)
+    eta = union(ym, tq)
+    xq = p.shift(xm, -2)
     total = Rat(0)
-    for e1, e2 in enumerate_partitions(eta, (a, b)):
+    for e1 in submasks(eta, tm.bit_count()):
+        e2 = eta ^ e1
         total = total + (
-            izergin_side(kern, opp, tq, qshift(e1, 2, q))
-            * izergin_side(kern, side, xq, e1)
-            * izergin_side(kern, side, e2, ss)
-            * kern.fprod(e1, e2)
+            p.k_side(opp, tq, p.shift(e1, 2))
+            * p.k_side(side, xq, e1)
+            * p.k_side(side, e2, sm)
+            * p.fprod(e1, e2)
         )
-    return kern.mq(-u * a) * kern.fprod(ys, xs) * kern.fprod(ss, ts) * total
+    return (kern.mq(-kern.usign(side) * tm.bit_count())
+            * p.fprod(ym, xm) * p.fprod(sm, tm) * total)
 
 
-def _hc_ty_twin(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
-    u = kern.usign(side)
+def _hc_ty_twin(kern, side, tm, xm, sm, ym):
+    p = kern.point
     opp = kern.other(side)
-    q = kern.q
-    eta = tuple(ys) + qshift(ts, -2, q)
-    xq = qshift(xs, -2, q)
+    eta = union(ym, p.shift(tm, -2))
+    xq = p.shift(xm, -2)
+    yq = p.shift(ym, 2)
     total = Rat(0)
-    for e1, e2 in enumerate_partitions(eta, (a, b)):
+    for e1 in submasks(eta, tm.bit_count()):
+        e2 = eta ^ e1
         total = total + (
-            izergin_side(kern, opp, e2, qshift(ys, 2, q))
-            * izergin_side(kern, side, xq, e1)
-            * izergin_side(kern, side, e2, ss)
-            * kern.fprod(e1, e2)
+            p.k_side(opp, e2, yq)
+            * p.k_side(side, xq, e1)
+            * p.k_side(side, e2, sm)
+            * p.fprod(e1, e2)
         )
-    return kern.mq(-u * b) * kern.fprod(ys, xs) * kern.fprod(ss, ts) * total
+    return (kern.mq(-kern.usign(side) * sm.bit_count())
+            * p.fprod(ym, xm) * p.fprod(sm, tm) * total)
 
 
-def _hc_tx(kern, side, ts, xs, ss, ys):
-    a = len(ts)
+def _hc_tx(kern, side, tm, xm, sm, ym):
+    p = kern.point
     u = kern.usign(side)
-    q = kern.q
     total = Rat(0)
-    for n in range(a + 1):
-        for (t1, t2), (x1, x2) in enumerate_two_set_partitions(
-            ts, xs, (n, a - n), (n, a - n)
-        ):
-            total = total + (
-                kern.mq(u * n)
-                * kern.fprod(ss, t1)
-                * kern.fprod(ys, x2)
-                * kern.fprod(t1, t2)
-                * kern.fprod(x2, x1)
-                * izergin_side(kern, side, x1, t1)
-                * izergin_side(kern, side, x2, qshift(t2, -2, q))
-                * izergin_side(
-                    kern, side, tuple(ys) + qshift(t1, -2, q), tuple(ss) + x1
+    for n in range(tm.bit_count() + 1):
+        sign = kern.mq(u * n)
+        for t1 in submasks(tm, n):
+            t2 = tm ^ t1
+            t_part = sign * p.fprod(sm, t1) * p.fprod(t1, t2)
+            t2q = p.shift(t2, -2)
+            yt = union(ym, p.shift(t1, -2))
+            for x1 in submasks(xm, n):
+                x2 = xm ^ x1
+                total = total + (
+                    t_part
+                    * p.fprod(ym, x2)
+                    * p.fprod(x2, x1)
+                    * p.k_side(side, x1, t1)
+                    * p.k_side(side, x2, t2q)
+                    * p.k_side(side, yt, union(sm, x1))
                 )
-            )
     return total
 
 
-def _hc_sy(kern, side, ts, xs, ss, ys):
-    b = len(ss)
+def _hc_sy(kern, side, tm, xm, sm, ym):
+    p = kern.point
     u = kern.usign(side)
-    q = kern.q
     total = Rat(0)
-    for n in range(b + 1):
-        for (s1, s2), (y1, y2) in enumerate_two_set_partitions(
-            ss, ys, (n, b - n), (n, b - n)
-        ):
-            total = total + (
-                kern.mq(u * n)
-                * kern.fprod(s2, ts)
-                * kern.fprod(y1, xs)
-                * kern.fprod(s1, s2)
-                * kern.fprod(y2, y1)
-                * izergin_side(kern, side, y1, s1)
-                * izergin_side(kern, side, y2, qshift(s2, -2, q))
-                * izergin_side(
-                    kern, side, s1 + tuple(xs), qshift(y1, 2, q) + tuple(ts)
+    for n in range(sm.bit_count() + 1):
+        sign = kern.mq(u * n)
+        for s1 in submasks(sm, n):
+            s2 = sm ^ s1
+            s_part = sign * p.fprod(s2, tm) * p.fprod(s1, s2)
+            s2q = p.shift(s2, -2)
+            sx = union(s1, xm)
+            for y1 in submasks(ym, n):
+                y2 = ym ^ y1
+                total = total + (
+                    s_part
+                    * p.fprod(y1, xm)
+                    * p.fprod(y2, y1)
+                    * p.k_side(side, y1, s1)
+                    * p.k_side(side, y2, s2q)
+                    * p.k_side(side, sx, union(p.shift(y1, 2), tm))
                 )
-            )
     return total
 
 
@@ -175,7 +177,8 @@ def hc(kern, side, ts, xs, ss, ys, rep="ws"):
     """Z^(side)_{a,b}(ts; xs | ss; ys) via the chosen representation."""
     if len(ts) != len(xs) or len(ss) != len(ys):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
-    return _REP_FUNCS[rep](kern, side, tuple(ts), tuple(xs), tuple(ss), tuple(ys))
+    p = kern.point
+    return _REP_FUNCS[rep](kern, side, p.mask(ts), p.mask(xs), p.mask(ss), p.mask(ys))
 
 
 def hc_closed_11(kern, side, t, x, s, y):

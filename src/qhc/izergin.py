@@ -13,10 +13,13 @@ so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.
 
-A `Kernel` stands for one sampled point: it memoises K_k(xs|ys) and f(u, v)
-at rational arguments, which the partition sums of Z and of the scalar
-product ask for many times over.  Series arguments are unhashable and bypass
-the memo.
+A `Kernel` stands for one sampled point and owns its `Point`: an index space
+in which every value the point meets gets a small integer, a rational by its
+value and a series by its identity (series are unhashable).  Sets travel as
+int bitmasks, and K_k, f, f-products and q^{+-2} shifts are memoised under
+int keys, since the partition sums of Z and of the scalar product ask for
+them many times over.  Rationals and series share this one path.  A set that
+repeats a value has no mask and raises PoleError, as its evaluation would.
 """
 
 from __future__ import annotations
@@ -25,15 +28,17 @@ from dataclasses import dataclass, field
 
 from .exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
 from .params import qshift
-from .partitions import enumerate_partitions
+from .partitions import bits, enumerate_partitions
 
 __all__ = [
     "Kernel",
+    "Point",
     "det",
     "izergin",
     "izergin_side",
     "lemma_partition_sum",
     "mult_pole_limit",
+    "union",
 ]
 
 _INF = float("inf")
@@ -61,29 +66,118 @@ def _div(a, b):
     return a / b
 
 
-def _memoised(memo, key, compute, *args):
-    """``compute(*args)``, stored in ``memo`` under ``key`` if it is hashable."""
-    try:
-        out = memo.get(key)
-    except TypeError:  # a series argument: no memo
-        return compute(*args)
-    if out is None:
-        out = memo[key] = compute(*args)
-    return out
+def union(m1, m2):
+    """The union of two masks; an index in both is a repeated value."""
+    if m1 & m2:
+        raise PoleError("a set repeats a value")
+    return m1 | m2
+
+
+class Point:
+    """The index space of one sampled point and its memoised kernel values.
+
+    ``values[i]`` is the value of index ``i``; the Point holds every object
+    it indexes, so an object's ``id`` names it for as long as the Point lives.
+    """
+
+    __slots__ = ("q", "qinv", "values", "_ids", "_rationals",
+                 "_shift", "_f", "_fprod", "_k", "_kside")
+
+    def __init__(self, q, qinv):
+        self.q, self.qinv = q, qinv
+        self.values = []
+        self._ids = {}        # id(values[i]) -> i
+        self._rationals = {}  # rational value -> index
+        self._shift = {}      # (index, +-2) -> index of the value times q^+-2
+        self._f = {}          # (i, j) -> f(values[i], values[j])
+        self._fprod = {}      # (umask, vmask) -> f over all pairs
+        self._k = {}          # (xmask, ymask) -> K(xs|ys)
+        self._kside = {"l": {}, "r": {}}  # side -> (xmask, ymask) -> K^(side)
+
+    def index(self, x):
+        """The index of ``x``: a rational by its value, a series by its identity."""
+        i = self._ids.get(id(x))
+        if i is None and not _is_series(x):
+            i = self._rationals.get(x)
+        if i is None:
+            i = self._ids[id(x)] = len(self.values)
+            self.values.append(x)
+            if not _is_series(x):
+                self._rationals[x] = i
+        return i
+
+    def mask(self, xs):
+        """The mask of a set of values; PoleError if it repeats one."""
+        out = 0
+        for x in xs:
+            out = union(out, 1 << self.index(x))
+        return out
+
+    def set_of(self, mask):
+        """The values of a mask, by ascending index."""
+        return tuple(self.values[i] for i in bits(mask))
+
+    def shift(self, mask, k):
+        """The mask of the values of ``mask`` times q^k, for k = +-2."""
+        out = 0
+        for i in bits(mask):
+            j = self._shift.get((i, k))
+            if j is None:
+                factor = self.q * self.q if k > 0 else self.qinv * self.qinv
+                j = self._shift[i, k] = self.index(self.values[i] * factor)
+            out |= 1 << j
+        return out
+
+    def f(self, i, j):
+        out = self._f.get((i, j))
+        if out is None:
+            u, v = self.values[i], self.values[j]
+            out = self._f[i, j] = _div(self.q * u - self.qinv * v, u - v)
+        return out
+
+    def fprod(self, umask, vmask):
+        """f over all pairs of the two sets; empty product = 1."""
+        out = self._fprod.get((umask, vmask))
+        if out is None:
+            out = Rat(1)
+            vs = bits(vmask)
+            for i in bits(umask):
+                for j in vs:
+                    out = out * self.f(i, j)
+            self._fprod[umask, vmask] = out
+        return out
+
+    def k(self, xmask, ymask):
+        """K_k(xs|ys); K_0 = 1."""
+        out = self._k.get((xmask, ymask))
+        if out is None:
+            out = self._k[xmask, ymask] = _izergin(
+                self.q, self.qinv, self.set_of(xmask), self.set_of(ymask))
+        return out
+
+    def k_side(self, side, xmask, ymask):
+        """K^(l) = K prod(xs) or K^(r) = K prod(ys)."""
+        memo = self._kside[side]
+        out = memo.get((xmask, ymask))
+        if out is None:
+            out = self.k(xmask, ymask)
+            for i in bits(xmask if side == "l" else ymask):
+                out = out * self.values[i]
+            memo[xmask, ymask] = out
+        return out
 
 
 @dataclass(frozen=True)
 class Kernel:
     """The deformation parameter q and the rational kernel functions.
 
-    Build one instance per sampled point: it memoises K and f at every
-    rational argument it is asked for, for as long as it lives.
+    Build one instance per sampled point: its `point` memoises K and f at
+    every argument it is asked for, for as long as the Kernel lives.
     """
 
     q: object
     qinv: object = field(init=False)
-    _k_memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    _f_memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    point: Point = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         q = Rat(self.q)
@@ -91,22 +185,24 @@ class Kernel:
             raise ValueError("q must not be 0, 1, or -1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qinv", Rat(1) / q)
+        object.__setattr__(self, "point", Point(q, self.qinv))
 
     def f(self, u, v):
-        return _memoised(self._f_memo, (u, v), self._f, u, v)
-
-    def _f(self, u, v):
-        return _div(self.q * u - self.qinv * v, u - v)
+        p = self.point
+        return p.f(p.index(u), p.index(v))
 
     def g(self, u, v):
         return _div(self.q - self.qinv, u - v)
 
     def fprod(self, us, vs):
         """f over all pairs of the two bar-sets; empty product = 1."""
+        p = self.point
+        vs = [p.index(v) for v in vs]
         out = Rat(1)
         for u in us:
-            for v in vs:
-                out = out * self.f(u, v)
+            i = p.index(u)
+            for j in vs:
+                out = out * p.f(i, j)
         return out
 
     def mq(self, e):
@@ -164,19 +260,12 @@ def det(rows):
     return result if sign == 1 else -result
 
 
-def izergin(kern, xs, ys):
-    """K_k(xs|ys); K_0 = 1."""
+def _izergin(q, qi, xs, ys):
     k = len(xs)
     if len(ys) != k:
         raise ValueError(f"cardinality mismatch: {k} vs {len(ys)}")
     if k == 0:
         return Rat(1)
-    return _memoised(kern._k_memo, (tuple(xs), tuple(ys)), _izergin, kern, xs, ys)
-
-
-def _izergin(kern, xs, ys):
-    k = len(xs)
-    q, qi = kern.q, kern.qinv
     gq = q - qi
     rows = []
     for x in xs:
@@ -196,14 +285,22 @@ def _izergin(kern, xs, ys):
     return _div(det(rows), denom)
 
 
+def izergin(kern, xs, ys):
+    """K_k(xs|ys); K_0 = 1."""
+    if len(xs) != len(ys):
+        raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
+    p = kern.point
+    return p.k(p.mask(xs), p.mask(ys))
+
+
 def izergin_side(kern, side, xs, ys):
     """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side."""
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
-    out = izergin(kern, xs, ys)
-    for v in xs if side == "l" else ys:
-        out = out * v
-    return out
+    if len(xs) != len(ys):
+        raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
+    p = kern.point
+    return p.k_side(side, p.mask(xs), p.mask(ys))
 
 
 def lemma_partition_sum(kern, side, gamma, alpha, beta):

@@ -3,6 +3,7 @@
 Every summation formula in this package runs over ordered partitions of one or
 two bar-sets into subsets of prescribed cardinalities.  Enumeration is lazy and
 lexicographic by index subsets, so sweeps are deterministic and replayable.
+A set may also be an int bitmask, whose two-part partitions are its submasks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 
-__all__ = ["multinomial", "enumerate_partitions", "enumerate_two_set_partitions"]
+__all__ = [
+    "bits",
+    "enumerate_partitions",
+    "enumerate_two_set_partitions",
+    "multinomial",
+    "submasks",
+]
 
 
 def multinomial(signature):
@@ -62,3 +69,19 @@ def enumerate_two_set_partitions(values1, values2, signature1, signature2):
     for p1 in enumerate_partitions(values1, signature1):
         for p2 in enumerate_partitions(values2, signature2):
             yield p1, p2
+
+
+def bits(mask):
+    """The indices set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def submasks(mask, k):
+    """The submasks of ``mask`` with ``k`` bits, lexicographic in their indices."""
+    for combo in itertools.combinations([1 << i for i in bits(mask)], k):
+        yield sum(combo)

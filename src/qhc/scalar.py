@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exactnum import PoleError, Rat, scalar_format
 from .highest import hc
-from .partitions import enumerate_two_set_partitions
+from .partitions import bits, submasks
 
 __all__ = [
     "RationalFunctionSpec",
@@ -113,17 +113,34 @@ def w_part(kern, uC_split, uB_split, vC_split, vB_split):
     vB1, vB2 = vB_split
     if len(uC1) != len(uB1) or len(vC1) != len(vB1):
         raise ValueError("linked partition cardinalities must match")
-    fprod = kern.fprod
+    p = kern.point
+    mask = p.mask
+    fprod = p.fprod
     return (
-        fprod(uB2, uB1)
-        * fprod(uC1, uC2)
-        * fprod(vB1, vB2)
-        * fprod(vC2, vC1)
-        * fprod(vC1, uC1)
-        * fprod(vB2, uB2)
+        fprod(mask(uB2), mask(uB1))
+        * fprod(mask(uC1), mask(uC2))
+        * fprod(mask(vB1), mask(vB2))
+        * fprod(mask(vC2), mask(vC1))
+        * fprod(mask(vC1), mask(uC1))
+        * fprod(mask(vB2), mask(uB2))
         * hc(kern, "l", uC2, uB2, vC1, vB1)
         * hc(kern, "r", uB1, uC1, vB2, vC2)
     )
+
+
+def _splits(tag, vals, k):
+    """Each split of ``vals`` into (part_I, part_II) with #part_I = k.
+
+    Listed as ``(symbols_I, symbols_II, (part_I, part_II))`` in submask order
+    of positions; a symbol is ``(tag, position)``.
+    """
+    full = (1 << len(vals)) - 1
+    out = []
+    for part in submasks(full, k):
+        one, two = bits(part), bits(full ^ part)
+        out.append(([(tag, i) for i in one], [(tag, i) for i in two],
+                     (tuple(vals[i] for i in one), tuple(vals[i] for i in two))))
+    return out
 
 
 def scalar_product_symbolic(kern, uC, vC, uB, vB):
@@ -134,29 +151,19 @@ def scalar_product_symbolic(kern, uC, vC, uB, vB):
         raise ValueError("cardinality mismatch between C and B sets")
     global_f = kern.fprod(vC, uC) * kern.fprod(vB, uB)
     poly = {}
-    u_idx = tuple(range(a))
-    v_idx = tuple(range(b))
     for k in range(a + 1):
+        uCs, uBs = _splits("uC", uC, k), _splits("uB", uB, k)
         for n in range(b + 1):
-            for (uC1i, uC2i), (uB1i, uB2i) in enumerate_two_set_partitions(
-                u_idx, u_idx, (k, a - k), (k, a - k)
-            ):
-                for (vC1i, vC2i), (vB1i, vB2i) in enumerate_two_set_partitions(
-                    v_idx, v_idx, (n, b - n), (n, b - n)
-                ):
-                    pick = lambda vals, idx: tuple(vals[i] for i in idx)
-                    coeff = w_part(
-                        kern,
-                        (pick(uC, uC1i), pick(uC, uC2i)),
-                        (pick(uB, uB1i), pick(uB, uB2i)),
-                        (pick(vC, vC1i), pick(vC, vC2i)),
-                        (pick(vB, vB1i), pick(vB, vB2i)),
-                    ) / global_f
-                    mono = monomial(
-                        [("uC", i) for i in uC2i] + [("uB", i) for i in uB1i],
-                        [("vC", i) for i in vC2i] + [("vB", i) for i in vB1i],
-                    )
-                    poly[mono] = poly.get(mono, Rat(0)) + coeff
+            vCs, vBs = _splits("vC", vC, n), _splits("vB", vB, n)
+            for _, uC_syms, uC_split in uCs:
+                for uB_syms, _, uB_split in uBs:
+                    for _, vC_syms, vC_split in vCs:
+                        for vB_syms, _, vB_split in vBs:
+                            coeff = w_part(
+                                kern, uC_split, uB_split, vC_split, vB_split
+                            ) / global_f
+                            mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
+                            poly[mono] = poly.get(mono, Rat(0)) + coeff
     return {m: c for m, c in poly.items() if c != 0}
 
 

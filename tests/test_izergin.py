@@ -1,13 +1,15 @@
 """Izergin determinant evaluators against an independent reference."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc.exactnum import LaurentSeries, Rat, WindowError, eps, take_limit
+from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
+from qhc.highest import REPRESENTATIONS, hc
 from qhc.izergin import (
     Kernel,
     det,
@@ -17,6 +19,7 @@ from qhc.izergin import (
     mult_pole_limit,
 )
 from qhc.params import Config, sample_generic
+from qhc.partitions import submasks
 
 
 def reference_izergin(q, xs, ys):
@@ -188,7 +191,7 @@ class TestMultiplePole:
 
 
 class TestKernelMemo:
-    """A Kernel memoises K and f for its own point, and only at rational arguments."""
+    """A Kernel's Point indexes the values of its own point and memoises K and f."""
 
     xs, ys = (Rat(3), Rat(5, 2)), (Rat(7), Rat(-1, 3))
 
@@ -200,21 +203,36 @@ class TestKernelMemo:
         assert got[1] == as_rat(reference_izergin(3, self.xs, self.ys))
         assert [k2.f(Rat(3), Rat(1)), k3.f(Rat(3), Rat(1))] == [Rat(11, 4), Rat(13, 3)]
 
-    def test_series_arguments_bypass_the_memo(self):
+    def test_rationals_are_indexed_by_value(self):
+        p = Kernel(Rat(2)).point
+        i = p.index(Rat(3, 2))
+        assert p.index(Fraction(6, 4)) == i and p.index(Rat(3, 2)) == i
+        assert p.index(Rat(3)) != i
+        assert p.mask((Rat(3), Rat(3, 2))) == (1 << i) | (1 << p.index(Rat(3)))
+
+    def test_a_series_is_indexed_by_identity(self):
         kern = Kernel(Rat(2))
-        izergin(kern, self.xs, self.ys)
-        before = (dict(kern._k_memo), dict(kern._f_memo))
-        shifted = (self.xs[0] + eps(), self.xs[1])
-        first = izergin(kern, shifted, self.ys)
-        kern.f(Rat(3) + eps(), Rat(1))
-        assert (kern._k_memo, kern._f_memo) == before
-        assert izergin(kern, shifted, self.ys) == first
+        p = kern.point
+        near = self.xs[0] + eps()
+        twin = self.xs[0] + eps()  # equal coefficients, another object
+        other = self.xs[0] - eps()
+        first = izergin(kern, (near, self.xs[1]), self.ys)
+        indexed = len(p.values)
+        assert izergin(kern, (near, self.xs[1]), self.ys) is first
+        assert len(p.values) == indexed
+        assert p.index(twin) != p.index(near)
+        again = izergin(kern, (twin, self.xs[1]), self.ys)
+        assert again is not first and repr(again) == repr(first)
+        flipped = izergin(kern, (other, self.xs[1]), self.ys)
+        fresh = izergin(Kernel(Rat(2)), (other, self.xs[1]), self.ys)
+        assert repr(flipped) == repr(fresh) != repr(first)
+        assert first.coeff(0) == izergin(kern, self.xs, self.ys)
 
     def test_memo_does_not_change_equality_or_hash(self):
         used, fresh = Kernel(Rat(2)), Kernel(Rat(2))
         izergin(used, self.xs, self.ys)
         used.fprod(self.xs, self.ys)
-        assert used._k_memo and used._f_memo and not fresh._k_memo
+        assert used.point.values and not fresh.point.values
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -223,9 +241,64 @@ class TestKernelMemo:
         kern = Kernel(Rat(2))
         izergin(kern, self.xs, self.ys)
         inv = kern.inverted()
-        assert inv._k_memo is not kern._k_memo and not inv._k_memo
-        assert inv._f_memo is not kern._f_memo
+        assert inv.point is not kern.point and not inv.point.values
         assert izergin(inv, self.xs, self.ys) == as_rat(
             reference_izergin(Rat(1, 2), self.xs, self.ys))
         assert izergin(kern, self.xs, self.ys) == as_rat(
             reference_izergin(2, self.xs, self.ys))
+
+    @given(st.integers(min_value=0, max_value=10**5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_masks_give_the_values_of_their_sets(self, seed, data):
+        (pool,), q = sample_generic((6,), Config(seed=seed))
+        p = Kernel(q).point
+        full = p.mask(pool)
+        k = data.draw(st.integers(min_value=0, max_value=3))
+        base = data.draw(st.sampled_from(list(submasks(full, k))))
+        ym = data.draw(st.sampled_from(list(submasks(full ^ base, k))))
+        shift = data.draw(st.sampled_from([0, 2, -2]))
+        xm = p.shift(base, shift) if shift else base
+        assert sorted(p.set_of(xm)) == sorted(v * q ** shift for v in p.set_of(base))
+        if shift:
+            assert p.shift(xm, -shift) == base
+        xs, ys = p.set_of(xm), p.set_of(ym)
+        assert p.k(xm, ym) == as_rat(reference_izergin(q, xs, ys))
+        assert p.k_side("l", xm, ym) == p.k(xm, ym) * math.prod(xs)
+        assert p.k_side("r", xm, ym) == p.k(xm, ym) * math.prod(ys)
+        want = Fraction(1)
+        for u in xs:
+            for v in ys:
+                want *= (q * u - v / q) / (u - v)
+        assert p.fprod(xm, ym) == want
+
+
+class TestRepeatedValues:
+    """A set that repeats a value has no mask; it raises PoleError as before."""
+
+    def test_izergin(self):
+        kern = Kernel(Rat(2))
+        for xs, ys in [((1, 1), (2, 3)), ((2, 3), (1, 1))]:
+            with pytest.raises(PoleError):
+                izergin(kern, xs, ys)
+            with pytest.raises(PoleError):
+                izergin_side(kern, "l", xs, ys)
+
+    @pytest.mark.parametrize("rep", REPRESENTATIONS)
+    def test_hc(self, rep):
+        kern = Kernel(Rat(2))
+        with pytest.raises(PoleError):
+            hc(kern, "l", (1, 1), (2, 3), (), (), rep)
+        with pytest.raises(PoleError):
+            hc(kern, "r", (2,), (3,), (5, 5), (7, 11), rep)
+
+    def test_a_value_shared_by_two_sets_is_no_repeat(self):
+        # s and x meet in no union of the ty forms, so Z is finite there
+        kern = Kernel(Rat(2))
+        for rep in ("ty", "ty-twin"):
+            assert hc(kern, "l", (2,), (5,), (5,), (7,), rep) == Rat(2835, 32)
+        with pytest.raises(PoleError):
+            hc(kern, "l", (2,), (5,), (5,), (7,), "ws")
+
+    def test_fprod_may_repeat_a_value(self):
+        kern = Kernel(Rat(2))
+        assert kern.fprod((3, 3), (5,)) == kern.f(3, 5) ** 2 == Rat(49, 16)

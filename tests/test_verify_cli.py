@@ -205,6 +205,32 @@ class TestCliInProcess:
             assert case["params"]["q"] == "5/2"
 
 
+    def test_a_sweep_of_no_cases_is_not_a_pass(self, capsys):
+        code = main(["verify", "--suite", "scalar", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "pass=0 fail=0 error=0" in captured.out
+        assert "no case ran" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["izergin", "--x", "1,a", "--q", "2"],
+         "argument --x: malformed rational literal: 'a'"),
+        (["izergin", "--x", "1/0", "--q", "2"],
+         "argument --x: zero denominator in rational literal: '1/0'"),
+        (["verify", "--suite", "scalar", "--q", "1"],
+         "argument --q: q must not be 0, 1, or -1"),
+        (["hc", "--side", "l", "--q", "0"], "argument --q: q must not be 0, 1, or -1"),
+        (["scalar-product", "--q", "2", "--r1", "num:1;den:0"],
+         "argument --r1: denominator must not be identically zero"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.splitlines()[-1] == f"qhc {argv[0]}: error: {message}"
+
+
 class TestCliSubprocess:
     def test_entry_point_runs(self):
         proc = subprocess.run(
@@ -214,3 +240,13 @@ class TestCliSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-3"
+
+    def test_malformed_literal_exits_2_without_a_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhc.cli", "izergin", "--x", "1,a", "--q", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "qhc izergin: error: argument --x: malformed rational literal: 'a'")
