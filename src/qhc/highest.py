@@ -1,8 +1,8 @@
 """Left/right highest coefficients Z^(l,r) and their identity evaluators.
 
 Z^(l,r)_{a,b}(t;x|s;y) is computed via six equivalent partition-sum
-representations over different set unions.  Inside them the four sets are
-bitmasks in the kernel's `Point`, and the sums run over submasks:
+representations over different set unions (their shifted sets come from
+the kernel's `Point`, which computes each shift once per value):
 
     ws       -- partitions of {s, x}            (the defining formula)
     ws-twin  -- same union, twin rewriting
@@ -20,9 +20,9 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 from __future__ import annotations
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import izergin_side, union
+from .izergin import izergin_side
 from .params import qshift
-from .partitions import enumerate_partitions, enumerate_two_set_partitions, submasks
+from .partitions import enumerate_partitions, enumerate_two_set_partitions
 
 __all__ = [
     "REPRESENTATIONS",
@@ -43,122 +43,120 @@ __all__ = [
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
-def _hc_ws(kern, side, tm, xm, sm, ym):
-    b = sm.bit_count()
-    p = kern.point
+def _hc_ws(kern, side, ts, xs, ss, ys):
+    a, b = len(ts), len(ss)
+    u = kern.usign(side)
     opp = kern.other(side)
-    w = union(sm, xm)
-    total = Rat(0)
-    for w1 in submasks(w, b):
-        w2 = w ^ w1
-        total = total + (
-            p.k_side(opp, sm, p.shift(w1, 2))
-            * p.k_side(side, w2, tm)
-            * p.k_side(side, ym, w1)
-            * p.fprod(w1, w2)
-        )
-    return kern.mq(-kern.usign(side) * b) * total
-
-
-def _hc_ws_twin(kern, side, tm, xm, sm, ym):
     p = kern.point
-    opp = kern.other(side)
-    w = union(sm, xm)
-    xq = p.shift(xm, 2)
+    w = ss + xs
     total = Rat(0)
-    for w1 in submasks(w, sm.bit_count()):
-        w2 = w ^ w1
+    for w1, w2 in enumerate_partitions(w, (b, a)):
         total = total + (
-            p.k_side(opp, w2, xq)
-            * p.k_side(side, w2, tm)
-            * p.k_side(side, ym, w1)
-            * p.fprod(w1, w2)
+            izergin_side(kern, opp, ss, p.shift(w1, 2))
+            * izergin_side(kern, side, w2, ts)
+            * izergin_side(kern, side, ys, w1)
+            * kern.fprod(w1, w2)
         )
-    return kern.mq(-kern.usign(side) * tm.bit_count()) * total
+    return kern.mq(-u * b) * total
 
 
-def _hc_ty(kern, side, tm, xm, sm, ym):
+def _hc_ws_twin(kern, side, ts, xs, ss, ys):
+    a, b = len(ts), len(ss)
+    u = kern.usign(side)
+    opp = kern.other(side)
+    w = ss + xs
+    xq = kern.point.shift(xs, 2)
+    total = Rat(0)
+    for w1, w2 in enumerate_partitions(w, (b, a)):
+        total = total + (
+            izergin_side(kern, opp, w2, xq)
+            * izergin_side(kern, side, w2, ts)
+            * izergin_side(kern, side, ys, w1)
+            * kern.fprod(w1, w2)
+        )
+    return kern.mq(-u * a) * total
+
+
+def _hc_ty(kern, side, ts, xs, ss, ys):
+    a, b = len(ts), len(ss)
+    u = kern.usign(side)
+    opp = kern.other(side)
     p = kern.point
-    opp = kern.other(side)
-    tq = p.shift(tm, -2)
-    eta = union(ym, tq)
-    xq = p.shift(xm, -2)
+    tq = p.shift(ts, -2)
+    eta = ys + tq
+    xq = p.shift(xs, -2)
     total = Rat(0)
-    for e1 in submasks(eta, tm.bit_count()):
-        e2 = eta ^ e1
+    for e1, e2 in enumerate_partitions(eta, (a, b)):
         total = total + (
-            p.k_side(opp, tq, p.shift(e1, 2))
-            * p.k_side(side, xq, e1)
-            * p.k_side(side, e2, sm)
-            * p.fprod(e1, e2)
+            izergin_side(kern, opp, tq, p.shift(e1, 2))
+            * izergin_side(kern, side, xq, e1)
+            * izergin_side(kern, side, e2, ss)
+            * kern.fprod(e1, e2)
         )
-    return (kern.mq(-kern.usign(side) * tm.bit_count())
-            * p.fprod(ym, xm) * p.fprod(sm, tm) * total)
+    return kern.mq(-u * a) * kern.fprod(ys, xs) * kern.fprod(ss, ts) * total
 
 
-def _hc_ty_twin(kern, side, tm, xm, sm, ym):
+def _hc_ty_twin(kern, side, ts, xs, ss, ys):
+    a, b = len(ts), len(ss)
+    u = kern.usign(side)
+    opp = kern.other(side)
     p = kern.point
-    opp = kern.other(side)
-    eta = union(ym, p.shift(tm, -2))
-    xq = p.shift(xm, -2)
-    yq = p.shift(ym, 2)
+    eta = ys + p.shift(ts, -2)
+    xq = p.shift(xs, -2)
+    yq = p.shift(ys, 2)
     total = Rat(0)
-    for e1 in submasks(eta, tm.bit_count()):
-        e2 = eta ^ e1
+    for e1, e2 in enumerate_partitions(eta, (a, b)):
         total = total + (
-            p.k_side(opp, e2, yq)
-            * p.k_side(side, xq, e1)
-            * p.k_side(side, e2, sm)
-            * p.fprod(e1, e2)
+            izergin_side(kern, opp, e2, yq)
+            * izergin_side(kern, side, xq, e1)
+            * izergin_side(kern, side, e2, ss)
+            * kern.fprod(e1, e2)
         )
-    return (kern.mq(-kern.usign(side) * sm.bit_count())
-            * p.fprod(ym, xm) * p.fprod(sm, tm) * total)
+    return kern.mq(-u * b) * kern.fprod(ys, xs) * kern.fprod(ss, ts) * total
 
 
-def _hc_tx(kern, side, tm, xm, sm, ym):
+def _hc_tx(kern, side, ts, xs, ss, ys):
+    a = len(ts)
     p = kern.point
     u = kern.usign(side)
     total = Rat(0)
-    for n in range(tm.bit_count() + 1):
+    for n in range(a + 1):
         sign = kern.mq(u * n)
-        for t1 in submasks(tm, n):
-            t2 = tm ^ t1
-            t_part = sign * p.fprod(sm, t1) * p.fprod(t1, t2)
+        for t1, t2 in enumerate_partitions(ts, (n, a - n)):
+            t_part = sign * kern.fprod(ss, t1) * kern.fprod(t1, t2)
             t2q = p.shift(t2, -2)
-            yt = union(ym, p.shift(t1, -2))
-            for x1 in submasks(xm, n):
-                x2 = xm ^ x1
+            yt = ys + p.shift(t1, -2)
+            for x1, x2 in enumerate_partitions(xs, (n, a - n)):
                 total = total + (
                     t_part
-                    * p.fprod(ym, x2)
-                    * p.fprod(x2, x1)
-                    * p.k_side(side, x1, t1)
-                    * p.k_side(side, x2, t2q)
-                    * p.k_side(side, yt, union(sm, x1))
+                    * kern.fprod(ys, x2)
+                    * kern.fprod(x2, x1)
+                    * izergin_side(kern, side, x1, t1)
+                    * izergin_side(kern, side, x2, t2q)
+                    * izergin_side(kern, side, yt, ss + x1)
                 )
     return total
 
 
-def _hc_sy(kern, side, tm, xm, sm, ym):
+def _hc_sy(kern, side, ts, xs, ss, ys):
+    b = len(ss)
     p = kern.point
     u = kern.usign(side)
     total = Rat(0)
-    for n in range(sm.bit_count() + 1):
+    for n in range(b + 1):
         sign = kern.mq(u * n)
-        for s1 in submasks(sm, n):
-            s2 = sm ^ s1
-            s_part = sign * p.fprod(s2, tm) * p.fprod(s1, s2)
+        for s1, s2 in enumerate_partitions(ss, (n, b - n)):
+            s_part = sign * kern.fprod(s2, ts) * kern.fprod(s1, s2)
             s2q = p.shift(s2, -2)
-            sx = union(s1, xm)
-            for y1 in submasks(ym, n):
-                y2 = ym ^ y1
+            sx = s1 + xs
+            for y1, y2 in enumerate_partitions(ys, (n, b - n)):
                 total = total + (
                     s_part
-                    * p.fprod(y1, xm)
-                    * p.fprod(y2, y1)
-                    * p.k_side(side, y1, s1)
-                    * p.k_side(side, y2, s2q)
-                    * p.k_side(side, sx, union(p.shift(y1, 2), tm))
+                    * kern.fprod(y1, xs)
+                    * kern.fprod(y2, y1)
+                    * izergin_side(kern, side, y1, s1)
+                    * izergin_side(kern, side, y2, s2q)
+                    * izergin_side(kern, side, sx, p.shift(y1, 2) + ts)
                 )
     return total
 
@@ -177,8 +175,7 @@ def hc(kern, side, ts, xs, ss, ys, rep="ws"):
     """Z^(side)_{a,b}(ts; xs | ss; ys) via the chosen representation."""
     if len(ts) != len(xs) or len(ss) != len(ys):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
-    p = kern.point
-    return _REP_FUNCS[rep](kern, side, p.mask(ts), p.mask(xs), p.mask(ss), p.mask(ys))
+    return _REP_FUNCS[rep](kern, side, tuple(ts), tuple(xs), tuple(ss), tuple(ys))
 
 
 def hc_closed_11(kern, side, t, x, s, y):

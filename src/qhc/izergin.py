@@ -15,11 +15,11 @@ points where some q x_i - q^{-1} y_j vanishes benignly.
 
 A `Kernel` stands for one sampled point and owns its `Point`: an index space
 in which every value the point meets gets a small integer, a rational by its
-value and a series by its identity (series are unhashable).  Sets travel as
-int bitmasks, and K_k, f, f-products and q^{+-2} shifts are memoised under
-int keys, since the partition sums of Z and of the scalar product ask for
-them many times over.  Rationals and series share this one path.  A set that
-repeats a value has no mask and raises PoleError, as its evaluation would.
+value and a series by its identity (series are unhashable).  K_k, f,
+f-products, side products and q^{+-2} shifts are memoised under tuples of
+these integers, since the partition sums of Z and of the scalar product ask
+for them many times over; no rational is hashed on a repeat lookup.
+Rationals and series share this one path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
 from .params import qshift
-from .partitions import bits, enumerate_partitions
+from .partitions import enumerate_partitions
 
 __all__ = [
     "Kernel",
@@ -38,7 +38,6 @@ __all__ = [
     "izergin_side",
     "lemma_partition_sum",
     "mult_pole_limit",
-    "union",
 ]
 
 _INF = float("inf")
@@ -66,67 +65,63 @@ def _div(a, b):
     return a / b
 
 
-def union(m1, m2):
-    """The union of two masks; an index in both is a repeated value."""
-    if m1 & m2:
-        raise PoleError("a set repeats a value")
-    return m1 | m2
-
-
 class Point:
     """The index space of one sampled point and its memoised kernel values.
 
-    ``values[i]`` is the value of index ``i``; the Point holds every object
-    it indexes, so an object's ``id`` names it for as long as the Point lives.
+    ``values[i]`` is the value of index ``i``.  Memo keys are the indices of
+    the argument sets in argument order.  The Point holds every object whose
+    ``id`` it records, so an ``id`` names one object while the Point lives.
     """
 
-    __slots__ = ("q", "qinv", "values", "_ids", "_rationals",
+    __slots__ = ("q", "qinv", "values", "_ids", "_aliases", "_rationals",
                  "_shift", "_f", "_fprod", "_k", "_kside")
 
     def __init__(self, q, qinv):
         self.q, self.qinv = q, qinv
         self.values = []
-        self._ids = {}        # id(values[i]) -> i
+        self._ids = {}        # id(object) -> index
+        self._aliases = []    # rationals equal to values[i] under another id
         self._rationals = {}  # rational value -> index
         self._shift = {}      # (index, +-2) -> index of the value times q^+-2
         self._f = {}          # (i, j) -> f(values[i], values[j])
-        self._fprod = {}      # (umask, vmask) -> f over all pairs
-        self._k = {}          # (xmask, ymask) -> K(xs|ys)
-        self._kside = {"l": {}, "r": {}}  # side -> (xmask, ymask) -> K^(side)
+        self._fprod = {}      # (#us, indices of us + vs) -> f(us, vs)
+        self._k = {}          # indices of xs + ys -> K(xs|ys)
+        self._kside = {}      # (id(K), side) -> K^(side)
 
     def index(self, x):
         """The index of ``x``: a rational by its value, a series by its identity."""
         i = self._ids.get(id(x))
-        if i is None and not _is_series(x):
-            i = self._rationals.get(x)
         if i is None:
-            i = self._ids[id(x)] = len(self.values)
-            self.values.append(x)
             if not _is_series(x):
-                self._rationals[x] = i
+                i = self._rationals.get(x)
+            if i is None:
+                i = len(self.values)
+                self.values.append(x)
+                if not _is_series(x):
+                    self._rationals[x] = i
+            else:
+                self._aliases.append(x)
+            self._ids[id(x)] = i
         return i
 
-    def mask(self, xs):
-        """The mask of a set of values; PoleError if it repeats one."""
-        out = 0
-        for x in xs:
-            out = union(out, 1 << self.index(x))
-        return out
+    def indices(self, xs):
+        """The indices of a sequence of values, in its order."""
+        ids = self._ids
+        try:
+            return tuple([ids[id(x)] for x in xs])
+        except KeyError:
+            return tuple([self.index(x) for x in xs])
 
-    def set_of(self, mask):
-        """The values of a mask, by ascending index."""
-        return tuple(self.values[i] for i in bits(mask))
-
-    def shift(self, mask, k):
-        """The mask of the values of ``mask`` times q^k, for k = +-2."""
-        out = 0
-        for i in bits(mask):
+    def shift(self, xs, k):
+        """The values of ``xs`` times q^k, for k = +-2, one object per value."""
+        out = []
+        for i in self.indices(xs):
             j = self._shift.get((i, k))
             if j is None:
                 factor = self.q * self.q if k > 0 else self.qinv * self.qinv
                 j = self._shift[i, k] = self.index(self.values[i] * factor)
-            out |= 1 << j
-        return out
+            out.append(self.values[j])
+        return tuple(out)
 
     def f(self, i, j):
         out = self._f.get((i, j))
@@ -135,35 +130,42 @@ class Point:
             out = self._f[i, j] = _div(self.q * u - self.qinv * v, u - v)
         return out
 
-    def fprod(self, umask, vmask):
+    def fprod(self, us, vs):
         """f over all pairs of the two sets; empty product = 1."""
-        out = self._fprod.get((umask, vmask))
+        key = (len(us), self.indices((*us, *vs)))
+        out = self._fprod.get(key)
         if out is None:
+            ius, ivs = key[1][:key[0]], key[1][key[0]:]
             out = Rat(1)
-            vs = bits(vmask)
-            for i in bits(umask):
-                for j in vs:
+            for i in ius:
+                for j in ivs:
                     out = out * self.f(i, j)
-            self._fprod[umask, vmask] = out
+            self._fprod[key] = out
         return out
 
-    def k(self, xmask, ymask):
-        """K_k(xs|ys); K_0 = 1."""
-        out = self._k.get((xmask, ymask))
+    def k(self, xs, ys):
+        """K_k(xs|ys) for two sets of equal size; K_0 = 1."""
+        key = self.indices((*xs, *ys))
+        out = self._k.get(key)
         if out is None:
-            out = self._k[xmask, ymask] = _izergin(
-                self.q, self.qinv, self.set_of(xmask), self.set_of(ymask))
+            vals = [self.values[i] for i in key]
+            n = len(xs)
+            out = self._k[key] = _izergin(self.q, self.qinv, vals[:n], vals[n:])
         return out
 
-    def k_side(self, side, xmask, ymask):
-        """K^(l) = K prod(xs) or K^(r) = K prod(ys)."""
-        memo = self._kside[side]
-        out = memo.get((xmask, ymask))
+    def k_side(self, k, side, vs):
+        """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.
+
+        Each K that `k` memoises is its own object and is held here, so
+        ``id(k)`` names the pair of sets it was computed for.
+        """
+        key = (id(k), side)
+        out = self._kside.get(key)
         if out is None:
-            out = self.k(xmask, ymask)
-            for i in bits(xmask if side == "l" else ymask):
-                out = out * self.values[i]
-            memo[xmask, ymask] = out
+            out = k
+            for v in vs:
+                out = out * v
+            self._kside[key] = out
         return out
 
 
@@ -196,14 +198,7 @@ class Kernel:
 
     def fprod(self, us, vs):
         """f over all pairs of the two bar-sets; empty product = 1."""
-        p = self.point
-        vs = [p.index(v) for v in vs]
-        out = Rat(1)
-        for u in us:
-            i = p.index(u)
-            for j in vs:
-                out = out * p.f(i, j)
-        return out
+        return self.point.fprod(us, vs)
 
     def mq(self, e):
         """(-q)^e for integer e of either sign."""
@@ -262,8 +257,6 @@ def det(rows):
 
 def _izergin(q, qi, xs, ys):
     k = len(xs)
-    if len(ys) != k:
-        raise ValueError(f"cardinality mismatch: {k} vs {len(ys)}")
     if k == 0:
         return Rat(1)
     gq = q - qi
@@ -289,18 +282,15 @@ def izergin(kern, xs, ys):
     """K_k(xs|ys); K_0 = 1."""
     if len(xs) != len(ys):
         raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
-    p = kern.point
-    return p.k(p.mask(xs), p.mask(ys))
+    return kern.point.k(xs, ys)
 
 
 def izergin_side(kern, side, xs, ys):
     """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side."""
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
-    if len(xs) != len(ys):
-        raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
-    p = kern.point
-    return p.k_side(side, p.mask(xs), p.mask(ys))
+    k = izergin(kern, xs, ys)
+    return kern.point.k_side(k, side, xs if side == "l" else ys)
 
 
 def lemma_partition_sum(kern, side, gamma, alpha, beta):

@@ -3,7 +3,6 @@
 Every summation formula in this package runs over ordered partitions of one or
 two bar-sets into subsets of prescribed cardinalities.  Enumeration is lazy and
 lexicographic by index subsets, so sweeps are deterministic and replayable.
-A set may also be an int bitmask, whose two-part partitions are its submasks.
 """
 
 from __future__ import annotations
@@ -11,13 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
-__all__ = [
-    "bits",
-    "enumerate_partitions",
-    "enumerate_two_set_partitions",
-    "multinomial",
-    "submasks",
-]
+__all__ = ["multinomial", "enumerate_partitions", "enumerate_two_set_partitions"]
 
 
 def multinomial(signature):
@@ -56,10 +49,13 @@ def _parts(values, signature):
     if not rest_sig:
         yield (values,)
         return
-    for idx in itertools.combinations(range(len(values)), head):
-        chosen = tuple(values[i] for i in idx)
-        picked = set(idx)
-        remaining = tuple(v for i, v in enumerate(values) if i not in picked)
+    n = len(values)
+    for idx in itertools.combinations(range(n), head):
+        chosen = tuple([values[i] for i in idx])
+        remaining = tuple([values[i] for i in range(n) if i not in idx])
+        if len(rest_sig) == 1:
+            yield chosen, remaining
+            continue
         for tail in _parts(remaining, rest_sig):
             yield (chosen,) + tail
 
@@ -69,19 +65,3 @@ def enumerate_two_set_partitions(values1, values2, signature1, signature2):
     for p1 in enumerate_partitions(values1, signature1):
         for p2 in enumerate_partitions(values2, signature2):
             yield p1, p2
-
-
-def bits(mask):
-    """The indices set in ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def submasks(mask, k):
-    """The submasks of ``mask`` with ``k`` bits, lexicographic in their indices."""
-    for combo in itertools.combinations([1 << i for i in bits(mask)], k):
-        yield sum(combo)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exactnum import PoleError, Rat, scalar_format
 from .highest import hc
-from .partitions import bits, submasks
+from .partitions import enumerate_partitions
 
 __all__ = [
     "RationalFunctionSpec",
@@ -113,16 +113,14 @@ def w_part(kern, uC_split, uB_split, vC_split, vB_split):
     vB1, vB2 = vB_split
     if len(uC1) != len(uB1) or len(vC1) != len(vB1):
         raise ValueError("linked partition cardinalities must match")
-    p = kern.point
-    mask = p.mask
-    fprod = p.fprod
+    fprod = kern.fprod
     return (
-        fprod(mask(uB2), mask(uB1))
-        * fprod(mask(uC1), mask(uC2))
-        * fprod(mask(vB1), mask(vB2))
-        * fprod(mask(vC2), mask(vC1))
-        * fprod(mask(vC1), mask(uC1))
-        * fprod(mask(vB2), mask(uB2))
+        fprod(uB2, uB1)
+        * fprod(uC1, uC2)
+        * fprod(vB1, vB2)
+        * fprod(vC2, vC1)
+        * fprod(vC1, uC1)
+        * fprod(vB2, uB2)
         * hc(kern, "l", uC2, uB2, vC1, vB1)
         * hc(kern, "r", uB1, uC1, vB2, vC2)
     )
@@ -131,13 +129,11 @@ def w_part(kern, uC_split, uB_split, vC_split, vB_split):
 def _splits(tag, vals, k):
     """Each split of ``vals`` into (part_I, part_II) with #part_I = k.
 
-    Listed as ``(symbols_I, symbols_II, (part_I, part_II))`` in submask order
-    of positions; a symbol is ``(tag, position)``.
+    Listed as ``(symbols_I, symbols_II, (part_I, part_II))`` in the order of
+    `enumerate_partitions` over positions; a symbol is ``(tag, position)``.
     """
-    full = (1 << len(vals)) - 1
     out = []
-    for part in submasks(full, k):
-        one, two = bits(part), bits(full ^ part)
+    for one, two in enumerate_partitions(range(len(vals)), (k, len(vals) - k)):
         out.append(([(tag, i) for i in one], [(tag, i) for i in two],
                      (tuple(vals[i] for i in one), tuple(vals[i] for i in two))))
     return out

@@ -19,7 +19,6 @@ from qhc.izergin import (
     mult_pole_limit,
 )
 from qhc.params import Config, sample_generic
-from qhc.partitions import submasks
 
 
 def reference_izergin(q, xs, ys):
@@ -208,7 +207,8 @@ class TestKernelMemo:
         i = p.index(Rat(3, 2))
         assert p.index(Fraction(6, 4)) == i and p.index(Rat(3, 2)) == i
         assert p.index(Rat(3)) != i
-        assert p.mask((Rat(3), Rat(3, 2))) == (1 << i) | (1 << p.index(Rat(3)))
+        assert p.indices((Rat(3), Fraction(3, 2))) == (p.index(Rat(3)), i)
+        assert len(p.values) == 2
 
     def test_a_series_is_indexed_by_identity(self):
         kern = Kernel(Rat(2))
@@ -247,33 +247,56 @@ class TestKernelMemo:
         assert izergin(kern, self.xs, self.ys) == as_rat(
             reference_izergin(2, self.xs, self.ys))
 
+    def test_f_products_keep_their_split(self):
+        kern = Kernel(Rat(2))
+        a, b, c = Rat(3), Rat(5), Rat(7)
+        assert kern.fprod((a, b), (c,)) == kern.f(a, c) * kern.f(b, c)
+        assert kern.fprod((a,), (b, c)) == kern.f(a, b) * kern.f(a, c)
+
+    def test_series_rows_keep_their_argument_order(self):
+        # K is symmetric in its rows, but a truncated series K depends on the
+        # order in which det pivots; each order is memoised on its own.
+        xs = (Rat(3) + eps(), Rat(5, 2), Rat(-4))
+        ys = (Rat(7), Rat(-1, 3), Rat(9, 5))
+        kern = Kernel(Rat(2))
+        for perm in itertools.permutations(range(3)):
+            rows = tuple(xs[i] for i in perm)
+            got = izergin(kern, rows, ys)
+            fresh = izergin(Kernel(Rat(2)), rows, ys)
+            assert repr(got) == repr(fresh)
+            assert got.order == fresh.order > 0
+            assert got == izergin(kern, xs, ys)
+        assert len(kern.point._k) == 6
+
     @given(st.integers(min_value=0, max_value=10**5), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_masks_give_the_values_of_their_sets(self, seed, data):
+    def test_indexed_values_match_plain_arithmetic(self, seed, data):
         (pool,), q = sample_generic((6,), Config(seed=seed))
-        p = Kernel(q).point
-        full = p.mask(pool)
+        kern = Kernel(q)
+        p = kern.point
         k = data.draw(st.integers(min_value=0, max_value=3))
-        base = data.draw(st.sampled_from(list(submasks(full, k))))
-        ym = data.draw(st.sampled_from(list(submasks(full ^ base, k))))
+        order = data.draw(st.permutations(pool))
+        base, ys = tuple(order[:k]), tuple(order[k:2 * k])
         shift = data.draw(st.sampled_from([0, 2, -2]))
-        xm = p.shift(base, shift) if shift else base
-        assert sorted(p.set_of(xm)) == sorted(v * q ** shift for v in p.set_of(base))
+        xs = p.shift(base, shift) if shift else base
+        assert xs == tuple(v * q ** shift for v in base)
         if shift:
-            assert p.shift(xm, -shift) == base
-        xs, ys = p.set_of(xm), p.set_of(ym)
-        assert p.k(xm, ym) == as_rat(reference_izergin(q, xs, ys))
-        assert p.k_side("l", xm, ym) == p.k(xm, ym) * math.prod(xs)
-        assert p.k_side("r", xm, ym) == p.k(xm, ym) * math.prod(ys)
+            # one object per value: shifting back returns the pool's objects
+            assert all(a is b for a, b in zip(p.shift(xs, -shift), base))
+            assert all(a is b for a, b in zip(p.shift(base, shift), xs))
+        assert izergin(kern, xs, ys) == as_rat(reference_izergin(q, xs, ys))
+        assert izergin_side(kern, "l", xs, ys) == izergin(kern, xs, ys) * math.prod(xs)
+        assert izergin_side(kern, "r", xs, ys) == izergin(kern, xs, ys) * math.prod(ys)
         want = Fraction(1)
         for u in xs:
             for v in ys:
                 want *= (q * u - v / q) / (u - v)
-        assert p.fprod(xm, ym) == want
+        assert kern.fprod(xs, ys) == want
+        assert p.fprod(xs, ys) == want
 
 
 class TestRepeatedValues:
-    """A set that repeats a value has no mask; it raises PoleError as before."""
+    """A set that repeats a value raises PoleError, as its evaluation does."""
 
     def test_izergin(self):
         kern = Kernel(Rat(2))
