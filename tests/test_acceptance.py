@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line with its elapsed time and enforces a
 wall-clock budget.  Every comparison is exact rational equality.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,6 +104,22 @@ def test_criterion_06_residue_suite():
     with budget("criterion-06 residue and multiple-pole suite", 60):
         report = run_suite("residues", a_max=2, b_max=2, trials=2, seed=103)
         _assert_suite_green(report)
+
+
+def test_criterion_06b_residue_suite_at_3_3():
+    # The residue suite one size up, 264 cases, under criterion 06's budget.
+    # The report is hashed as perfbench's report_digest hashes one report:
+    # every case without elapsed_ms, keys sorted, compact separators; the
+    # digest was computed with the fractions backend.
+    with budget("criterion-06b residue suite up to a=b=3", 60):
+        report = run_suite("residues", a_max=3, b_max=3, trials=1, seed=42)
+    assert len(report["cases"]) == 264
+    _assert_suite_green(report)
+    cases = [{k: v for k, v in c.items() if k != "elapsed_ms"} for c in report["cases"]]
+    body = json.dumps(dict(report, cases=cases), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "a28f4573e0bcc0e789f4ce3d13bb8d7e8baa39122f1d3832d9043bed774854ce"
+    )
 
 
 def test_criterion_07_reduction_suite():
