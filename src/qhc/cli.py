@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .exactnum import Rat, scalar_format, scalar_parse
+from .exactnum import ExactError, Rat, scalar_format, scalar_parse
 from .highest import REPRESENTATIONS, hc
 from .izergin import Kernel, izergin, izergin_side
 from .params import Config
@@ -49,6 +49,13 @@ def _parse_q(text):
 
 _SET, _Q = _literal(_parse_set), _literal(_parse_q)
 _FUNCTION = _literal(RationalFunctionSpec.parse)
+
+# Set options of an evaluator that must hold equally many values.
+_PAIRED = {
+    "izergin": (("x", "y"),),
+    "hc": (("t", "x"), ("s", "y")),
+    "scalar-product": (("uc", "ub"), ("vc", "vb")),
+}
 
 
 def build_parser():
@@ -162,14 +169,30 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
+    """Run one command; its exit status is returned.
+
+    Sets of unequal sizes are a usage error (exit 2), and a point where the
+    value is undefined, such as a vanishing denominator, exits 1; each is
+    reported as one line on standard error.
+    """
     args = build_parser().parse_args(argv)
+    for a, b in _PAIRED.get(args.command, ()):
+        na, nb = len(getattr(args, a)), len(getattr(args, b))
+        if na != nb:
+            print(f"qhc {args.command}: error: --{a} and --{b} must have the same "
+                  f"number of values ({na} vs {nb})", file=sys.stderr)
+            return 2
     handlers = {
         "izergin": _cmd_izergin,
         "hc": _cmd_hc,
         "scalar-product": _cmd_scalar_product,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ExactError as exc:
+        print(f"qhc {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 
 try:
     from gmpy2 import mpq as Rat
@@ -32,10 +33,14 @@ __all__ = [
     "eps",
     "laurent_from_scalar",
     "take_limit",
+    "invert_window",
 ]
 
 # Number of series terms computed when inverting a multi-term unit.
 INVERT_TERMS = 8
+
+# The window `invert` uses; only `invert_window` changes it.
+_invert_terms = INVERT_TERMS
 
 _INF = math.inf
 
@@ -187,6 +192,21 @@ def _nested_convolve(xs, ys, n):
             _convolve_into(acc, a, b, v - lo)
         out.append(LaurentSeries(lo, [Rat(c, d) for c in acc], order, 1))
     return out
+
+
+@contextmanager
+def invert_window(terms):
+    """Invert multi-term units to ``terms`` terms inside the block.
+
+    A narrower window makes every product and sum behind it shorter; what it
+    cannot decide raises `WindowError`, as at any window.
+    """
+    global _invert_terms
+    old, _invert_terms = _invert_terms, terms
+    try:
+        yield
+    finally:
+        _invert_terms = old
 
 
 def _coeff_invert(c):
@@ -348,7 +368,7 @@ class LaurentSeries:
         v = self.valuation
         cs = self.coeffs
         if self.order is _INF:
-            m = _INF if len(cs) == 1 else max(len(cs), INVERT_TERMS)
+            m = _INF if len(cs) == 1 else max(len(cs), _invert_terms)
         else:
             m = int(self.order) - v
         c0inv = _coeff_invert(cs[0])

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import (
+    INVERT_TERMS,
     LaurentSeries,
     PoleError,
     Rat,
     SingularPartError,
     WindowError,
     eps,
+    invert_window,
     laurent_from_scalar,
     scalar_format,
     scalar_parse,
@@ -136,6 +138,35 @@ class TestEpsilonLimits:
         narrow = LaurentSeries(0, (), order=0)
         with pytest.raises(WindowError):
             take_limit(narrow)
+
+
+def _second_order_limit():
+    # (1/(1 + e) - 1 + e) / e^2 = 1 - e + ..., which needs three terms of 1/(1 + e)
+    return take_limit((LaurentSeries(0, (1, 1)).invert() - 1 + eps()) / eps() ** 2)
+
+
+class TestInvertWindow:
+    def test_the_default_window_is_eight_terms(self):
+        assert INVERT_TERMS == 8
+        assert LaurentSeries(0, (1, 1)).invert().order == 8
+
+    def test_a_window_too_narrow_for_a_limit_raises(self):
+        with invert_window(2):
+            with pytest.raises(WindowError):
+                _second_order_limit()
+
+    @pytest.mark.parametrize("terms", [3, 4, 8])
+    def test_a_wide_enough_window_gives_the_limit(self, terms):
+        with invert_window(terms):
+            assert _second_order_limit() == 1
+
+    def test_the_window_is_restored_after_an_exception(self):
+        with pytest.raises(WindowError):
+            with invert_window(2):
+                assert LaurentSeries(0, (1, 1)).invert().order == 2
+                _second_order_limit()
+        assert LaurentSeries(0, (1, 1)).invert().order == INVERT_TERMS
+        assert _second_order_limit() == 1
 
 
 class TestTruncationIsSound:

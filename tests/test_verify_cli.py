@@ -9,9 +9,9 @@ import pytest
 
 import qhc.verify
 from qhc.cli import build_parser, main
-from qhc.exactnum import LaurentSeries, PoleError
+from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError
 from qhc.params import Config
-from qhc.verify import SUITES, registry, run_suite
+from qhc.verify import SUITES, WINDOWS, registry, run_suite
 
 EXPECTED_IDS = {
     "K_INIT", "K_SCAL", "K_RED", "K_INVERS", "K_INVERS1", "K_RES", "K_INF",
@@ -143,10 +143,119 @@ class TestRunSuite:
         assert report["summary"]["pass"] == len(report["cases"])
 
 
+def _window():
+    """The number of terms `invert` expands a unit to right now."""
+    return LaurentSeries(0, (1, 1)).invert().order
+
+
+def _descriptor(identity_id):
+    (desc,) = [d for d in registry() if d.identity_id == identity_id]
+    return desc
+
+
+class TestWindowRetry:
+    def test_the_windows_widen_to_the_default(self):
+        assert WINDOWS == (2, 4, 8)
+
+    def test_a_case_moves_on_from_a_window_error(self):
+        seen = []
+
+        def evaluate(kern, side, k, xs, ys):
+            seen.append((_window(), kern))
+            if _window() < 4:
+                raise WindowError("too narrow")
+            return xs, xs
+
+        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
+                                    ("x", "y"), evaluate)
+        lhs, rhs, ok, params = desc.run(("l", 2), Config(), 3)
+        assert [w for w, _ in seen] == [2, 4]
+        assert seen[0][1] is not seen[1][1]  # a fresh Kernel per attempt
+        assert seen[0][1] == seen[1][1]  # at the same q
+        assert ok is None and lhs == rhs
+        assert set(params) == {"q", "x", "y"}
+        assert _window() == 8
+
+    @pytest.mark.parametrize("sides", [
+        lambda: (Rat(_window()), Rat(8)),  # unequal below 8 terms
+        lambda: (LaurentSeries(0, (), order=_window() - 4), 0),  # undecided below 8
+    ])
+    def test_sides_that_do_not_compare_equal_are_retried(self, sides):
+        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
+                                    ("x", "y"), lambda kern, *args: sides())
+        lhs, rhs, ok, _ = desc.run(("l", 1), Config(), 3)
+        assert ok is None and lhs == rhs
+
+    def test_other_errors_are_not_retried(self):
+        windows = []
+
+        def evaluate(kern, *args):
+            windows.append(_window())
+            raise PoleError("injected")
+
+        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
+                                    ("x", "y"), evaluate)
+        with pytest.raises(PoleError) as info:
+            desc.run(("l", 1), Config(), 3)
+        assert windows == [2]
+        assert set(info.value.params) == {"q", "x", "y"}
+
+    def test_a_window_error_at_every_window_keeps_its_replay_data(self, monkeypatch):
+        want = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)["cases"]
+        windows = []
+
+        def fail(*args):
+            windows.append(_window())
+            raise WindowError("injected")
+
+        monkeypatch.setattr(qhc.verify, "hc_twin_sum_pair", fail)
+        report = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)
+        assert report["summary"] == {"pass": 0, "fail": 0, "error": 16}
+        assert windows == [2, 4, 8] * 16
+        for case, good in zip(report["cases"], want):
+            assert case["error"] == "WindowError: injected"
+            assert case["lhs"] is None and case["rhs"] is None
+            assert case["equal"] is False
+            assert case["params"] == good["params"]
+
+    def test_sides_undecided_at_every_window_keep_their_replay_data(self, monkeypatch):
+        monkeypatch.setattr(qhc.verify, "izergin_side",
+                            lambda *args: LaurentSeries(0, (), order=0))
+        report = run_suite("izergin", a_max=1, b_max=1, trials=1, seed=5)
+        cases = [c for c in report["cases"] if c["identity_id"] == "K_INIT"]
+        assert len(cases) == 2
+        for case in cases:
+            assert case["error"] == "WindowError: equality undecided at order 0 and above"
+            assert set(case["params"]) == {"q", "x", "y"}
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_a_zero_whose_order_grows_with_the_window_passes(self, monkeypatch, side):
+        # order 0 at 4 terms and below fails the bound of 1; order 4 at 8 passes
+        monkeypatch.setattr(qhc.verify, "izergin_side",
+                            lambda *args: LaurentSeries(0, (), order=_window() - 4))
+        vals, bounds, ok, _ = _descriptor("K_INF").run((side, 1), Config(), 3)
+        assert (vals, ok) == ([4, 4], True)
+
+    def test_every_attempt_of_a_symmetry_case_shuffles_alike(self, monkeypatch):
+        calls = []
+
+        def fake_hc(kern, side, ts, xs, ss, ys):
+            calls.append((_window(), ts, xs, ss, ys))
+            if _window() < 8:
+                raise WindowError("too narrow")
+            return Rat(1)
+
+        monkeypatch.setattr(qhc.verify, "hc", fake_hc)
+        lhs, rhs, ok, _ = _descriptor("HC_SYM_PERM").run(("l", 3, 3), Config(), 11)
+        assert lhs == rhs
+        # one shuffled call per window, then the unshuffled side at 8 terms
+        assert [w for w, *_ in calls] == [2, 4, 8, 8]
+        assert calls[0][1:] == calls[1][1:] == calls[2][1:] != calls[3][1:]
+
+
 class TestParsing:
     def test_set_syntax(self):
         from qhc.cli import _parse_set
-        from qhc.exactnum import Rat
 
         assert _parse_set("") == ()
         assert _parse_set("2,3/4,-5") == (Rat(2), Rat(3, 4), Rat(-5))
@@ -231,6 +340,31 @@ class TestCliInProcess:
         assert err.splitlines()[-1] == f"qhc {argv[0]}: error: {message}"
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["izergin", "--x", "1,2", "--y", "3", "--q", "2"],
+         "qhc izergin: error: --x and --y must have the same number of values (2 vs 1)"),
+        (["hc", "--side", "l", "--t", "1,2", "--x", "3", "--q", "2"],
+         "qhc hc: error: --t and --x must have the same number of values (2 vs 1)"),
+        (["scalar-product", "--vc", "1", "--q", "2"],
+         "qhc scalar-product: error: --vc and --vb must have the same number of values (1 vs 0)"),
+    ])
+    def test_sets_of_unequal_size_are_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["izergin", "--x", "1,1", "--y", "3,4", "--q", "2"],
+        ["scalar-product", "--uc", "1", "--ub", "1", "--q", "2"],
+    ])
+    def test_a_pole_is_one_line_and_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qhc {argv[0]}: PoleError: vanishing denominator\n"
+
+
 class TestCliSubprocess:
     def test_entry_point_runs(self):
         proc = subprocess.run(
@@ -240,6 +374,17 @@ class TestCliSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-3"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["izergin", "--x", "1,2", "--y", "3", "--q", "2"], 2),
+        (["izergin", "--x", "1,1", "--y", "3,4", "--q", "2"], 1),
+    ])
+    def test_errors_of_an_evaluator_show_no_traceback(self, argv, code):
+        proc = subprocess.run([sys.executable, "-m", "qhc.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_literal_exits_2_without_a_traceback(self):
         proc = subprocess.run(
