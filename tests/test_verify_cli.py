@@ -153,6 +153,12 @@ def _descriptor(identity_id):
     return desc
 
 
+def _toy(evaluate):
+    """An identity over two sampled sets x and y of size k, evaluated by `evaluate`."""
+    return qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k), ("x", "y"),
+                                evaluate)
+
+
 class TestWindowRetry:
     def test_the_windows_widen_to_the_default(self):
         assert WINDOWS == (2, 4, 8)
@@ -166,9 +172,7 @@ class TestWindowRetry:
                 raise WindowError("too narrow")
             return xs, xs
 
-        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
-                                    ("x", "y"), evaluate)
-        lhs, rhs, ok, params = desc.run(("l", 2), Config(), 3)
+        lhs, rhs, ok, params = _toy(evaluate).run(("l", 2), Config(), 3)
         assert [w for w, _ in seen] == [2, 4]
         assert seen[0][1] is not seen[1][1]  # a fresh Kernel per attempt
         assert seen[0][1] == seen[1][1]  # at the same q
@@ -181,9 +185,7 @@ class TestWindowRetry:
         lambda: (LaurentSeries(0, (), order=_window() - 4), 0),  # undecided below 8
     ])
     def test_sides_that_do_not_compare_equal_are_retried(self, sides):
-        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
-                                    ("x", "y"), lambda kern, *args: sides())
-        lhs, rhs, ok, _ = desc.run(("l", 1), Config(), 3)
+        lhs, rhs, ok, _ = _toy(lambda kern, *args: sides()).run(("l", 1), Config(), 3)
         assert ok is None and lhs == rhs
 
     def test_other_errors_are_not_retried(self):
@@ -193,10 +195,8 @@ class TestWindowRetry:
             windows.append(_window())
             raise PoleError("injected")
 
-        desc = qhc.verify._identity("T", "izergin", None, lambda side, k: (k, k),
-                                    ("x", "y"), evaluate)
         with pytest.raises(PoleError) as info:
-            desc.run(("l", 1), Config(), 3)
+            _toy(evaluate).run(("l", 1), Config(), 3)
         assert windows == [2]
         assert set(info.value.params) == {"q", "x", "y"}
 
@@ -338,7 +338,6 @@ class TestCliInProcess:
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert err.splitlines()[-1] == f"qhc {argv[0]}: error: {message}"
-
 
     @pytest.mark.parametrize("argv,message", [
         (["izergin", "--x", "1,2", "--y", "3", "--q", "2"],
