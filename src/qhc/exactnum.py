@@ -44,6 +44,8 @@ _invert_terms = INVERT_TERMS
 
 _INF = math.inf
 
+_ZERO = Rat(0)
+
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -93,8 +95,8 @@ def _level(x):
 
 def _coeff_is_zero(c):
     """True only for an exact zero: a truncated zero is unknown, not zero."""
-    if _is_series(c):
-        return c.is_zero() and c.is_exact()
+    if isinstance(c, LaurentSeries):
+        return not c.coeffs and c.order is _INF
     return c == 0
 
 
@@ -240,19 +242,20 @@ class LaurentSeries:
         self._trim()
 
     def _trim(self):
-        v, cs, o = self.valuation, list(self.coeffs), self.order
+        cs, o = self.coeffs, self.order
         # drop coefficients at or above the reliability bound
+        hi = len(cs)
         if o is not _INF:
-            keep = max(0, int(o) - v)
-            cs = cs[:keep]
+            hi = min(hi, max(0, int(o) - self.valuation))
         # then zeros at either end, but only exact ones
-        while cs and _coeff_is_zero(cs[0]):
-            cs.pop(0)
-            v += 1
-        while cs and _coeff_is_zero(cs[-1]):
-            cs.pop()
-        self.valuation = v
-        self.coeffs = tuple(cs)
+        lo = 0
+        while lo < hi and _coeff_is_zero(cs[lo]):
+            lo += 1
+        while hi > lo and _coeff_is_zero(cs[hi - 1]):
+            hi -= 1
+        if lo or hi < len(cs):
+            self.valuation += lo
+            self.coeffs = cs[lo:hi]
 
     # -- constructors ---------------------------------------------------
 
@@ -297,7 +300,49 @@ class LaurentSeries:
             return LaurentSeries.constant(other, self.level)
         return None
 
+    def _scaled(self, c):
+        """``self * c`` for a rational ``c``, at level 1 or 2, coefficient by coefficient.
+
+        Field for field what the product with the constant series of ``c``
+        gives: a zero ``c`` or an exact zero gives the exact zero, a truncated
+        zero gives the valuation-0 zero of its order, and at level 2 an exact
+        zero coefficient becomes ``Rat(0)``, as the nested convolution makes it.
+        """
+        cs, order = self.coeffs, self.order
+        if not c or (not cs and order is _INF):
+            return LaurentSeries.zero(self.level)
+        if not cs:
+            return LaurentSeries(0, (), order, self.level)
+        if self.level == 1:
+            return LaurentSeries(self.valuation, [x * c for x in cs], order, 1)
+        out = []
+        for x in cs:
+            if not isinstance(x, LaurentSeries):
+                out.append(x * c)
+            else:
+                out.append(_ZERO if _coeff_is_zero(x) else x._scaled(c))
+        return LaurentSeries(self.valuation, out, order, 2)
+
+    def _plus(self, c):
+        """``self + c`` for a rational ``c != 0`` whose power 0 lies among the coefficients.
+
+        The sum with the constant series of ``c`` adds ``Rat(0)`` to every
+        other coefficient.  That changes only an integer (it becomes a
+        ``Rat``) or a zero series (its valuation becomes 1), so only those
+        are added to.
+        """
+        cs = [x if type(x) is Rat or (isinstance(x, LaurentSeries) and x.coeffs)
+              else x + _ZERO for x in self.coeffs]
+        k = -self.valuation
+        cs[k] = self.coeffs[k] + c
+        return LaurentSeries(self.valuation, cs, self.order, self.level)
+
     def __add__(self, other):
+        # a rational acts on the coefficients of a level-1 or level-2 series;
+        # anything else is lifted to a series of this level
+        if (type(other) is Rat and other and self.level <= 2
+                and self.valuation <= 0 < self.valuation + len(self.coeffs)):
+            return self._plus(other)
         b = self._coerce(other)
         if b is None:
             return other + self
@@ -330,6 +375,8 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is Rat and self.level <= 2:
+            return self._scaled(other)
         b = self._coerce(other)
         if b is None:
             return other * self
@@ -384,6 +431,10 @@ class LaurentSeries:
         return LaurentSeries(-v, d, order, self.level)
 
     def __truediv__(self, other):
+        if type(other) is Rat and self.level <= 2:
+            if not other:
+                raise PoleError("division by exact zero series")
+            return self._scaled(Rat(1) / other)
         b = self._coerce(other)
         if b is None:
             return other.__rtruediv__(self)

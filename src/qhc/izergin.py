@@ -136,10 +136,12 @@ class Point:
         out = self._fprod.get(key)
         if out is None:
             ius, ivs = key[1][:key[0]], key[1][key[0]:]
-            out = Rat(1)
+            out = None
             for i in ius:
                 for j in ivs:
-                    out = out * self.f(i, j)
+                    out = self.f(i, j) if out is None else out * self.f(i, j)
+            if out is None:
+                out = Rat(1)
             self._fprod[key] = out
         return out
 
@@ -227,7 +229,9 @@ def det(rows):
     Pivots on the entry of minimal valuation (plain nonzero scalars count as
     valuation 0), which keeps series windows as wide as possible.  Only exact
     zeros are skipped: a pivot column of zeros known only within their
-    windows raises WindowError.
+    windows raises WindowError.  Each pivot is inverted once, at the first
+    row it eliminates; ``a / b`` is ``a * b.invert()`` for a series and
+    canonical for a rational, so the factors are those of dividing.
     """
     n = len(rows)
     if n == 0:
@@ -246,10 +250,13 @@ def det(rows):
             sign = -sign
         pivot = m[k][k]
         result = result * pivot
+        pinv = None
         for i in range(k + 1, n):
             if _is_zero(m[i][k]):
                 continue
-            factor = _div(m[i][k], pivot)
+            if pinv is None:
+                pinv = pivot.invert() if _is_series(pivot) else Rat(1) / pivot
+            factor = m[i][k] * pinv
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return result if sign == 1 else -result

@@ -46,12 +46,25 @@ class RationalFunctionSpec:
 
     @classmethod
     def parse(cls, text):
-        """Parse ``num:a0,a1,...;den:b0,b1,...`` (den part optional)."""
+        """Parse ``num:a0,a1,...;den:b0,b1,...`` (den part optional).
+
+        Each section is given at most once; any other section is an error.
+        """
         from .exactnum import scalar_parse
 
-        parts = dict(
-            chunk.split(":", 1) for chunk in text.split(";") if chunk.strip()
-        )
+        parts = {}
+        for chunk in text.split(";"):
+            if not chunk.strip():
+                continue
+            name, colon, body = chunk.partition(":")
+            name = name.strip()
+            if not colon:
+                raise ValueError(f"section {name!r} has no ':' in {text!r}")
+            if name not in ("num", "den"):
+                raise ValueError(f"unknown section {name!r} in {text!r} (expected num or den)")
+            if name in parts:
+                raise ValueError(f"repeated section {name!r} in {text!r}")
+            parts[name] = body
         if "num" not in parts:
             raise ValueError(f"missing num section in {text!r}")
 

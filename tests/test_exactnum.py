@@ -352,6 +352,73 @@ class TestProductReference:
                 assert got == want
 
 
+def fields(x):
+    """Everything a value holds: level, valuation, order and each coefficient's type and value."""
+    if isinstance(x, LaurentSeries):
+        return ("series", x.level, x.valuation, x.order, tuple(fields(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def outcome(fn, *args):
+    """``fields`` of ``fn(*args)``, or the type and message of what it raises."""
+    try:
+        return fields(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+# Each operator with a rational ``c``, beside the computation it replaces: ``c``
+# lifted to the constant series ``C`` of the series' level.  Python runs a
+# reflected operator with the series on the left, so ``c * s`` was ``s * C``
+# and ``c - s`` was ``-s + C``.  The comment names a mutation of exactnum.py
+# that the property fails on.
+RATIONAL_OPERATIONS = {
+    # a truncated zero that keeps its valuation
+    "s*c": (lambda s, c: s * c, lambda s, C: s * C),
+    # a level-2 exact-zero coefficient scaled to an exact-zero series, not Rat(0)
+    "c*s": (lambda s, c: c * s, lambda s, C: s * C),
+    # an s + c that ignores the order: power 0 taken at or past the coefficients
+    "s+c": (lambda s, c: s + c, lambda s, C: s + C),
+    # the coefficients besides power 0 kept as they are (an int stays an int)
+    "c+s": (lambda s, c: c + s, lambda s, C: s + C),
+    # a zero c on the fast path, which re-adds zero to the other coefficients
+    "s-c": (lambda s, c: s - c, lambda s, C: s - C),
+    # a zero-series coefficient kept instead of re-added (its valuation stays)
+    "c-s": (lambda s, c: c - s, lambda s, C: -s + C),
+    # s / 0 scaled by 0 instead of raising PoleError
+    "s/c": (lambda s, c: s / c, lambda s, C: s * C.invert()),
+    # a scaled level-1 series returned exact, its order dropped
+    "c/s": (lambda s, c: c / s, lambda s, C: s.invert() * C),
+}
+
+operands = st.one_of(st.just(Rat(0)), rationals)
+
+
+class TestRationalOperands:
+    """A rational operand acts on the coefficients exactly as its constant series would."""
+
+    @pytest.mark.parametrize("op", list(RATIONAL_OPERATIONS))
+    @given(s=st.one_of(level1_series, level2_series), c=operands)
+    @example(s=LaurentSeries(1, (), order=4), c=Rat(3))
+    @example(s=LaurentSeries(-1, (Rat(2), 7), order=1), c=Rat(5, 2))
+    @example(s=LaurentSeries(-1, (Rat(2), 7), order=1), c=Rat(0))
+    @example(s=LaurentSeries(-1, (Rat(2),), order=0), c=Rat(5, 2))
+    @example(s=LaurentSeries(-1, (Rat(1), LaurentSeries.zero(), Rat(2)), level=2), c=Rat(-3))
+    @example(s=LaurentSeries(-2, (Rat(1), LaurentSeries(0, (), order=1), LaurentSeries(
+        -1, (Rat(2), Rat(1)), order=2), Rat(4)), order=2, level=2), c=Rat(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_lifted_operand(self, op, s, c):
+        fast, lifted = RATIONAL_OPERATIONS[op]
+        want = outcome(lifted, s, LaurentSeries.constant(c, s.level))
+        assert outcome(fast, s, c) == want, (op, s, c)
+
+    @given(st.one_of(level1_series, level2_series))
+    @settings(max_examples=60, deadline=None)
+    def test_division_by_zero_raises(self, s):
+        with pytest.raises(PoleError, match="division by exact zero series"):
+            s / Rat(0)
+
+
 def small_poly(lo, hi):
     return st.lists(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=3)
 

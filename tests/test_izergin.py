@@ -112,6 +112,106 @@ class TestDeterminant:
         assert isinstance(got, LaurentSeries) and got.order == 2
 
 
+def divided_det(rows):
+    """`det` with each row dividing by its pivot: the elimination it replaces."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign, result = 1, Rat(1)
+    for k in range(n):
+        piv = min(range(k, n), key=lambda i: pivot_key(m[i][k]))
+        if pivot_key(m[piv][k]) == math.inf:
+            if all(exact_zero(m[i][k]) for i in range(k, n)):
+                return Rat(0)
+            raise WindowError("pivot column is zero only within its truncation window")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        result = result * m[k][k]
+        for i in range(k + 1, n):
+            if not exact_zero(m[i][k]):
+                factor = m[i][k] / m[k][k]
+                for j in range(k + 1, n):
+                    m[i][j] = m[i][j] - factor * m[k][j]
+    return result if sign == 1 else -result
+
+
+def exact_zero(x):
+    return x.is_zero() and x.is_exact() if isinstance(x, LaurentSeries) else x == 0
+
+
+def pivot_key(x):
+    if isinstance(x, LaurentSeries):
+        return math.inf if x.is_zero() else x.valuation
+    return math.inf if x == 0 else 0
+
+
+def fields(x):
+    if isinstance(x, LaurentSeries):
+        return ("series", x.level, x.valuation, x.order, tuple(fields(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def outcome(fn, *args):
+    try:
+        return fields(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+rats = st.fractions(min_value=-9, max_value=9, max_denominator=5).map(
+    lambda f: Rat(f.numerator, f.denominator))
+level1_entries = st.builds(
+    lambda v, cs, extra: LaurentSeries(v, cs, math.inf if extra is None else v + extra),
+    st.integers(min_value=-2, max_value=2), st.lists(rats, max_size=3),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+rational_or_level1 = st.one_of(rats, st.just(Rat(0)), level1_entries)
+entries = st.one_of(
+    rational_or_level1,
+    st.builds(lambda a, b: a + b * eps(level=2), rational_or_level1, rats))
+
+
+def square(entry):
+    return st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestDeterminantInversesOnce:
+    """`det` inverts each pivot once and gives what dividing by it per row gives."""
+
+    @given(square(entries))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dividing_per_row(self, rows):
+        assert outcome(det, rows) == outcome(divided_det, rows)
+
+    @given(square(rational_or_level1))
+    @settings(max_examples=100, deadline=None)
+    def test_at_most_one_inverse_per_pivot_column(self, rows):
+        inverted = []
+        invert = LaurentSeries.invert
+
+        def counting(self):
+            inverted.append(self)
+            return invert(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LaurentSeries, "invert", counting)
+            outcome(det, rows)
+        assert len(inverted) <= len(rows) - 1
+        assert len({id(s) for s in inverted}) == len(inverted)
+
+    def test_a_dense_series_matrix_inverts_n_minus_1_pivots(self, monkeypatch):
+        e = eps()
+        # a Hilbert matrix plus eps times an antisymmetric one: every pivot is a unit
+        rows = [[Rat(1, i + j + 1) + Rat(j - i) * e for j in range(4)] for i in range(4)]
+        calls = []
+        invert = LaurentSeries.invert
+        monkeypatch.setattr(LaurentSeries, "invert", lambda s: calls.append(s) or invert(s))
+        got = det(rows)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert fields(got) == fields(divided_det(rows))
+
+
 class TestIzergin:
     def test_k0_is_one(self):
         assert izergin(Kernel(Rat(2)), (), ()) == Rat(1)

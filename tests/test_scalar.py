@@ -38,6 +38,21 @@ class TestRationalFunctionSpec:
         with pytest.raises(ValueError):
             RationalFunctionSpec.parse("den:1,2")
 
+    @pytest.mark.parametrize("text,message", [
+        ("foo", "section 'foo' has no ':' in 'foo'"),
+        ("num:1;dem:2", "unknown section 'dem' in 'num:1;dem:2' (expected num or den)"),
+        ("num:1;num:2", "repeated section 'num' in 'num:1;num:2'"),
+        ("num:1;den:2;den:3", "repeated section 'den' in 'num:1;den:2;den:3'"),
+    ])
+    def test_malformed_sections_rejected(self, text, message):
+        with pytest.raises(ValueError) as info:
+            RationalFunctionSpec.parse(text)
+        assert str(info.value) == message
+
+    def test_spaces_around_a_section_name(self):
+        spec = RationalFunctionSpec.parse("num:1; den:2")
+        assert (spec.num, spec.den) == ((Rat(1),), (Rat(2),))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             RationalFunctionSpec((Rat(1),), (Rat(0),))

@@ -331,6 +331,12 @@ class TestCliInProcess:
         (["hc", "--side", "l", "--q", "0"], "argument --q: q must not be 0, 1, or -1"),
         (["scalar-product", "--q", "2", "--r1", "num:1;den:0"],
          "argument --r1: denominator must not be identically zero"),
+        (["scalar-product", "--q", "2", "--r1", "foo"],
+         "argument --r1: section 'foo' has no ':' in 'foo'"),
+        (["scalar-product", "--q", "2", "--r3", "num:1;dem:2"],
+         "argument --r3: unknown section 'dem' in 'num:1;dem:2' (expected num or den)"),
+        (["scalar-product", "--q", "2", "--r1", "num:1;num:2"],
+         "argument --r1: repeated section 'num' in 'num:1;num:2'"),
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
