@@ -229,9 +229,11 @@ def det(rows):
     Pivots on the entry of minimal valuation (plain nonzero scalars count as
     valuation 0), which keeps series windows as wide as possible.  Only exact
     zeros are skipped: a pivot column of zeros known only within their
-    windows raises WindowError.  Each pivot is inverted once, at the first
-    row it eliminates; ``a / b`` is ``a * b.invert()`` for a series and
-    canonical for a rational, so the factors are those of dividing.
+    windows raises WindowError.  A series pivot is inverted once, at the
+    first row it eliminates, and ``a / b`` is ``a * b.invert()``, so the
+    factors are those of dividing.  A rational pivot divides each row: a
+    division costs a rational no more than a product, and an inverse would
+    be one more operation.
     """
     n = len(rows)
     if n == 0:
@@ -254,9 +256,12 @@ def det(rows):
         for i in range(k + 1, n):
             if _is_zero(m[i][k]):
                 continue
-            if pinv is None:
-                pinv = pivot.invert() if _is_series(pivot) else Rat(1) / pivot
-            factor = m[i][k] * pinv
+            if not _is_series(pivot):
+                factor = m[i][k] / pivot
+            else:
+                if pinv is None:
+                    pinv = pivot.invert()
+                factor = m[i][k] * pinv
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return result if sign == 1 else -result
