@@ -377,7 +377,7 @@ RATIONAL_OPERATIONS = {
     "s*c": (lambda s, c: s * c, lambda s, C: s * C),
     # a level-2 exact-zero coefficient scaled to an exact-zero series, not Rat(0)
     "c*s": (lambda s, c: c * s, lambda s, C: s * C),
-    # an s + c that ignores the order: power 0 taken at or past the coefficients
+    # the fast path taken when power 0 lies just past the coefficients
     "s+c": (lambda s, c: s + c, lambda s, C: s + C),
     # the coefficients besides power 0 kept as they are (an int stays an int)
     "c+s": (lambda s, c: c + s, lambda s, C: s + C),
@@ -385,7 +385,7 @@ RATIONAL_OPERATIONS = {
     "s-c": (lambda s, c: s - c, lambda s, C: s - C),
     # a zero-series coefficient kept instead of re-added (its valuation stays)
     "c-s": (lambda s, c: c - s, lambda s, C: -s + C),
-    # s / 0 scaled by 0 instead of raising PoleError
+    # s / 0 without its PoleError check
     "s/c": (lambda s, c: s / c, lambda s, C: s * C.invert()),
     # a scaled level-1 series returned exact, its order dropped
     "c/s": (lambda s, c: c / s, lambda s, C: s.invert() * C),

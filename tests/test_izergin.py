@@ -176,7 +176,7 @@ def square(entry):
 
 
 class TestDeterminantInversesOnce:
-    """`det` inverts each pivot once and gives what dividing by it per row gives."""
+    """`det` inverts each series pivot once and gives what dividing by it per row gives."""
 
     @given(square(entries))
     @settings(max_examples=200, deadline=None)
