@@ -173,11 +173,9 @@ def _nested_convolve(xs, ys, n):
         for i in range(max(0, k - len(ys) + 1), min(k + 1, len(xs))):
             x_series, x_zero, x_low, x_order, x_val, x_nums = xs[i]
             y_series, y_zero, y_low, y_order, y_val, y_nums = ys[k - i]
-            if x_zero:
-                continue
             # a product with a series is a series, even an exact zero one
             is_series = is_series or x_series or y_series
-            if y_zero:
+            if x_zero or y_zero:
                 continue
             order = min(order, _shift(x_low, y_order), _shift(y_low, x_order))
             if x_nums and y_nums:
@@ -253,7 +251,10 @@ class LaurentSeries:
             lo += 1
         while hi > lo and _coeff_is_zero(cs[hi - 1]):
             hi -= 1
-        if lo or hi < len(cs):
+        if lo == hi:
+            # every zero has valuation 0, however it was made
+            self.valuation, self.coeffs = 0, ()
+        elif lo or hi < len(cs):
             self.valuation += lo
             self.coeffs = cs[lo:hi]
 
@@ -301,46 +302,33 @@ class LaurentSeries:
         return None
 
     def _scaled(self, c):
-        """``self * c`` for a rational ``c``, at level 1 or 2, coefficient by coefficient.
+        """``self * c`` for a rational ``c``, coefficient by coefficient.
 
         Field for field what the product with the constant series of ``c``
-        gives: a zero ``c`` or an exact zero gives the exact zero, a truncated
-        zero gives the valuation-0 zero of its order, and at level 2 an exact
-        zero coefficient becomes ``Rat(0)``, as the nested convolution makes it.
+        gives: a zero ``c`` or an exact zero gives the exact zero, and a
+        truncated zero gives the zero of its order.
         """
         cs, order = self.coeffs, self.order
         if not c or (not cs and order is _INF):
             return LaurentSeries.zero(self.level)
-        if not cs:
-            return LaurentSeries(0, (), order, self.level)
-        if self.level == 1:
-            return LaurentSeries(self.valuation, [x * c for x in cs], order, 1)
-        out = []
-        for x in cs:
-            if not isinstance(x, LaurentSeries):
-                out.append(x * c)
-            else:
-                out.append(_ZERO if _coeff_is_zero(x) else x._scaled(c))
-        return LaurentSeries(self.valuation, out, order, 2)
+        return LaurentSeries(self.valuation, [x * c for x in cs], order, self.level)
 
     def _plus(self, c):
         """``self + c`` for a rational ``c != 0`` whose power 0 lies among the coefficients.
 
         The sum with the constant series of ``c`` adds ``Rat(0)`` to every
         other coefficient.  That changes only an integer (it becomes a
-        ``Rat``) or a zero series (its valuation becomes 1), so only those
-        are added to.
+        ``Rat``), so only integers are added to.
         """
-        cs = [x if type(x) is Rat or (isinstance(x, LaurentSeries) and x.coeffs)
-              else x + _ZERO for x in self.coeffs]
+        cs = [x + _ZERO if type(x) is int else x for x in self.coeffs]
         k = -self.valuation
         cs[k] = self.coeffs[k] + c
         return LaurentSeries(self.valuation, cs, self.order, self.level)
 
     def __add__(self, other):
-        # a rational acts on the coefficients of a level-1 or level-2 series;
-        # anything else is lifted to a series of this level
-        if (type(other) is Rat and other and self.level <= 2
+        # a rational acts on the coefficients; anything else is lifted to a
+        # series of this level
+        if (type(other) is Rat and other
                 and self.valuation <= 0 < self.valuation + len(self.coeffs)):
             return self._plus(other)
         b = self._coerce(other)
@@ -375,7 +363,7 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is Rat and self.level <= 2:
+        if type(other) is Rat:
             return self._scaled(other)
         b = self._coerce(other)
         if b is None:
@@ -431,7 +419,7 @@ class LaurentSeries:
         return LaurentSeries(-v, d, order, self.level)
 
     def __truediv__(self, other):
-        if type(other) is Rat and self.level <= 2:
+        if type(other) is Rat:
             if not other:
                 raise PoleError("division by exact zero series")
             return self._scaled(Rat(1) / other)

@@ -2,7 +2,7 @@
 
 Z^(l,r)_{a,b}(t;x|s;y) is computed via six equivalent partition-sum
 representations over different set unions (their shifted sets come from
-the kernel's `Point`, which computes each shift once per value):
+the kernel, which computes each shift once per value):
 
     ws       -- partitions of {s, x}            (the defining formula)
     ws-twin  -- same union, twin rewriting
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
 from .izergin import izergin_side
-from .params import qshift
 from .partitions import enumerate_partitions, enumerate_two_set_partitions
 
 __all__ = [
@@ -47,12 +46,11 @@ def _hc_ws(kern, side, ts, xs, ss, ys):
     a, b = len(ts), len(ss)
     u = kern.usign(side)
     opp = kern.other(side)
-    p = kern.point
     w = ss + xs
     total = Rat(0)
     for w1, w2 in enumerate_partitions(w, (b, a)):
         total = total + (
-            izergin_side(kern, opp, ss, p.shift(w1, 2))
+            izergin_side(kern, opp, ss, kern.shift(w1, 2))
             * izergin_side(kern, side, w2, ts)
             * izergin_side(kern, side, ys, w1)
             * kern.fprod(w1, w2)
@@ -65,7 +63,7 @@ def _hc_ws_twin(kern, side, ts, xs, ss, ys):
     u = kern.usign(side)
     opp = kern.other(side)
     w = ss + xs
-    xq = kern.point.shift(xs, 2)
+    xq = kern.shift(xs, 2)
     total = Rat(0)
     for w1, w2 in enumerate_partitions(w, (b, a)):
         total = total + (
@@ -81,14 +79,13 @@ def _hc_ty(kern, side, ts, xs, ss, ys):
     a, b = len(ts), len(ss)
     u = kern.usign(side)
     opp = kern.other(side)
-    p = kern.point
-    tq = p.shift(ts, -2)
+    tq = kern.shift(ts, -2)
     eta = ys + tq
-    xq = p.shift(xs, -2)
+    xq = kern.shift(xs, -2)
     total = Rat(0)
     for e1, e2 in enumerate_partitions(eta, (a, b)):
         total = total + (
-            izergin_side(kern, opp, tq, p.shift(e1, 2))
+            izergin_side(kern, opp, tq, kern.shift(e1, 2))
             * izergin_side(kern, side, xq, e1)
             * izergin_side(kern, side, e2, ss)
             * kern.fprod(e1, e2)
@@ -100,10 +97,9 @@ def _hc_ty_twin(kern, side, ts, xs, ss, ys):
     a, b = len(ts), len(ss)
     u = kern.usign(side)
     opp = kern.other(side)
-    p = kern.point
-    eta = ys + p.shift(ts, -2)
-    xq = p.shift(xs, -2)
-    yq = p.shift(ys, 2)
+    eta = ys + kern.shift(ts, -2)
+    xq = kern.shift(xs, -2)
+    yq = kern.shift(ys, 2)
     total = Rat(0)
     for e1, e2 in enumerate_partitions(eta, (a, b)):
         total = total + (
@@ -117,15 +113,14 @@ def _hc_ty_twin(kern, side, ts, xs, ss, ys):
 
 def _hc_tx(kern, side, ts, xs, ss, ys):
     a = len(ts)
-    p = kern.point
     u = kern.usign(side)
     total = Rat(0)
     for n in range(a + 1):
         sign = kern.mq(u * n)
         for t1, t2 in enumerate_partitions(ts, (n, a - n)):
             t_part = sign * kern.fprod(ss, t1) * kern.fprod(t1, t2)
-            t2q = p.shift(t2, -2)
-            yt = ys + p.shift(t1, -2)
+            t2q = kern.shift(t2, -2)
+            yt = ys + kern.shift(t1, -2)
             for x1, x2 in enumerate_partitions(xs, (n, a - n)):
                 total = total + (
                     t_part
@@ -140,14 +135,13 @@ def _hc_tx(kern, side, ts, xs, ss, ys):
 
 def _hc_sy(kern, side, ts, xs, ss, ys):
     b = len(ss)
-    p = kern.point
     u = kern.usign(side)
     total = Rat(0)
     for n in range(b + 1):
         sign = kern.mq(u * n)
         for s1, s2 in enumerate_partitions(ss, (n, b - n)):
             s_part = sign * kern.fprod(s2, ts) * kern.fprod(s1, s2)
-            s2q = p.shift(s2, -2)
+            s2q = kern.shift(s2, -2)
             sx = s1 + xs
             for y1, y2 in enumerate_partitions(ys, (n, b - n)):
                 total = total + (
@@ -156,7 +150,7 @@ def _hc_sy(kern, side, ts, xs, ss, ys):
                     * kern.fprod(y2, y1)
                     * izergin_side(kern, side, y1, s1)
                     * izergin_side(kern, side, y2, s2q)
-                    * izergin_side(kern, side, sx, p.shift(y1, 2) + ts)
+                    * izergin_side(kern, side, sx, kern.shift(y1, 2) + ts)
                 )
     return total
 
@@ -205,7 +199,6 @@ def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None):
               f^-1(y,x) f^-1(s,t) Z_{a,b}(t;x|s;y).
     Z_INVERS1: Z^(side) at q^-1 against Z^(other side)_{b,a}(y;s|x;t) at q.
     """
-    q = kern.q
     if variant == "Z_SCAL":
         if alpha is None or alpha == 0:
             raise ValueError("Z_SCAL requires a nonzero alpha")
@@ -219,7 +212,7 @@ def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None):
         )
         rhs = hc(kern, side, ts, xs, ss, ys)
     elif variant == "Z_INVERS":
-        lhs = hc(kern, side, ss, ys, qshift(ts, -2, q), qshift(xs, -2, q))
+        lhs = hc(kern, side, ss, ys, kern.shift(ts, -2), kern.shift(xs, -2))
         rhs = hc(kern, side, ts, xs, ss, ys) / (
             kern.fprod(ys, xs) * kern.fprod(ss, ts)
         )
@@ -367,28 +360,27 @@ def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs):
 def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
     """Both sides of a plain (limit-free) reduction at shifted-coincident points."""
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
-    q = kern.q
     fprod = kern.fprod
     n = len(zs)
     if variant == "DEC2":
-        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, ss + zs, ys)
+        lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, ss + zs, ys)
         total = Rat(0)
         for y1, y2 in enumerate_partitions(ys, (n, len(ys) - n)):
             total = total + (
                 izergin_side(kern, side, y1, zs)
-                * hc(kern, side, ts + qshift(y1, 2, q), xs, ss, y2)
+                * hc(kern, side, ts + kern.shift(y1, 2), xs, ss, y2)
                 * fprod(y2, y1)
                 * fprod(y1, xs)
                 * fprod(y1, ss)
             )
         rhs = total
     elif variant == "DEC1":
-        lhs = hc(kern, side, ts, xs + zs, ss, ys + qshift(zs, -2, q))
+        lhs = hc(kern, side, ts, xs + zs, ss, ys + kern.shift(zs, -2))
         total = Rat(0)
         for t1, t2 in enumerate_partitions(ts, (n, len(ts) - n)):
             total = total + (
                 izergin_side(kern, side, zs, t1)
-                * hc(kern, side, t2, xs, ss, ys + qshift(t1, -2, q))
+                * hc(kern, side, t2, xs, ss, ys + kern.shift(t1, -2))
                 * fprod(t1, t2)
                 * fprod(xs, t1)
                 * fprod(ss, t1)
@@ -398,21 +390,21 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
         # b <= a, #z = b, s-slot = z itself
         if len(zs) != len(ys):
             raise ValueError("DEC2_PC requires #z = b")
-        lhs = hc(kern, side, ts + qshift(zs, 2, q), xs, zs, ys)
+        lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, zs, ys)
         rhs = (
             fprod(ys, xs)
             * izergin_side(kern, side, ys, zs)
-            * izergin_side(kern, side, xs, ts + qshift(ys, 2, q))
+            * izergin_side(kern, side, xs, ts + kern.shift(ys, 2))
         )
     elif variant == "DEC1_PC":
         # a <= b, #z = a, x-slot = z itself
         if len(zs) != len(ts):
             raise ValueError("DEC1_PC requires #z = a")
-        lhs = hc(kern, side, ts, zs, ss, ys + qshift(zs, -2, q))
+        lhs = hc(kern, side, ts, zs, ss, ys + kern.shift(zs, -2))
         rhs = (
             fprod(ss, ts)
             * izergin_side(kern, side, zs, ts)
-            * izergin_side(kern, side, ys + qshift(ts, -2, q), ss)
+            * izergin_side(kern, side, ys + kern.shift(ts, -2), ss)
         )
     else:
         raise ValueError(f"unknown reduction variant {variant!r}")
@@ -427,7 +419,6 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
     y-partitions (ss must be empty there).  #xi = |a - b| in all cases.
     """
     ts, xs, ss, ys, xi = map(tuple, (ts, xs, ss, ys, xi))
-    q = kern.q
     u = kern.usign(side)
     opp = kern.other(side)
     fprod = kern.fprod
@@ -440,19 +431,19 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
         total = Rat(0)
         for t1, t2 in enumerate_partitions(ts, (b, a - b)):
             first = izergin_side(
-                kern, opp if variant == 1 else side, t1, qshift(ys, 2, q)
+                kern, opp if variant == 1 else side, t1, kern.shift(ys, 2)
             )
             second = izergin_side(
-                kern, side if variant == 1 else opp, t1, qshift(ss, 2, q)
+                kern, side if variant == 1 else opp, t1, kern.shift(ss, 2)
             )
             total = total + (
                 first * second * izergin_side(kern, side, xi, t2) * fprod(t2, t1)
             )
         lhs = total
         if variant == 1:
-            z = hc(kern, side, ts, xi + ys, ss, qshift(ys, -2, q))
+            z = hc(kern, side, ts, xi + ys, ss, kern.shift(ys, -2))
         else:
-            z = hc(kern, side, ts, xi + ss, ys, qshift(ss, -2, q))
+            z = hc(kern, side, ts, xi + ss, ys, kern.shift(ss, -2))
         rhs = kern.mq(u * b) * z / (fprod(ys, ts) * fprod(ss, ts))
     elif variant in (3, 4):
         if ss:
@@ -460,8 +451,8 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
         a, b = len(ts), len(ys)
         if len(xs) != a or len(xi) != b - a:
             raise ValueError("variants 3 and 4 require #x = a and #xi = b - a")
-        tq = qshift(ts, -2, q)
-        xq = qshift(xs, -2, q)
+        tq = kern.shift(ts, -2)
+        xq = kern.shift(xs, -2)
         total = Rat(0)
         for y1, y2 in enumerate_partitions(ys, (a, b - a)):
             first = izergin_side(kern, opp if variant == 3 else side, tq, y1)
@@ -471,9 +462,9 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
             )
         lhs = total
         if variant == 3:
-            z = hc(kern, side, qshift(ts, 2, q), xs, xi + ts, ys)
+            z = hc(kern, side, kern.shift(ts, 2), xs, xi + ts, ys)
         else:
-            z = hc(kern, side, qshift(xs, 2, q), ts, xi + xs, ys)
+            z = hc(kern, side, kern.shift(xs, 2), ts, xi + xs, ys)
         rhs = kern.mq(u * a) * z / (fprod(ys, ts) * fprod(ys, xs))
     else:
         raise ValueError(f"unknown twin variant {variant!r}")
@@ -489,11 +480,10 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     b, p = len(ss), len(ys)
     if len(ws) != b - p:
         raise ValueError("cardinality mismatch: #w must equal #s - #y")
-    q = kern.q
     u = kern.usign(side)
     opp = kern.other(side)
     fprod = kern.fprod
-    xi = qshift(xs, -2, q) + qshift(zs, -2, q)
+    xi = kern.shift(xs, -2) + kern.shift(zs, -2)
     lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws)
     total = Rat(0)
     for k in range(max(0, p - len(xi)), min(p, b) + 1):
@@ -502,7 +492,7 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
         ):
             total = total + (
                 kern.mq(-u * k)
-                * izergin_side(kern, opp, qshift(s1, -2, q) + x1, ys)
+                * izergin_side(kern, opp, kern.shift(s1, -2) + x1, ys)
                 * hc(kern, side, ts, xs, s2, ws + x1)
                 * fprod(s1, s2)
                 * fprod(x2, x1)

@@ -13,43 +13,30 @@ so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.
 
-A `Kernel` stands for one sampled point and owns its `Point`: an index space
-in which every value the point meets gets a small integer, a rational by its
-value and a series by its identity (series are unhashable).  K_k, f,
-f-products, side products and q^{+-2} shifts are memoised under tuples of
-these integers, since the partition sums of Z and of the scalar product ask
-for them many times over; no rational is hashed on a repeat lookup.
-Rationals and series share this one path.
+A `Kernel` stands for one sampled point and is its index space: every value
+the point meets gets a small integer, a rational by its value and a series by
+its identity (series are unhashable).  K_k, f, f-products, side products and
+q^{+-2} shifts are memoised under tuples of these integers, since the
+partition sums of Z and of the scalar product ask for them many times over;
+no rational is hashed on a repeat lookup.  Rationals and series share this
+one path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
-from .params import qshift
+from .exactnum import (
+    _INF, PoleError, Rat, WindowError, _coeff_is_zero, _is_series, eps, take_limit,
+)
 from .partitions import enumerate_partitions
 
 __all__ = [
     "Kernel",
-    "Point",
     "det",
     "izergin",
     "izergin_side",
     "lemma_partition_sum",
     "mult_pole_limit",
 ]
-
-_INF = float("inf")
-
-
-def _is_series(x):
-    return isinstance(x, LaurentSeries)
-
-
-def _is_zero(x):
-    """True only for an exact zero; a truncated zero is unknown."""
-    return x.is_zero() and x.is_exact() if _is_series(x) else x == 0
 
 
 def _val(x):
@@ -65,28 +52,43 @@ def _div(a, b):
     return a / b
 
 
-class Point:
-    """The index space of one sampled point and its memoised kernel values.
+class Kernel:
+    """The deformation parameter q, the kernel functions and the index space of one point.
 
-    ``values[i]`` is the value of index ``i``.  Memo keys are the indices of
-    the argument sets in argument order.  The Point holds every object whose
-    ``id`` it records, so an ``id`` names one object while the Point lives.
+    Build one instance per sampled point: it memoises K and f at every
+    argument it is asked for, for as long as it lives.  ``values[i]`` is the
+    value of index ``i``; memo keys are the indices of the argument sets in
+    argument order.  The kernel holds every object whose ``id`` it records,
+    so an ``id`` names one object while the kernel lives.  Kernels compare
+    and hash by q alone.
     """
 
     __slots__ = ("q", "qinv", "values", "_ids", "_aliases", "_rationals",
-                 "_shift", "_f", "_fprod", "_k", "_kside")
+                 "_shifts", "_fs", "_fprods", "_ks", "_ksides")
 
-    def __init__(self, q, qinv):
-        self.q, self.qinv = q, qinv
+    def __init__(self, q):
+        q = Rat(q)
+        if q == 0 or q == 1 or q == -1:
+            raise ValueError("q must not be 0, 1, or -1")
+        self.q, self.qinv = q, Rat(1) / q
         self.values = []
         self._ids = {}        # id(object) -> index
         self._aliases = []    # rationals equal to values[i] under another id
         self._rationals = {}  # rational value -> index
-        self._shift = {}      # (index, +-2) -> index of the value times q^+-2
-        self._f = {}          # (i, j) -> f(values[i], values[j])
-        self._fprod = {}      # (#us, indices of us + vs) -> f(us, vs)
-        self._k = {}          # indices of xs + ys -> K(xs|ys)
-        self._kside = {}      # (id(K), side) -> K^(side)
+        self._shifts = {}     # (index, k) -> index of the value times q^k
+        self._fs = {}         # (i, j) -> f(values[i], values[j])
+        self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
+        self._ks = {}         # indices of xs + ys -> K(xs|ys)
+        self._ksides = {}     # (id(K), side) -> K^(side)
+
+    def __eq__(self, other):
+        return self.q == other.q if isinstance(other, Kernel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        return f"Kernel(q={self.q!r})"
 
     def index(self, x):
         """The index of ``x``: a rational by its value, a series by its identity."""
@@ -113,46 +115,50 @@ class Point:
             return tuple([self.index(x) for x in xs])
 
     def shift(self, xs, k):
-        """The values of ``xs`` times q^k, for k = +-2, one object per value."""
+        """The values of ``xs`` times q^k, one object per value."""
         out = []
         for i in self.indices(xs):
-            j = self._shift.get((i, k))
+            j = self._shifts.get((i, k))
             if j is None:
-                factor = self.q * self.q if k > 0 else self.qinv * self.qinv
-                j = self._shift[i, k] = self.index(self.values[i] * factor)
+                j = self._shifts[i, k] = self.index(self.values[i] * self.q ** k)
             out.append(self.values[j])
         return tuple(out)
 
-    def f(self, i, j):
-        out = self._f.get((i, j))
+    def _f(self, i, j):
+        out = self._fs.get((i, j))
         if out is None:
             u, v = self.values[i], self.values[j]
-            out = self._f[i, j] = _div(self.q * u - self.qinv * v, u - v)
+            out = self._fs[i, j] = _div(self.q * u - self.qinv * v, u - v)
         return out
+
+    def f(self, u, v):
+        return self._f(self.index(u), self.index(v))
+
+    def g(self, u, v):
+        return _div(self.q - self.qinv, u - v)
 
     def fprod(self, us, vs):
         """f over all pairs of the two sets; empty product = 1."""
         key = (len(us), self.indices((*us, *vs)))
-        out = self._fprod.get(key)
+        out = self._fprods.get(key)
         if out is None:
             ius, ivs = key[1][:key[0]], key[1][key[0]:]
-            out = None
             for i in ius:
                 for j in ivs:
-                    out = self.f(i, j) if out is None else out * self.f(i, j)
+                    out = self._f(i, j) if out is None else out * self._f(i, j)
             if out is None:
                 out = Rat(1)
-            self._fprod[key] = out
+            self._fprods[key] = out
         return out
 
     def k(self, xs, ys):
         """K_k(xs|ys) for two sets of equal size; K_0 = 1."""
         key = self.indices((*xs, *ys))
-        out = self._k.get(key)
+        out = self._ks.get(key)
         if out is None:
             vals = [self.values[i] for i in key]
             n = len(xs)
-            out = self._k[key] = _izergin(self.q, self.qinv, vals[:n], vals[n:])
+            out = self._ks[key] = _izergin(self.q, self.qinv, vals[:n], vals[n:])
         return out
 
     def k_side(self, k, side, vs):
@@ -162,45 +168,13 @@ class Point:
         ``id(k)`` names the pair of sets it was computed for.
         """
         key = (id(k), side)
-        out = self._kside.get(key)
+        out = self._ksides.get(key)
         if out is None:
             out = k
             for v in vs:
                 out = out * v
-            self._kside[key] = out
+            self._ksides[key] = out
         return out
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """The deformation parameter q and the rational kernel functions.
-
-    Build one instance per sampled point: its `point` memoises K and f at
-    every argument it is asked for, for as long as the Kernel lives.
-    """
-
-    q: object
-    qinv: object = field(init=False)
-    point: Point = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        q = Rat(self.q)
-        if q == 0 or q == 1 or q == -1:
-            raise ValueError("q must not be 0, 1, or -1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qinv", Rat(1) / q)
-        object.__setattr__(self, "point", Point(q, self.qinv))
-
-    def f(self, u, v):
-        p = self.point
-        return p.f(p.index(u), p.index(v))
-
-    def g(self, u, v):
-        return _div(self.q - self.qinv, u - v)
-
-    def fprod(self, us, vs):
-        """f over all pairs of the two bar-sets; empty product = 1."""
-        return self.point.fprod(us, vs)
 
     def mq(self, e):
         """(-q)^e for integer e of either sign."""
@@ -244,7 +218,7 @@ def det(rows):
     for k in range(n):
         piv = min(range(k, n), key=lambda i: _val(m[i][k]))
         if _val(m[piv][k]) == _INF:
-            if all(_is_zero(m[i][k]) for i in range(k, n)):
+            if all(_coeff_is_zero(m[i][k]) for i in range(k, n)):
                 return Rat(0)
             raise WindowError("pivot column is zero only within its truncation window")
         if piv != k:
@@ -254,7 +228,7 @@ def det(rows):
         result = result * pivot
         pinv = None
         for i in range(k + 1, n):
-            if _is_zero(m[i][k]):
+            if _coeff_is_zero(m[i][k]):
                 continue
             if not _is_series(pivot):
                 factor = m[i][k] / pivot
@@ -294,7 +268,7 @@ def izergin(kern, xs, ys):
     """K_k(xs|ys); K_0 = 1."""
     if len(xs) != len(ys):
         raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
-    return kern.point.k(xs, ys)
+    return kern.k(xs, ys)
 
 
 def izergin_side(kern, side, xs, ys):
@@ -302,7 +276,7 @@ def izergin_side(kern, side, xs, ys):
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     k = izergin(kern, xs, ys)
-    return kern.point.k_side(k, side, xs if side == "l" else ys)
+    return kern.k_side(k, side, xs if side == "l" else ys)
 
 
 def lemma_partition_sum(kern, side, gamma, alpha, beta):
@@ -316,7 +290,6 @@ def lemma_partition_sum(kern, side, gamma, alpha, beta):
     m1, m2 = len(alpha), len(beta)
     if len(gamma) != m1 + m2:
         raise ValueError("cardinality mismatch: #gamma must equal #alpha + #beta")
-    q = kern.q
     u = kern.usign(side)
     opp = kern.other(side)
     lhs = Rat(0)
@@ -329,12 +302,12 @@ def lemma_partition_sum(kern, side, gamma, alpha, beta):
     rhs1 = (
         kern.mq(-u * m1)
         * kern.fprod(gamma, alpha)
-        * izergin_side(kern, opp, qshift(alpha, -2, q) + tuple(beta), gamma)
+        * izergin_side(kern, opp, kern.shift(alpha, -2) + tuple(beta), gamma)
     )
     rhs2 = (
         kern.mq(u * m2)
         * kern.fprod(beta, gamma)
-        * izergin_side(kern, side, gamma, tuple(alpha) + qshift(beta, 2, q))
+        * izergin_side(kern, side, gamma, tuple(alpha) + kern.shift(beta, 2))
     )
     return lhs, rhs1, rhs2
 

@@ -1,4 +1,4 @@
-"""Bethe-parameter sets, q-power shifts, and the genericity sampler.
+"""Bethe-parameter sets and the genericity sampler.
 
 Parameter sets are plain tuples of exact rationals.  The sampler draws
 pairwise-distinct positive rationals and a deformation parameter q such that
@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 from .exactnum import Rat
 
-__all__ = ["Config", "qshift", "sample_generic", "GenericityError"]
+__all__ = ["Config", "MAX_ABS", "sample_generic", "GenericityError"]
 
 _QPOWERS = (-4, -2, 0, 2, 4)
 _MAX_RETRIES = 200
+
+# Numerators, denominators and q are drawn from 1..MAX_ABS.
+MAX_ABS = 50
 
 
 class GenericityError(RuntimeError):
@@ -29,37 +32,24 @@ class Config:
 
     q: object = None  # fixed deformation parameter, or None to sample one
     seed: int = 0
-    max_abs: int = 50
 
     def __post_init__(self):
         if self.q is not None and Rat(self.q) in (Rat(0), Rat(1), Rat(-1)):
             raise ValueError("q must not be 0, 1, or -1")
 
 
-def qshift(values, k, q):
-    """Multiply every element of a set by q^k, preserving order."""
-    if k == 0:
-        return tuple(values)
-    factor = q ** k if k > 0 else (Rat(1) / q) ** (-k)
-    return tuple(v * factor for v in values)
-
-
 def is_generic(pool, q):
     """True if all q^k multiples (k even, |k| <= 4) of the pool are distinct."""
     if q in (Rat(0), Rat(1), Rat(-1)):
         return False
-    seen = set()
-    for k in _QPOWERS:
-        for v in qshift(pool, k, q):
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+    factors = [q ** k for k in _QPOWERS]
+    shifted = [v * factor for factor in factors for v in pool]
+    return len(set(shifted)) == len(shifted)
 
 
-def _draw_rat(rng, max_abs):
-    num = rng.randint(1, max_abs)
-    den = rng.randint(1, max_abs)
+def _draw_rat(rng):
+    num = rng.randint(1, MAX_ABS)
+    den = rng.randint(1, MAX_ABS)
     return Rat(num, den)
 
 
@@ -77,7 +67,7 @@ def sample_generic(shape, cfg):
         ok = True
         for _ in range(total):
             for _ in range(_MAX_RETRIES):
-                v = _draw_rat(rng, cfg.max_abs)
+                v = _draw_rat(rng)
                 if v not in seen:
                     break
             else:
@@ -90,9 +80,9 @@ def sample_generic(shape, cfg):
         if cfg.q is not None:
             q = Rat(cfg.q)
         else:
-            q = _draw_rat(rng, cfg.max_abs)
+            q = _draw_rat(rng)
             while q == 1:
-                q = _draw_rat(rng, cfg.max_abs)
+                q = _draw_rat(rng)
         if not is_generic(pool, q):
             continue
         sets = []
@@ -103,5 +93,5 @@ def sample_generic(shape, cfg):
         return tuple(sets), q
     raise GenericityError(
         f"could not sample a generic configuration for shape {shape} "
-        f"with max_abs={cfg.max_abs}"
+        f"with max_abs={MAX_ABS}"
     )

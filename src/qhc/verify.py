@@ -25,7 +25,7 @@ from .highest import (
     hc_symmetry_pair, hc_twin_sum_pair, singular_coeff,
 )
 from .izergin import Kernel, izergin_side, lemma_partition_sum, mult_pole_limit
-from .params import Config, qshift, sample_generic
+from .params import MAX_ABS, Config, sample_generic
 from .scalar import extract_coefficient, monomial, scalar_product_symbolic, w_part
 
 __all__ = ["registry", "run_suite", "SUITES"]
@@ -190,15 +190,14 @@ def _shapes_scalar(a_max, b_max):
 
 
 def _k_red(kern, side, k, xs, ys, zs):
-    q = kern.q
-    form1 = izergin_side(kern, side, xs + qshift(zs, -2, q), ys + zs)
-    form2 = izergin_side(kern, side, xs + zs, ys + qshift(zs, 2, q))
-    expected = -(q if kern.usign(side) < 0 else kern.qinv) * izergin_side(kern, side, xs, ys)
+    form1 = izergin_side(kern, side, xs + kern.shift(zs, -2), ys + zs)
+    form2 = izergin_side(kern, side, xs + zs, ys + kern.shift(zs, 2))
+    expected = -(kern.q if kern.usign(side) < 0 else kern.qinv) * izergin_side(kern, side, xs, ys)
     return [form1, form2], [expected, expected]
 
 
 def _k_invers(kern, side, k, xs, ys):
-    lhs = izergin_side(kern, side, qshift(xs, -2, kern.q), ys)
+    lhs = izergin_side(kern, side, kern.shift(xs, -2), ys)
     rhs = kern.mq(-kern.usign(side) * k) / kern.fprod(ys, xs) * izergin_side(
         kern, kern.other(side), ys, xs
     )
@@ -474,7 +473,7 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
             "trials": trials,
             "seed": seed,
             "q": None if cfg.q is None else scalar_format(Rat(cfg.q)),
-            "max_abs": cfg.max_abs,
+            "max_abs": MAX_ABS,
         },
         "cases": cases,
         "summary": {"pass": npass, "fail": nfail, "error": nerror},

@@ -213,6 +213,13 @@ class TestTruncationIsSound:
         prod = LaurentSeries.zero() * LaurentSeries(0, (), order=3)
         assert prod.is_zero() and prod.is_exact()
 
+    def test_every_zero_has_valuation_0(self):
+        t = LaurentSeries(2, (), order=5)
+        zero = LaurentSeries.constant(Rat(0))
+        for z in (LaurentSeries.zero(), zero, t, t + zero, zero + t):
+            assert z.is_zero() and z.valuation == 0
+        assert (t + zero).order == (zero + t).order == 5
+
     def test_lower_level_truncated_zero_is_not_lifted_to_exact_zero(self):
         with pytest.raises(WindowError):
             take_limit(eps(level=2) + LaurentSeries(0, (), order=0))
@@ -328,8 +335,7 @@ class TestProductReference:
              LaurentSeries(0, (truncated(-1, [Rat(1), Rat(5)], 3), Rat(3)), level=2))
     @settings(max_examples=200)
     def test_level2_product_matches_termwise_sums(self, s, t):
-        # the reference adds the level-1 products x * y one by one, skipping
-        # exact zeros of the left factor as the convolution does
+        # the reference adds the level-1 products x * y one by one
         prod = s * t
         assert prod.level == 2 and prod.order == product_order(s, t)
         top = len(s.coeffs) + len(t.coeffs) - 1
@@ -338,7 +344,7 @@ class TestProductReference:
         for k in range(top):
             want = Rat(0)
             for i, x in enumerate(s.coeffs):
-                if 0 <= k - i < len(t.coeffs) and not exact_zero(x):
+                if 0 <= k - i < len(t.coeffs):
                     want = want + x * t.coeffs[k - i]
             got = prod.coeff(s.valuation + t.valuation + k)
             if exact_zero(want):
@@ -346,10 +352,18 @@ class TestProductReference:
                 continue
             assert type(got) is type(want)
             if isinstance(want, LaurentSeries):
-                assert (got.order, got.coeffs) == (want.order, want.coeffs)
-                assert got.is_zero() or got.valuation == want.valuation
+                assert (got.valuation, got.order, got.coeffs) == (
+                    want.valuation, want.order, want.coeffs)
             else:
                 assert got == want
+
+    @given(st.one_of(level1_series, level2_series), st.one_of(level1_series, level2_series))
+    @example(LaurentSeries(0, (Rat(1), LaurentSeries.zero(), Rat(2)), level=2),
+             LaurentSeries.constant(Rat(3), 2))
+    @settings(max_examples=200)
+    def test_product_commutes_field_for_field(self, s, t):
+        # a coefficient's type follows the ring, whichever factor is on the left
+        assert fields(s * t) == fields(t * s)
 
 
 def fields(x):
@@ -373,9 +387,9 @@ def outcome(fn, *args):
 # and ``c - s`` was ``-s + C``.  The comment names a mutation of exactnum.py
 # that the property fails on.
 RATIONAL_OPERATIONS = {
-    # a truncated zero that keeps its valuation
+    # a truncated zero scaled to the exact zero
     "s*c": (lambda s, c: s * c, lambda s, C: s * C),
-    # a level-2 exact-zero coefficient scaled to an exact-zero series, not Rat(0)
+    # a level-2 exact-zero coefficient scaled to Rat(0), not to an exact-zero series
     "c*s": (lambda s, c: c * s, lambda s, C: s * C),
     # the fast path taken when power 0 lies just past the coefficients
     "s+c": (lambda s, c: s + c, lambda s, C: s + C),
@@ -383,7 +397,7 @@ RATIONAL_OPERATIONS = {
     "c+s": (lambda s, c: c + s, lambda s, C: s + C),
     # a zero c on the fast path, which re-adds zero to the other coefficients
     "s-c": (lambda s, c: s - c, lambda s, C: s - C),
-    # a zero-series coefficient kept instead of re-added (its valuation stays)
+    # a zero series that keeps the valuation it was made with
     "c-s": (lambda s, c: c - s, lambda s, C: -s + C),
     # s / 0 without its PoleError check
     "s/c": (lambda s, c: s / c, lambda s, C: s * C.invert()),

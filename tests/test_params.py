@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import Rat
-from qhc.params import Config, is_generic, qshift, sample_generic
+from qhc.params import Config, is_generic, sample_generic
 
 
 class TestConfig:
@@ -18,18 +18,6 @@ class TestConfig:
     def test_degenerate_q_rejected(self, q):
         with pytest.raises(ValueError):
             Config(q=Rat(q))
-
-
-class TestQShift:
-    def test_shift_by_two(self):
-        vals = (Rat(3), Rat(5))
-        q = Rat(2)
-        assert qshift(vals, 2, q) == (Rat(12), Rat(20))
-
-    def test_shift_inverse(self):
-        vals = (Rat(3), Rat(5))
-        q = Rat(7, 2)
-        assert qshift(qshift(vals, -2, q), 2, q) == vals
 
 
 class TestSampler:

@@ -10,6 +10,7 @@ import pytest
 import qhc.verify
 from qhc.cli import build_parser, main
 from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError
+from qhc.izergin import Kernel
 from qhc.params import Config
 from qhc.verify import SUITES, WINDOWS, registry, run_suite
 
@@ -251,6 +252,26 @@ class TestWindowRetry:
         # one shuffled call per window, then the unshuffled side at 8 terms
         assert [w for w, *_ in calls] == [2, 4, 8, 8]
         assert calls[0][1:] == calls[1][1:] == calls[2][1:] != calls[3][1:]
+
+
+class TestShiftedValues:
+    """A q-shifted value is the kernel's own object, so it is never indexed twice."""
+
+    @pytest.mark.parametrize("identity_id", ["DEC2", "DEC2_PC", "TWIN_1", "TWIN_3", "PROP_5_1"])
+    def test_no_value_is_indexed_as_an_alias(self, monkeypatch, identity_id):
+        kernels = []
+
+        def record(q):
+            kernels.append(Kernel(q))
+            return kernels[-1]
+
+        monkeypatch.setattr(qhc.verify, "Kernel", record)
+        desc = _descriptor(identity_id)
+        for shape in desc.shapes(2, 2):
+            lhs, rhs, ok, _ = desc.run(shape, Config(), 5)
+            assert ok is None and lhs == rhs
+        assert any(k.values for k in kernels)
+        assert [len(k._aliases) for k in kernels] == [0] * len(kernels)
 
 
 class TestParsing:
