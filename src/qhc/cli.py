@@ -9,7 +9,6 @@ import sys
 from .exactnum import ExactError, Rat, scalar_format, scalar_parse
 from .highest import REPRESENTATIONS, hc
 from .izergin import Kernel, izergin, izergin_side
-from .params import Config
 from .scalar import (
     RationalFunctionSpec,
     format_monomial,
@@ -150,9 +149,8 @@ def _cmd_scalar_product(args):
 
 
 def _cmd_verify(args):
-    cfg = Config(q=args.q, seed=args.seed)
     report = run_suite(args.suite, a_max=args.a_max, b_max=args.b_max,
-                       trials=args.trials, seed=args.seed, cfg=cfg)
+                       trials=args.trials, seed=args.seed, q=args.q)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -171,9 +169,9 @@ def _cmd_verify(args):
 def main(argv=None):
     """Run one command; its exit status is returned.
 
-    Sets of unequal sizes are a usage error (exit 2), and a point where the
-    value is undefined, such as a vanishing denominator, exits 1; each is
-    reported as one line on standard error.
+    Sets of unequal sizes are a usage error (exit 2).  A point where the
+    value is undefined, such as a vanishing denominator, and a report that
+    cannot be written exit 1.  Each is reported as one line on standard error.
     """
     args = build_parser().parse_args(argv)
     for a, b in _PAIRED.get(args.command, ()):
@@ -190,7 +188,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ExactError as exc:
+    except (ExactError, OSError) as exc:
         print(f"qhc {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,6 @@ __all__ = [
     "scalar_format",
     "LaurentSeries",
     "eps",
-    "laurent_from_scalar",
     "take_limit",
     "invert_window",
 ]
@@ -126,13 +125,11 @@ def _over_common_denominator(cs):
 def _convolve_into(out, xs, ys, shift=0):
     """Add the product of ``xs`` and ``ys``, moved up ``shift`` places, to ``out``.
 
-    Only the first ``len(out)`` places are kept; exact zeros of ``xs`` are
-    skipped.
+    Only the first ``len(out)`` places are kept.  Every product is added, so a
+    coefficient's type follows the ring whichever factor is on the left.
     """
     n = max(0, len(out) - shift)
     for i, x in enumerate(xs[:n]):
-        if _coeff_is_zero(x):
-            continue
         for j, y in enumerate(ys[:n - i], shift + i):
             out[j] = out[j] + x * y
 
@@ -476,18 +473,6 @@ class LaurentSeries:
 def eps(level=1):
     """The infinitesimal of the given nesting level (exactly known)."""
     return LaurentSeries(1, (Rat(1),), _INF, level)
-
-
-def laurent_from_scalar(c, window=None, level=1):
-    """Embed an exact scalar as a constant series.
-
-    ``window`` bounds the reliable order from above; ``None`` keeps the
-    embedding exact.
-    """
-    order = _INF if window is None else window
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
-    return LaurentSeries(0, (Rat(c),), order, level)
 
 
 def take_limit(value):

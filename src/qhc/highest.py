@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
 from .izergin import izergin_side
-from .partitions import enumerate_partitions, enumerate_two_set_partitions
+from .partitions import enumerate_partitions
 
 __all__ = [
     "REPRESENTATIONS",
@@ -48,7 +48,7 @@ def _hc_ws(kern, side, ts, xs, ss, ys):
     opp = kern.other(side)
     w = ss + xs
     total = Rat(0)
-    for w1, w2 in enumerate_partitions(w, (b, a)):
+    for w1, w2 in enumerate_partitions(w, b):
         total = total + (
             izergin_side(kern, opp, ss, kern.shift(w1, 2))
             * izergin_side(kern, side, w2, ts)
@@ -65,7 +65,7 @@ def _hc_ws_twin(kern, side, ts, xs, ss, ys):
     w = ss + xs
     xq = kern.shift(xs, 2)
     total = Rat(0)
-    for w1, w2 in enumerate_partitions(w, (b, a)):
+    for w1, w2 in enumerate_partitions(w, b):
         total = total + (
             izergin_side(kern, opp, w2, xq)
             * izergin_side(kern, side, w2, ts)
@@ -83,7 +83,7 @@ def _hc_ty(kern, side, ts, xs, ss, ys):
     eta = ys + tq
     xq = kern.shift(xs, -2)
     total = Rat(0)
-    for e1, e2 in enumerate_partitions(eta, (a, b)):
+    for e1, e2 in enumerate_partitions(eta, a):
         total = total + (
             izergin_side(kern, opp, tq, kern.shift(e1, 2))
             * izergin_side(kern, side, xq, e1)
@@ -101,7 +101,7 @@ def _hc_ty_twin(kern, side, ts, xs, ss, ys):
     xq = kern.shift(xs, -2)
     yq = kern.shift(ys, 2)
     total = Rat(0)
-    for e1, e2 in enumerate_partitions(eta, (a, b)):
+    for e1, e2 in enumerate_partitions(eta, a):
         total = total + (
             izergin_side(kern, opp, e2, yq)
             * izergin_side(kern, side, xq, e1)
@@ -117,11 +117,11 @@ def _hc_tx(kern, side, ts, xs, ss, ys):
     total = Rat(0)
     for n in range(a + 1):
         sign = kern.mq(u * n)
-        for t1, t2 in enumerate_partitions(ts, (n, a - n)):
+        for t1, t2 in enumerate_partitions(ts, n):
             t_part = sign * kern.fprod(ss, t1) * kern.fprod(t1, t2)
             t2q = kern.shift(t2, -2)
             yt = ys + kern.shift(t1, -2)
-            for x1, x2 in enumerate_partitions(xs, (n, a - n)):
+            for x1, x2 in enumerate_partitions(xs, n):
                 total = total + (
                     t_part
                     * kern.fprod(ys, x2)
@@ -139,11 +139,11 @@ def _hc_sy(kern, side, ts, xs, ss, ys):
     total = Rat(0)
     for n in range(b + 1):
         sign = kern.mq(u * n)
-        for s1, s2 in enumerate_partitions(ss, (n, b - n)):
+        for s1, s2 in enumerate_partitions(ss, n):
             s_part = sign * kern.fprod(s2, ts) * kern.fprod(s1, s2)
             s2q = kern.shift(s2, -2)
             sx = s1 + xs
-            for y1, y2 in enumerate_partitions(ys, (n, b - n)):
+            for y1, y2 in enumerate_partitions(ys, n):
                 total = total + (
                     s_part
                     * kern.fprod(y1, xs)
@@ -224,11 +224,11 @@ def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None):
     return lhs, rhs
 
 
-def singular_coeff(value, k=-1):
-    """Coefficient of eps^k; plain scalars count as pure eps^0."""
+def singular_coeff(value):
+    """Coefficient of eps^-1; a plain scalar has none."""
     if isinstance(value, LaurentSeries):
-        return value.coeff(k)
-    return value if k == 0 else Rat(0)
+        return value.coeff(-1)
+    return Rat(0)
 
 
 def hc_residue_pair(variant, kern, side, ts, xs, ss, ys):
@@ -333,7 +333,7 @@ def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs):
             hc(kern, side, ts + zp, xs, ss + zs, ys) / fprod(zs, zp)
         )
         total = Rat(0)
-        for x1, x2 in enumerate_partitions(xs, (n, len(xs) - n)):
+        for x1, x2 in enumerate_partitions(xs, n):
             total = total + (
                 izergin_side(kern, side, x1, zs)
                 * fprod(x2, x1)
@@ -345,7 +345,7 @@ def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs):
             hc(kern, side, ts, xs + zp, ss, ys + zs) / fprod(zs, zp)
         )
         total = Rat(0)
-        for s1, s2 in enumerate_partitions(ss, (n, len(ss) - n)):
+        for s1, s2 in enumerate_partitions(ss, n):
             total = total + (
                 izergin_side(kern, side, zs, s1)
                 * fprod(s1, s2)
@@ -365,7 +365,7 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
     if variant == "DEC2":
         lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, ss + zs, ys)
         total = Rat(0)
-        for y1, y2 in enumerate_partitions(ys, (n, len(ys) - n)):
+        for y1, y2 in enumerate_partitions(ys, n):
             total = total + (
                 izergin_side(kern, side, y1, zs)
                 * hc(kern, side, ts + kern.shift(y1, 2), xs, ss, y2)
@@ -377,7 +377,7 @@ def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
     elif variant == "DEC1":
         lhs = hc(kern, side, ts, xs + zs, ss, ys + kern.shift(zs, -2))
         total = Rat(0)
-        for t1, t2 in enumerate_partitions(ts, (n, len(ts) - n)):
+        for t1, t2 in enumerate_partitions(ts, n):
             total = total + (
                 izergin_side(kern, side, zs, t1)
                 * hc(kern, side, t2, xs, ss, ys + kern.shift(t1, -2))
@@ -429,7 +429,7 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
         if len(ys) != b or len(xi) != a - b:
             raise ValueError("variants 1 and 2 require #y = b and #xi = a - b")
         total = Rat(0)
-        for t1, t2 in enumerate_partitions(ts, (b, a - b)):
+        for t1, t2 in enumerate_partitions(ts, b):
             first = izergin_side(
                 kern, opp if variant == 1 else side, t1, kern.shift(ys, 2)
             )
@@ -454,7 +454,7 @@ def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
         tq = kern.shift(ts, -2)
         xq = kern.shift(xs, -2)
         total = Rat(0)
-        for y1, y2 in enumerate_partitions(ys, (a, b - a)):
+        for y1, y2 in enumerate_partitions(ys, a):
             first = izergin_side(kern, opp if variant == 3 else side, tq, y1)
             second = izergin_side(kern, side if variant == 3 else opp, xq, y1)
             total = total + (
@@ -487,19 +487,18 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws)
     total = Rat(0)
     for k in range(max(0, p - len(xi)), min(p, b) + 1):
-        for (s1, s2), (x1, x2) in enumerate_two_set_partitions(
-            ss, xi, (k, b - k), (p - k, len(xi) - (p - k))
-        ):
-            total = total + (
-                kern.mq(-u * k)
-                * izergin_side(kern, opp, kern.shift(s1, -2) + x1, ys)
-                * hc(kern, side, ts, xs, s2, ws + x1)
-                * fprod(s1, s2)
-                * fprod(x2, x1)
-                * fprod(ys, s1)
-                * fprod(ws, s1)
-                / fprod(s1, zs)
-            )
+        for s1, s2 in enumerate_partitions(ss, k):
+            for x1, x2 in enumerate_partitions(xi, p - k):
+                total = total + (
+                    kern.mq(-u * k)
+                    * izergin_side(kern, opp, kern.shift(s1, -2) + x1, ys)
+                    * hc(kern, side, ts, xs, s2, ws + x1)
+                    * fprod(s1, s2)
+                    * fprod(x2, x1)
+                    * fprod(ys, s1)
+                    * fprod(ws, s1)
+                    / fprod(s1, zs)
+                )
     return lhs, total
 
 
@@ -517,15 +516,15 @@ def decay_valuation(value):
     return value.valuation
 
 
-def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, index):
-    """Series valuation of Z when one argument is sent to infinity.
+def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot):
+    """Series valuation of Z when the first argument of one set goes to infinity.
 
-    The chosen argument is replaced by 1/delta; returns `decay_valuation` of
-    the resulting series in delta.
+    The first argument of ``slot`` ("t", "x", "s" or "y") is replaced by
+    1/delta; returns `decay_valuation` of the resulting series in delta.
     """
     big = eps().invert()
     sets = {"t": list(ts), "x": list(xs), "s": list(ss), "y": list(ys)}
-    sets[slot][index] = big
+    sets[slot][0] = big
     value = hc(kern, side, *(tuple(sets[k]) for k in "txsy"))
     if not isinstance(value, LaurentSeries):
         raise ValueError("expected a series result for an infinite argument")

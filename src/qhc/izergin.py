@@ -293,7 +293,7 @@ def lemma_partition_sum(kern, side, gamma, alpha, beta):
     u = kern.usign(side)
     opp = kern.other(side)
     lhs = Rat(0)
-    for g1, g2 in enumerate_partitions(gamma, (m1, m2)):
+    for g1, g2 in enumerate_partitions(gamma, m1):
         lhs = lhs + (
             izergin_side(kern, side, g1, alpha)
             * izergin_side(kern, opp, beta, g2)

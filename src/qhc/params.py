@@ -9,11 +9,10 @@ of q^k-multiples of the pool (k in {-4, -2, 0, 2, 4}) are pairwise distinct.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .exactnum import Rat
 
-__all__ = ["Config", "MAX_ABS", "sample_generic", "GenericityError"]
+__all__ = ["MAX_ABS", "sample_generic", "GenericityError"]
 
 _QPOWERS = (-4, -2, 0, 2, 4)
 _MAX_RETRIES = 200
@@ -24,18 +23,6 @@ MAX_ABS = 50
 
 class GenericityError(RuntimeError):
     """The sampler could not find a generic configuration."""
-
-
-@dataclass(frozen=True)
-class Config:
-    """Sampler and evaluation configuration."""
-
-    q: object = None  # fixed deformation parameter, or None to sample one
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.q is not None and Rat(self.q) in (Rat(0), Rat(1), Rat(-1)):
-            raise ValueError("q must not be 0, 1, or -1")
 
 
 def is_generic(pool, q):
@@ -53,13 +40,14 @@ def _draw_rat(rng):
     return Rat(num, den)
 
 
-def sample_generic(shape, cfg):
+def sample_generic(shape, seed, q=None):
     """Sample parameter sets of the given cardinalities plus a generic q.
 
-    Deterministic in (shape, cfg.seed).  Returns (sets, q) where sets is a
-    tuple of tuples of pairwise-distinct positive rationals.
+    Deterministic in (shape, seed).  A given ``q`` is kept, otherwise one is
+    sampled.  Returns (sets, q) where sets is a tuple of tuples of
+    pairwise-distinct positive rationals.
     """
-    rng = random.Random((cfg.seed, tuple(shape)).__repr__())
+    rng = random.Random((seed, tuple(shape)).__repr__())
     total = sum(shape)
     for _ in range(_MAX_RETRIES):
         pool = []
@@ -77,20 +65,20 @@ def sample_generic(shape, cfg):
             pool.append(v)
         if not ok:
             continue
-        if cfg.q is not None:
-            q = Rat(cfg.q)
+        if q is None:
+            point_q = _draw_rat(rng)
+            while point_q == 1:
+                point_q = _draw_rat(rng)
         else:
-            q = _draw_rat(rng)
-            while q == 1:
-                q = _draw_rat(rng)
-        if not is_generic(pool, q):
+            point_q = Rat(q)
+        if not is_generic(pool, point_q):
             continue
         sets = []
         pos = 0
         for c in shape:
             sets.append(tuple(pool[pos:pos + c]))
             pos += c
-        return tuple(sets), q
+        return tuple(sets), point_q
     raise GenericityError(
         f"could not sample a generic configuration for shape {shape} "
         f"with max_abs={MAX_ABS}"

@@ -146,7 +146,7 @@ def _splits(tag, vals, k):
     `enumerate_partitions` over positions; a symbol is ``(tag, position)``.
     """
     out = []
-    for one, two in enumerate_partitions(range(len(vals)), (k, len(vals) - k)):
+    for one, two in enumerate_partitions(range(len(vals)), k):
         out.append(([(tag, i) for i in one], [(tag, i) for i in two],
                      (tuple(vals[i] for i in one), tuple(vals[i] for i in two))))
     return out

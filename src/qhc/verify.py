@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exactnum import (
     INVERT_TERMS, LaurentSeries, Rat, WindowError, eps, invert_window, scalar_format,
@@ -25,7 +25,7 @@ from .highest import (
     hc_symmetry_pair, hc_twin_sum_pair, singular_coeff,
 )
 from .izergin import Kernel, izergin_side, lemma_partition_sum, mult_pole_limit
-from .params import MAX_ABS, Config, sample_generic
+from .params import MAX_ABS, sample_generic
 from .scalar import extract_coefficient, monomial, scalar_product_symbolic, w_part
 
 __all__ = ["registry", "run_suite", "SUITES"]
@@ -41,7 +41,7 @@ class IdentityDescriptor:
     identity_id: str
     suite: str
     shapes: object  # callable (a_max, b_max) -> list of shape tuples
-    run: object  # callable (shape, cfg, case_seed) -> (lhs, rhs, ok, params)
+    run: object  # callable (shape, q, case_seed) -> (lhs, rhs, ok, params)
 
 
 def _case_seed(base_seed, identity_id, shape, trial):
@@ -55,7 +55,7 @@ def _case_seed(base_seed, identity_id, shape, trial):
 WINDOWS = (2, 4, INVERT_TERMS)
 
 
-def _run(pools, names, evaluate, shape, cfg, seed):
+def _run(pools, names, evaluate, shape, q, seed):
     """Sample one generic point for `shape` and evaluate both sides there.
 
     `evaluate(kern, *shape, *sets)` returns (lhs, rhs) or (lhs, rhs, ok); with
@@ -66,7 +66,7 @@ def _run(pools, names, evaluate, shape, cfg, seed):
     up to its window.  Any other exception does not depend on the window; it
     carries the sampled point as `params`.
     """
-    sets, q = sample_generic(pools(*shape), replace(cfg, seed=seed))
+    sets, q = sample_generic(pools(*shape), seed, q)
     params = {"q": scalar_format(q)}
     for name, vals in zip(names, sets):
         params[name] = [scalar_format(v) for v in vals]
@@ -85,8 +85,8 @@ def _run(pools, names, evaluate, shape, cfg, seed):
 
 
 def _identity(identity_id, suite, shapes, pools, names, evaluate):
-    def run(shape, cfg, seed):
-        return _run(pools, names, evaluate, shape, cfg, seed)
+    def run(shape, q, seed):
+        return _run(pools, names, evaluate, shape, q, seed)
 
     return IdentityDescriptor(identity_id, suite, shapes, run)
 
@@ -239,7 +239,7 @@ def _z_inf(kern, side, a, b, ts, xs, ss, ys):
     """Z^(l) decays as t or s -> infinity and Z^(r) as x or y -> infinity."""
     slots = [slot for slot, n in zip("txsy", (a, a, b, b)) if n]
     decaying = ("t", "s") if side == "l" else ("x", "y")
-    vals = [hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot, 0) for slot in slots]
+    vals = [hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot) for slot in slots]
     return _bounded(vals, [int(slot in decaying) for slot in slots])
 
 
@@ -255,7 +255,7 @@ def _z_triv(kern, side, a, b, ts, xs, ss, ys):
     return lhs, [izergin_side(kern, side, xs, ts), izergin_side(kern, side, ys, ss), Rat(1)]
 
 
-def _run_sym_perm(shape, cfg, seed):
+def _run_sym_perm(shape, q, seed):
     """Z is symmetric within each of its four sets; the shuffles use the case seed."""
 
     def evaluate(kern, side, a, b, ts, xs, ss, ys):
@@ -267,7 +267,7 @@ def _run_sym_perm(shape, cfg, seed):
         lhs = hc(kern, side, perm(ts), perm(xs), perm(ss), perm(ys))
         return lhs, hc(kern, side, ts, xs, ss, ys)
 
-    return _run(_core, _TXSY, evaluate, shape, cfg, seed)
+    return _run(_core, _TXSY, evaluate, shape, q, seed)
 
 
 def _limit_pair(variant):
@@ -416,16 +416,18 @@ def registry():
     return descs
 
 
-def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
+def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, q=None):
     """Run every applicable identity over its shapes and seeded trials.
 
-    A case that raises is recorded as an error, with the exception's type and
-    message and the sampled point, and the sweep goes on.
+    Each case samples its point from its own seed; a given ``q`` is used at
+    every point instead of a sampled one.  A case that raises is recorded as
+    an error, with the exception's type and message and the sampled point, and
+    the sweep goes on.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if cfg is None:
-        cfg = Config(seed=seed)
+    if q is not None and Rat(q) in (Rat(0), Rat(1), Rat(-1)):
+        raise ValueError("q must not be 0, 1, or -1")
     cases = []
     npass = nfail = nerror = 0
     for desc in registry():
@@ -440,7 +442,7 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
                 params = {}
                 ok = False
                 try:
-                    lhs, rhs, ok_flag, params = desc.run(shape, cfg, case_seed)
+                    lhs, rhs, ok_flag, params = desc.run(shape, q, case_seed)
                     ok = _eq(lhs, rhs) if ok_flag is None else ok_flag
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
@@ -472,7 +474,7 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, cfg=None):
             "b_max": b_max,
             "trials": trials,
             "seed": seed,
-            "q": None if cfg.q is None else scalar_format(Rat(cfg.q)),
+            "q": None if q is None else scalar_format(Rat(q)),
             "max_abs": MAX_ABS,
         },
         "cases": cases,

@@ -22,7 +22,7 @@ from qhc.highest import (
     hc_twin_sum_pair,
 )
 from qhc.izergin import Kernel, izergin_side
-from qhc.params import Config, sample_generic
+from qhc.params import sample_generic
 
 
 def closed_form_left(q, t, x, s, y):
@@ -42,7 +42,7 @@ class TestSmallestCase:
     @pytest.mark.parametrize("rep", REPRESENTATIONS)
     def test_all_reps_match_reference(self, rep):
         for seed in range(5):
-            (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), Config(seed=seed))
+            (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), seed)
             kern = Kernel(q)
             want = closed_form_left(q, ts[0], xs[0], ss[0], ys[0])
             got = hc(kern, "l", ts, xs, ss, ys, rep)
@@ -50,14 +50,14 @@ class TestSmallestCase:
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_closed_form_helper(self, side):
-        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), Config(seed=3))
+        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), 3)
         kern = Kernel(q)
         assert hc(kern, side, ts, xs, ss, ys) == hc_closed_11(
             kern, side, ts[0], xs[0], ss[0], ys[0]
         )
 
     def test_difference_identity(self):
-        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), Config(seed=4))
+        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), 4)
         lhs, rhs = hc_difference_11(Kernel(q), ts[0], xs[0], ss[0], ys[0])
         assert lhs == rhs
 
@@ -66,7 +66,7 @@ class TestRepresentationAgreement:
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
     def test_six_reps_agree(self, side, a, b):
-        (ts, xs, ss, ys), q = sample_generic((a, a, b, b), Config(seed=21))
+        (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 21)
         kern = Kernel(q)
         vals = [hc(kern, side, ts, xs, ss, ys, rep) for rep in REPRESENTATIONS]
         assert all(v == vals[0] for v in vals)
@@ -75,13 +75,13 @@ class TestRepresentationAgreement:
 class TestBoundaries:
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_pure_first_kind_is_izergin(self, side):
-        (ts, xs), q = sample_generic((2, 2), Config(seed=6))
+        (ts, xs), q = sample_generic((2, 2), 6)
         kern = Kernel(q)
         assert hc(kern, side, ts, xs, (), ()) == izergin_side(kern, side, xs, ts)
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_pure_third_kind_is_izergin(self, side):
-        (ss, ys), q = sample_generic((2, 2), Config(seed=7))
+        (ss, ys), q = sample_generic((2, 2), 7)
         kern = Kernel(q)
         assert hc(kern, side, (), (), ss, ys) == izergin_side(kern, side, ys, ss)
 
@@ -89,12 +89,12 @@ class TestBoundaries:
         assert hc(Kernel(Rat(2)), "l", (), (), (), ()) == Rat(1)
 
     def test_left_vanishes_at_zero_y(self):
-        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), Config(seed=8))
+        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), 8)
         kern = Kernel(q)
         assert hc(kern, "l", ts, xs, ss, (Rat(0),)) == Rat(0)
 
     def test_right_vanishes_at_zero_t(self):
-        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), Config(seed=8))
+        (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), 8)
         kern = Kernel(q)
         assert hc(kern, "r", (Rat(0),), xs, ss, ys) == Rat(0)
 
@@ -103,7 +103,7 @@ class TestSymmetries:
     @given(st.integers(min_value=0, max_value=10**5))
     @settings(max_examples=15, deadline=None)
     def test_permutation_invariance(self, seed):
-        (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), Config(seed=seed))
+        (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), seed)
         kern = Kernel(q)
         assert hc(kern, "l", ts, xs, ss, ys) == hc(
             kern, "l", ts[::-1], xs, ss, ys[::-1]
@@ -112,7 +112,7 @@ class TestSymmetries:
     @pytest.mark.parametrize("variant", ["Z_SCAL", "Z_INVERS", "Z_INVERS1"])
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_symmetry_pairs(self, variant, side):
-        (ts, xs, ss, ys, al), q = sample_generic((2, 2, 1, 1, 1), Config(seed=31))
+        (ts, xs, ss, ys, al), q = sample_generic((2, 2, 1, 1, 1), 31)
         lhs, rhs = hc_symmetry_pair(
             variant, Kernel(q), side, ts, xs, ss, ys, alpha=al[0]
         )
@@ -132,13 +132,13 @@ class TestRecursions:
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_residue_recursions(self, variant, shape, side):
         a, _, b, _ = shape
-        (ts, xs, ss, ys), q = sample_generic((a, a, b, b), Config(seed=41))
+        (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 41)
         lhs, rhs = hc_residue_pair(variant, Kernel(q), side, ts, xs, ss, ys)
         assert lhs == rhs
 
     @pytest.mark.parametrize("variant", ["RED1", "RED2"])
     def test_multiple_limit_reductions(self, variant):
-        (ts, xs, ss, ys, zs), q = sample_generic((1, 1, 1, 1, 2), Config(seed=43))
+        (ts, xs, ss, ys, zs), q = sample_generic((1, 1, 1, 1, 2), 43)
         lhs, rhs = hc_multiple_limit_pair(
             variant, Kernel(q), "l", ts, xs, ss, ys, zs
         )
@@ -146,7 +146,7 @@ class TestRecursions:
 
     def test_nontrivial_multiple_limit(self):
         # shape: #t = a - n, #x = a, #s = b - n, #y = b, #z = n
-        (ts, xs, ss, ys, zs), q = sample_generic((1, 2, 1, 2, 1), Config(seed=44))
+        (ts, xs, ss, ys, zs), q = sample_generic((1, 2, 1, 2, 1), 44)
         lhs, rhs = hc_multiple_limit_pair(
             "NONTRIV2", Kernel(q), "l", ts, xs, ss, ys, zs
         )
@@ -158,7 +158,7 @@ class TestRecursions:
             pool = (1, 2, 1, 2, 1)
         else:
             pool = (2, 1, 2, 1, 1)
-        (ts, xs, ss, ys, zs), q = sample_generic(pool, Config(seed=45))
+        (ts, xs, ss, ys, zs), q = sample_generic(pool, 45)
         lhs, rhs = hc_reduction_pair(variant, Kernel(q), "r", ts, xs, ss, ys, zs)
         assert lhs == rhs
 
@@ -167,13 +167,13 @@ class TestTwins:
     @pytest.mark.parametrize("variant", [1, 2])
     def test_first_kind_twin_sums(self, variant):
         # a = 2, b = 1, xi has a - b = 1 element, no x-parameters
-        (ts, ss, ys, xi), q = sample_generic((2, 1, 1, 1), Config(seed=51))
+        (ts, ss, ys, xi), q = sample_generic((2, 1, 1, 1), 51)
         lhs, rhs = hc_twin_sum_pair(variant, Kernel(q), "l", ts, (), ss, ys, xi)
         assert lhs == rhs
 
     @pytest.mark.parametrize("variant", [3, 4])
     def test_third_kind_twin_sums(self, variant):
-        (ts, xs, ys, xi), q = sample_generic((1, 1, 2, 1), Config(seed=52))
+        (ts, xs, ys, xi), q = sample_generic((1, 1, 2, 1), 52)
         lhs, rhs = hc_twin_sum_pair(variant, Kernel(q), "r", ts, xs, (), ys, xi)
         assert lhs == rhs
 
@@ -182,9 +182,7 @@ class TestSummationIdentity:
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_double_partition_sum(self, side):
         # a = 1, b = 2, p = 1, n = 1
-        (ts, xs, ss, ys, ws, zs), q = sample_generic(
-            (1, 1, 2, 1, 1, 1), Config(seed=53)
-        )
+        (ts, xs, ss, ys, ws, zs), q = sample_generic((1, 1, 2, 1, 1, 1), 53)
         lhs, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
         assert lhs == rhs
 
@@ -204,8 +202,8 @@ class TestAsymptotics:
         ],
     )
     def test_large_argument_valuation(self, side, slot, need):
-        (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), Config(seed=61))
-        got = hc_infinity_valuation(Kernel(q), side, ts, xs, ss, ys, slot, 0)
+        (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), 61)
+        got = hc_infinity_valuation(Kernel(q), side, ts, xs, ss, ys, slot)
         assert got >= need
 
     @pytest.mark.parametrize(
@@ -221,4 +219,4 @@ class TestAsymptotics:
     def test_zero_valuation_is_a_lower_bound(self, monkeypatch, zero, want):
         monkeypatch.setattr(qhc.highest, "hc", lambda *args: zero)
         sets = ((Rat(2),), (Rat(3),), (Rat(5),), (Rat(7),))
-        assert hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, "t", 0) == want
+        assert hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, "t") == want

@@ -18,7 +18,7 @@ from qhc.izergin import (
     lemma_partition_sum,
     mult_pole_limit,
 )
-from qhc.params import Config, sample_generic
+from qhc.params import sample_generic
 
 
 def reference_izergin(q, xs, ys):
@@ -229,13 +229,13 @@ class TestIzergin:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_reference(self, k):
         for seed in range(3):
-            (xs, ys), q = sample_generic((k, k), Config(seed=seed))
+            (xs, ys), q = sample_generic((k, k), seed)
             got = izergin(Kernel(q), xs, ys)
             want = as_rat(reference_izergin(q, xs, ys))
             assert got == want
 
     def test_left_right_prefactors(self):
-        (xs, ys), q = sample_generic((2, 2), Config(seed=9))
+        (xs, ys), q = sample_generic((2, 2), 9)
         kern = Kernel(q)
         base = izergin(kern, xs, ys)
         assert izergin_side(kern, "l", xs, ys) == xs[0] * xs[1] * base
@@ -246,7 +246,7 @@ class TestIzergin:
     @given(st.integers(min_value=0, max_value=10**5))
     @settings(max_examples=20, deadline=None)
     def test_symmetric_under_permutation(self, seed):
-        (xs, ys), q = sample_generic((2, 2), Config(seed=seed))
+        (xs, ys), q = sample_generic((2, 2), seed)
         kern = Kernel(q)
         assert izergin(kern, xs, ys) == izergin(kern, xs[::-1], ys[::-1])
 
@@ -255,9 +255,7 @@ class TestPartitionSum:
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 1), (1, 2)])
     def test_all_three_forms_agree(self, side, m1, m2):
-        (gamma, alpha, beta), q = sample_generic(
-            (m1 + m2, m1, m2), Config(seed=13)
-        )
+        (gamma, alpha, beta), q = sample_generic((m1 + m2, m1, m2), 13)
         lhs, rhs1, rhs2 = lemma_partition_sum(Kernel(q), side, gamma, alpha, beta)
         assert lhs == rhs1
         assert lhs == rhs2
@@ -267,7 +265,7 @@ class TestMultiplePole:
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
     def test_limit_matches_product_form(self, side, n, m):
-        (xs, ys, zs), q = sample_generic((n, n, m), Config(seed=17))
+        (xs, ys, zs), q = sample_generic((n, n, m), 17)
         lhs, rhs = mult_pole_limit(Kernel(q), side, xs, ys, zs)
         assert lhs == rhs
 
@@ -370,7 +368,7 @@ class TestKernelMemo:
     @given(st.integers(min_value=0, max_value=10**5), st.data())
     @settings(max_examples=40, deadline=None)
     def test_indexed_values_match_plain_arithmetic(self, seed, data):
-        (pool,), q = sample_generic((6,), Config(seed=seed))
+        (pool,), q = sample_generic((6,), seed)
         kern = Kernel(q)
         k = data.draw(st.integers(min_value=0, max_value=3))
         order = data.draw(st.permutations(pool))

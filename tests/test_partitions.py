@@ -1,4 +1,4 @@
-"""Ordered set-partition enumeration."""
+"""Two-part splits of a set."""
 
 import math
 
@@ -6,49 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc.partitions import (
-    enumerate_partitions,
-    enumerate_two_set_partitions,
-    multinomial,
-)
+from qhc.partitions import enumerate_partitions
 
-signatures = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
+sizes = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n)))
 
 
-def test_multinomial_binomial_case():
-    assert multinomial((2, 3)) == math.comb(5, 2)
-
-
-def test_multinomial_three_parts():
-    assert multinomial((1, 1, 2)) == 12
-
-
-@given(signatures)
+@given(sizes)
 @settings(max_examples=60)
-def test_count_matches_multinomial(sig):
-    values = tuple(range(sum(sig)))
-    parts = list(enumerate_partitions(values, sig))
-    assert len(parts) == multinomial(sig)
+def test_count_is_binomial(nk):
+    n, k = nk
+    assert len(list(enumerate_partitions(range(n), k))) == math.comb(n, k)
 
 
-@given(signatures)
+@given(sizes)
 @settings(max_examples=60)
-def test_parts_tile_the_set(sig):
-    values = tuple(range(sum(sig)))
-    for parts in enumerate_partitions(values, sig):
-        assert tuple(len(p) for p in parts) == tuple(sig)
-        merged = sorted(v for p in parts for v in p)
-        assert merged == sorted(values)
+def test_parts_tile_the_set(nk):
+    n, k = nk
+    values = tuple(range(n))
+    splits = list(enumerate_partitions(values, k))
+    assert len(set(splits)) == len(splits)
+    for one, two in splits:
+        assert len(one) == k
+        assert sorted(one + two) == list(values)
 
 
 def test_order_within_parts_preserved():
-    for parts in enumerate_partitions(("a", "b", "c", "d"), (2, 2)):
+    for parts in enumerate_partitions(("d", "c", "b", "a"), 2):
         for part in parts:
-            assert list(part) == sorted(part)
+            assert list(part) == sorted(part, reverse=True)
 
 
 def test_deterministic_order():
-    first = list(enumerate_partitions((1, 2, 3), (1, 2)))
+    first = list(enumerate_partitions((1, 2, 3), 1))
     assert first == [
         ((1,), (2, 3)),
         ((2,), (1, 3)),
@@ -57,21 +47,15 @@ def test_deterministic_order():
 
 
 def test_signature_mismatch_raises():
+    # a first part larger than the set leaves no second part
     with pytest.raises(ValueError):
-        list(enumerate_partitions((1, 2, 3), (1, 1)))
+        list(enumerate_partitions((1, 2, 3), 4))
 
 
 def test_negative_cardinality_raises():
     with pytest.raises(ValueError):
-        list(enumerate_partitions((1,), (-1, 2)))
-
-
-def test_two_set_product_count():
-    combos = list(
-        enumerate_two_set_partitions((1, 2), ("x", "y", "z"), (1, 1), (2, 1))
-    )
-    assert len(combos) == multinomial((1, 1)) * multinomial((2, 1))
+        list(enumerate_partitions((1, 2, 3), -1))
 
 
 def test_empty_signature_single_partition():
-    assert list(enumerate_partitions((), ())) == [()]
+    assert list(enumerate_partitions((), 0)) == [((), ())]

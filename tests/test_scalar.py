@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qhc.exactnum import PoleError, Rat
 from qhc.highest import hc
 from qhc.izergin import Kernel
-from qhc.params import Config, sample_generic
+from qhc.params import sample_generic
 from qhc.scalar import (
     RationalFunctionSpec,
     extract_coefficient,
@@ -73,13 +73,13 @@ class TestMonomials:
 
 class TestCornerCases:
     def test_left_corner_is_left_hc(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), Config(seed=71))
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 71)
         kern = Kernel(q)
         got = w_part(kern, ((), uC), ((), uB), (vC, ()), (vB, ()))
         assert got == hc(kern, "l", uC, uB, vC, vB)
 
     def test_right_corner_is_right_hc(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), Config(seed=72))
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 72)
         kern = Kernel(q)
         got = w_part(kern, (uC, ()), (uB, ()), ((), vC), ((), vB))
         assert got == hc(kern, "r", uB, uC, vB, vC)
@@ -92,7 +92,7 @@ class TestCornerCases:
 
 class TestSymbolicExpansion:
     def test_extreme_coefficients_recover_hc(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 1, 1), Config(seed=73))
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 1, 1), 73)
         kern = Kernel(q)
         a, b = len(uC), len(vC)
         poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
@@ -111,7 +111,7 @@ class TestSymbolicExpansion:
         ) / ff
 
     def test_multilinearity(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), Config(seed=74))
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 74)
         poly = scalar_product_symbolic(Kernel(q), uC, vC, uB, vB)
         for mono in poly:
             # one symbol per parameter at most: a+b symbols in every monomial
@@ -119,7 +119,7 @@ class TestSymbolicExpansion:
             assert len({(kind, tag, i) for kind, tag, i in mono}) == len(mono)
 
     def test_absent_monomial_is_zero(self):
-        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), Config(seed=75))
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), 75)
         poly = scalar_product_symbolic(Kernel(q), uC, vC, uB, vB)
         bogus = monomial([("uC", 0), ("uB", 0)], [])
         assert extract_coefficient(poly, bogus) == Rat(0)
@@ -129,7 +129,7 @@ class TestNumericSubstitution:
     @given(st.integers(min_value=0, max_value=10**5))
     @settings(max_examples=10, deadline=None)
     def test_unit_weights_sum_all_coefficients(self, seed):
-        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), Config(seed=seed))
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), seed)
         kern = Kernel(q)
         one = lambda u: Rat(1)
         got = scalar_product_numeric(kern, uC, vC, uB, vB, one, one)
@@ -139,14 +139,14 @@ class TestNumericSubstitution:
         assert got == want
 
     def test_zero_weight_kills_everything(self):
-        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), Config(seed=76))
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), 76)
         kern = Kernel(q)
         zero = lambda u: Rat(0)
         one = lambda u: Rat(1)
         assert scalar_product_numeric(kern, uC, vC, uB, vB, zero, one) == Rat(0)
 
     def test_rational_weight_assembly(self):
-        (uC, uB, vC, vB), q = sample_generic((1, 1, 0, 0), Config(seed=77))
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 0, 0), 77)
         kern = Kernel(q)
         r1 = RationalFunctionSpec.parse("num:1,2;den:1,0,1")
         r3 = RationalFunctionSpec.parse("num:1")

@@ -11,7 +11,6 @@ import qhc.verify
 from qhc.cli import build_parser, main
 from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError
 from qhc.izergin import Kernel
-from qhc.params import Config
 from qhc.verify import SUITES, WINDOWS, registry, run_suite
 
 EXPECTED_IDS = {
@@ -133,7 +132,7 @@ class TestRunSuite:
             self, monkeypatch, side, zero, want, decays):
         monkeypatch.setattr(qhc.verify, "izergin_side", lambda *args: zero)
         (desc,) = [d for d in registry() if d.identity_id == "K_INF"]
-        vals, _, ok, _ = desc.run((side, 1), Config(), 3)
+        vals, _, ok, _ = desc.run((side, 1), None, 3)
         assert vals == want
         assert ok is decays
 
@@ -173,7 +172,7 @@ class TestWindowRetry:
                 raise WindowError("too narrow")
             return xs, xs
 
-        lhs, rhs, ok, params = _toy(evaluate).run(("l", 2), Config(), 3)
+        lhs, rhs, ok, params = _toy(evaluate).run(("l", 2), None, 3)
         assert [w for w, _ in seen] == [2, 4]
         assert seen[0][1] is not seen[1][1]  # a fresh Kernel per attempt
         assert seen[0][1] == seen[1][1]  # at the same q
@@ -186,7 +185,7 @@ class TestWindowRetry:
         lambda: (LaurentSeries(0, (), order=_window() - 4), 0),  # undecided below 8
     ])
     def test_sides_that_do_not_compare_equal_are_retried(self, sides):
-        lhs, rhs, ok, _ = _toy(lambda kern, *args: sides()).run(("l", 1), Config(), 3)
+        lhs, rhs, ok, _ = _toy(lambda kern, *args: sides()).run(("l", 1), None, 3)
         assert ok is None and lhs == rhs
 
     def test_other_errors_are_not_retried(self):
@@ -197,7 +196,7 @@ class TestWindowRetry:
             raise PoleError("injected")
 
         with pytest.raises(PoleError) as info:
-            _toy(evaluate).run(("l", 1), Config(), 3)
+            _toy(evaluate).run(("l", 1), None, 3)
         assert windows == [2]
         assert set(info.value.params) == {"q", "x", "y"}
 
@@ -234,7 +233,7 @@ class TestWindowRetry:
         # order 0 at 4 terms and below fails the bound of 1; order 4 at 8 passes
         monkeypatch.setattr(qhc.verify, "izergin_side",
                             lambda *args: LaurentSeries(0, (), order=_window() - 4))
-        vals, bounds, ok, _ = _descriptor("K_INF").run((side, 1), Config(), 3)
+        vals, bounds, ok, _ = _descriptor("K_INF").run((side, 1), None, 3)
         assert (vals, ok) == ([4, 4], True)
 
     def test_every_attempt_of_a_symmetry_case_shuffles_alike(self, monkeypatch):
@@ -247,7 +246,7 @@ class TestWindowRetry:
             return Rat(1)
 
         monkeypatch.setattr(qhc.verify, "hc", fake_hc)
-        lhs, rhs, ok, _ = _descriptor("HC_SYM_PERM").run(("l", 3, 3), Config(), 11)
+        lhs, rhs, ok, _ = _descriptor("HC_SYM_PERM").run(("l", 3, 3), None, 11)
         assert lhs == rhs
         # one shuffled call per window, then the unshuffled side at 8 terms
         assert [w for w, *_ in calls] == [2, 4, 8, 8]
@@ -268,7 +267,7 @@ class TestShiftedValues:
         monkeypatch.setattr(qhc.verify, "Kernel", record)
         desc = _descriptor(identity_id)
         for shape in desc.shapes(2, 2):
-            lhs, rhs, ok, _ = desc.run(shape, Config(), 5)
+            lhs, rhs, ok, _ = desc.run(shape, None, 5)
             assert ok is None and lhs == rhs
         assert any(k.values for k in kernels)
         assert [len(k._aliases) for k in kernels] == [0] * len(kernels)
@@ -334,6 +333,16 @@ class TestCliInProcess:
         for case in report["cases"]:
             assert case["params"]["q"] == "5/2"
 
+
+    def test_a_report_that_cannot_be_written_is_one_line_and_exit_1(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "r.json"
+        code = main(["verify", "--suite", "twins", "--a-max", "1", "--b-max", "1",
+                     "--trials", "1", "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            f"qhc verify: FileNotFoundError: [Errno 2] No such file or directory: "
+            f"'{out_file}'"]
 
     def test_a_sweep_of_no_cases_is_not_a_pass(self, capsys):
         code = main(["verify", "--suite", "scalar", "--trials", "0"])
@@ -411,6 +420,17 @@ class TestCliSubprocess:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_an_unwritable_report_shows_no_traceback(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhc.cli", "verify", "--suite", "twins", "--a-max", "1",
+             "--b-max", "1", "--trials", "1", "--out", str(tmp_path / "missing" / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("qhc verify: FileNotFoundError: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_malformed_literal_exits_2_without_a_traceback(self):
         proc = subprocess.run(
