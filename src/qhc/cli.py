@@ -40,10 +40,8 @@ def _parse_set(text):
 
 
 def _parse_q(text):
-    q = scalar_parse(text)
-    if q in (0, 1, -1):
-        raise ValueError("q must not be 0, 1, or -1")
-    return q
+    """A rational q that `Kernel` admits."""
+    return Kernel(scalar_parse(text)).q
 
 
 _SET, _Q = _literal(_parse_set), _literal(_parse_q)
@@ -149,6 +147,10 @@ def _cmd_scalar_product(args):
 
 
 def _cmd_verify(args):
+    if args.out:
+        # Fail before the sweep on an unwritable path, keeping any old report.
+        with open(args.out, "a"):
+            pass
     report = run_suite(args.suite, a_max=args.a_max, b_max=args.b_max,
                        trials=args.trials, seed=args.seed, q=args.q)
     text = json.dumps(report, indent=2)

@@ -12,7 +12,9 @@ the kernel, which computes each shift once per value):
     sy       -- partitions of {s, y}, double sum
 
 Sign convention: in every (+-)/(-+) exponent the side 'l' takes the upper
-sign.  The identity evaluators return (lhs, rhs) pairs; residue evaluators
+sign.  Each identity has its own evaluator `hc_<id>_pair(kern, side, *sets)`
+returning (lhs, rhs); in its formula Z and K carry that side, K^(o) the other
+one, and f(u, v) is the product of f over all pairs.  Residue evaluators
 return the two singular (eps^-1) coefficients, and multi-variable limits are
 taken sequentially with one nested infinitesimal per collapsing variable.
 """
@@ -24,26 +26,21 @@ from .izergin import izergin_side
 from .partitions import enumerate_partitions
 
 __all__ = [
-    "REPRESENTATIONS",
-    "hc",
-    "hc_closed_11",
-    "hc_difference_11",
-    "hc_symmetry_pair",
-    "hc_residue_pair",
-    "hc_multiple_limit_pair",
-    "hc_reduction_pair",
-    "hc_twin_sum_pair",
-    "hc_prop51_pair",
-    "decay_valuation",
-    "hc_infinity_valuation",
-    "singular_coeff",
+    "REPRESENTATIONS", "hc", "hc_closed_11", "hc_difference_11",
+    "hc_z_scal_pair", "hc_z_invers_pair", "hc_z_invers1_pair",
+    "hc_rec_z_triv1_pair", "hc_rec_z_triv2_pair", "hc_rec_z_nontriv_pair",
+    "hc_rec_z_nontriv_d_pair",
+    "hc_red1_pair", "hc_red2_pair", "hc_nontriv2_pair", "hc_nontriv22_pair",
+    "hc_dec1_pair", "hc_dec2_pair", "hc_dec1_pc_pair", "hc_dec2_pc_pair",
+    "hc_twin_1_pair", "hc_twin_2_pair", "hc_twin_3_pair", "hc_twin_4_pair",
+    "hc_prop51_pair", "decay_valuation", "hc_infinity_valuation", "singular_coeff",
 ]
 
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
 def _hc_ws(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
+    b = len(ss)
     u = kern.usign(side)
     opp = kern.other(side)
     w = ss + xs
@@ -76,7 +73,7 @@ def _hc_ws_twin(kern, side, ts, xs, ss, ys):
 
 
 def _hc_ty(kern, side, ts, xs, ss, ys):
-    a, b = len(ts), len(ss)
+    a = len(ts)
     u = kern.usign(side)
     opp = kern.other(side)
     tq = kern.shift(ts, -2)
@@ -191,37 +188,24 @@ def hc_difference_11(kern, t, x, s, y):
     return lhs, rhs
 
 
-def hc_symmetry_pair(variant, kern, side, ts, xs, ss, ys, alpha=None):
-    """Both sides of a global symmetry of Z.
+def hc_z_scal_pair(kern, side, ts, xs, ss, ys, alpha):
+    """Z(alpha t; alpha x | alpha s; alpha y) = Z(t; x | s; y) for alpha != 0."""
+    if alpha == 0:
+        raise ValueError("Z_SCAL requires a nonzero alpha")
+    lhs = hc(kern, side, *(tuple(alpha * v for v in vals) for vals in (ts, xs, ss, ys)))
+    return lhs, hc(kern, side, ts, xs, ss, ys)
 
-    Z_SCAL: rescaling all arguments by alpha leaves Z invariant.
-    Z_INVERS: Z_{b,a}(s;y|t q^-2; x q^-2) against
-              f^-1(y,x) f^-1(s,t) Z_{a,b}(t;x|s;y).
-    Z_INVERS1: Z^(side) at q^-1 against Z^(other side)_{b,a}(y;s|x;t) at q.
-    """
-    if variant == "Z_SCAL":
-        if alpha is None or alpha == 0:
-            raise ValueError("Z_SCAL requires a nonzero alpha")
-        lhs = hc(
-            kern,
-            side,
-            tuple(alpha * t for t in ts),
-            tuple(alpha * x for x in xs),
-            tuple(alpha * s for s in ss),
-            tuple(alpha * y for y in ys),
-        )
-        rhs = hc(kern, side, ts, xs, ss, ys)
-    elif variant == "Z_INVERS":
-        lhs = hc(kern, side, ss, ys, kern.shift(ts, -2), kern.shift(xs, -2))
-        rhs = hc(kern, side, ts, xs, ss, ys) / (
-            kern.fprod(ys, xs) * kern.fprod(ss, ts)
-        )
-    elif variant == "Z_INVERS1":
-        lhs = hc(kern.inverted(), side, ts, xs, ss, ys)
-        rhs = hc(kern, kern.other(side), ys, ss, xs, ts)
-    else:
-        raise ValueError(f"unknown symmetry variant {variant!r}")
-    return lhs, rhs
+
+def hc_z_invers_pair(kern, side, ts, xs, ss, ys):
+    """Z_{b,a}(s; y | t q^-2; x q^-2) = f^-1(y, x) f^-1(s, t) Z_{a,b}(t; x | s; y)."""
+    lhs = hc(kern, side, ss, ys, kern.shift(ts, -2), kern.shift(xs, -2))
+    return lhs, hc(kern, side, ts, xs, ss, ys) / (kern.fprod(ys, xs) * kern.fprod(ss, ts))
+
+
+def hc_z_invers1_pair(kern, side, ts, xs, ss, ys):
+    """Z_{a,b}(t; x | s; y) at q^-1 = Z^(o)_{b,a}(y; s | x; t) at q."""
+    lhs = hc(kern.inverted(), side, ts, xs, ss, ys)
+    return lhs, hc(kern, kern.other(side), ys, ss, xs, ts)
 
 
 def singular_coeff(value):
@@ -231,64 +215,77 @@ def singular_coeff(value):
     return Rat(0)
 
 
-def hc_residue_pair(variant, kern, side, ts, xs, ss, ys):
-    """The eps^-1 coefficients of both sides of a simple-pole residue formula.
+def hc_rec_z_triv1_pair(kern, side, ts, xs, ss, ys):
+    """Residue at s_b = y_b (s^, y^ drop s_b, y_b):
 
-    The colliding variable is replaced by its target plus an infinitesimal;
-    only the singular parts are compared (the regular parts are out of
-    contract).
+    Z(t; x | s; y) ~ f(y_b, s_b) f(y_b, s^) f(y^, y_b) f(y_b, x) Z(t; x | s^; y^).
     """
-    ts, xs, ss, ys = tuple(ts), tuple(xs), tuple(ss), tuple(ys)
-    f, fprod = kern.f, kern.fprod
-    e = eps()
-    if variant == "S_TO_Y":
-        sb = ys[-1] + e
-        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
-        rhs = (
-            f(ys[-1], sb)
-            * fprod((ys[-1],), ss[:-1])
-            * fprod(ys[:-1], (ys[-1],))
-            * fprod((ys[-1],), xs)
-            * hc(kern, side, ts, xs, ss[:-1], ys[:-1])
+    ts, xs, ss, ys = map(tuple, (ts, xs, ss, ys))
+    fprod = kern.fprod
+    sb = ys[-1] + eps()
+    lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
+    rhs = (kern.f(ys[-1], sb) * fprod(ys[-1:], ss[:-1]) * fprod(ys[:-1], ys[-1:])
+           * fprod(ys[-1:], xs) * hc(kern, side, ts, xs, ss[:-1], ys[:-1]))
+    return singular_coeff(lhs), singular_coeff(rhs)
+
+
+def hc_rec_z_triv2_pair(kern, side, ts, xs, ss, ys):
+    """Residue at t_a = x_a (t^, x^ drop t_a, x_a):
+
+    Z(t; x | s; y) ~ f(x_a, t_a) f(x_a, t^) f(x^, x_a) f(s, x_a) Z(t^; x^ | s; y).
+    """
+    ts, xs, ss, ys = map(tuple, (ts, xs, ss, ys))
+    fprod = kern.fprod
+    ta = xs[-1] + eps()
+    lhs = hc(kern, side, ts[:-1] + (ta,), xs, ss, ys)
+    rhs = (kern.f(xs[-1], ta) * fprod(xs[-1:], ts[:-1]) * fprod(xs[:-1], xs[-1:])
+           * fprod(ss, xs[-1:]) * hc(kern, side, ts[:-1], xs[:-1], ss, ys))
+    return singular_coeff(lhs), singular_coeff(rhs)
+
+
+def hc_rec_z_nontriv_pair(kern, side, ts, xs, ss, ys):
+    """Residue at s_b = t_a (s^, t^ drop s_b, t_a; x^_p drops x_p):
+
+    Z(t; x | s; y) ~ f(s_b, t_a) f(s^, s_b) f(t_a, t^)
+                     sum_p K(x_p | t_a) f(x^_p, x_p) Z(t^; x^_p | {s^, x_p}; y).
+    """
+    ts, xs, ss, ys = map(tuple, (ts, xs, ss, ys))
+    fprod = kern.fprod
+    sb = ts[-1] + eps()
+    lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
+    total = Rat(0)
+    for p in range(len(xs)):
+        xp = xs[p]
+        rest = xs[:p] + xs[p + 1:]
+        total = total + (
+            izergin_side(kern, side, (xp,), (ts[-1],))
+            * fprod(rest, (xp,))
+            * hc(kern, side, ts[:-1], rest, ss[:-1] + (xp,), ys)
         )
-    elif variant == "T_TO_X":
-        ta = xs[-1] + e
-        lhs = hc(kern, side, ts[:-1] + (ta,), xs, ss, ys)
-        rhs = (
-            f(xs[-1], ta)
-            * fprod((xs[-1],), ts[:-1])
-            * fprod(xs[:-1], (xs[-1],))
-            * fprod(ss, (xs[-1],))
-            * hc(kern, side, ts[:-1], xs[:-1], ss, ys)
+    rhs = kern.f(sb, ts[-1]) * fprod(ss[:-1], (sb,)) * fprod(ts[-1:], ts[:-1]) * total
+    return singular_coeff(lhs), singular_coeff(rhs)
+
+
+def hc_rec_z_nontriv_d_pair(kern, side, ts, xs, ss, ys):
+    """Residue at y_b = x_a (y^, x^ drop y_b, x_a; s^_p drops s_p):
+
+    Z(t; x | s; y) ~ f(y_b, x_a) f(y^, y_b) f(x_a, x^)
+                     sum_p K(x_a | s_p) f(s_p, s^_p) Z(t; {x^, s_p} | s^_p; y^).
+    """
+    ts, xs, ss, ys = map(tuple, (ts, xs, ss, ys))
+    fprod = kern.fprod
+    yb = xs[-1] + eps()
+    lhs = hc(kern, side, ts, xs, ss, ys[:-1] + (yb,))
+    total = Rat(0)
+    for p in range(len(ss)):
+        sp = ss[p]
+        rest = ss[:p] + ss[p + 1:]
+        total = total + (
+            izergin_side(kern, side, (xs[-1],), (sp,))
+            * fprod((sp,), rest)
+            * hc(kern, side, ts, xs[:-1] + (sp,), rest, ys[:-1])
         )
-    elif variant == "S_TO_T":
-        sb = ts[-1] + e
-        lhs = hc(kern, side, ts, xs, ss[:-1] + (sb,), ys)
-        total = Rat(0)
-        for p in range(len(xs)):
-            xp = xs[p]
-            rest = xs[:p] + xs[p + 1:]
-            total = total + (
-                izergin_side(kern, side, (xp,), (ts[-1],))
-                * fprod(rest, (xp,))
-                * hc(kern, side, ts[:-1], rest, ss[:-1] + (xp,), ys)
-            )
-        rhs = f(sb, ts[-1]) * fprod(ss[:-1], (sb,)) * fprod((ts[-1],), ts[:-1]) * total
-    elif variant == "Y_TO_X":
-        yb = xs[-1] + e
-        lhs = hc(kern, side, ts, xs, ss, ys[:-1] + (yb,))
-        total = Rat(0)
-        for p in range(len(ss)):
-            sp = ss[p]
-            rest = ss[:p] + ss[p + 1:]
-            total = total + (
-                izergin_side(kern, side, (xs[-1],), (sp,))
-                * fprod((sp,), rest)
-                * hc(kern, side, ts, xs[:-1] + (sp,), rest, ys[:-1])
-            )
-        rhs = f(yb, xs[-1]) * fprod(ys[:-1], (yb,)) * fprod((xs[-1],), xs[:-1]) * total
-    else:
-        raise ValueError(f"unknown residue variant {variant!r}")
+    rhs = kern.f(yb, xs[-1]) * fprod(ys[:-1], (yb,)) * fprod(xs[-1:], xs[:-1]) * total
     return singular_coeff(lhs), singular_coeff(rhs)
 
 
@@ -297,178 +294,190 @@ def _nested_primes(zs):
     return tuple(z + eps(level=j + 1) for j, z in enumerate(zs))
 
 
-def hc_multiple_limit_pair(variant, kern, side, ts, xs, ss, ys, zs):
-    """Both sides of a multiple-pole limit identity.
-
-    The LHS limit z' -> z is evaluated one variable at a time via nested
-    series levels; the combined expression must be regular, otherwise the
-    limit raises.  Returns (lhs, rhs) as plain scalars.
+def hc_red1_pair(kern, side, ts, xs, ss, ys, zs):
+    """lim_{z'->z} f^-1(z', z) Z({t, z}; {x, z'} | s; y)
+    = f(z, t) f(x, z) f(s, z) Z(t; x | s; y).
     """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    n = len(zs)
     zp = _nested_primes(zs)
-    if variant == "RED1":
-        lhs = take_limit(
-            hc(kern, side, ts + zs, xs + zp, ss, ys) / fprod(zp, zs)
-        )
-        rhs = (
-            fprod(zs, ts)
-            * fprod(xs, zs)
-            * fprod(ss, zs)
-            * hc(kern, side, ts, xs, ss, ys)
-        )
-    elif variant == "RED2":
-        lhs = take_limit(
-            hc(kern, side, ts, xs, ss + zs, ys + zp) / fprod(zp, zs)
-        )
-        rhs = (
-            fprod(zs, xs)
-            * fprod(zs, ss)
-            * fprod(ys, zs)
-            * hc(kern, side, ts, xs, ss, ys)
-        )
-    elif variant == "NONTRIV2":
-        lhs = take_limit(
-            hc(kern, side, ts + zp, xs, ss + zs, ys) / fprod(zs, zp)
-        )
-        total = Rat(0)
-        for x1, x2 in enumerate_partitions(xs, n):
-            total = total + (
-                izergin_side(kern, side, x1, zs)
-                * fprod(x2, x1)
-                * hc(kern, side, ts, x2, ss + x1, ys)
-            )
-        rhs = fprod(ss, zs) * fprod(zs, ts) * total
-    elif variant == "NONTRIV22":
-        lhs = take_limit(
-            hc(kern, side, ts, xs + zp, ss, ys + zs) / fprod(zs, zp)
-        )
-        total = Rat(0)
-        for s1, s2 in enumerate_partitions(ss, n):
-            total = total + (
-                izergin_side(kern, side, zs, s1)
-                * fprod(s1, s2)
-                * hc(kern, side, ts, xs + s1, s2, ys)
-            )
-        rhs = fprod(ys, zs) * fprod(zs, xs) * total
-    else:
-        raise ValueError(f"unknown multiple-limit variant {variant!r}")
-    return lhs, rhs
+    lhs = take_limit(hc(kern, side, ts + zs, xs + zp, ss, ys) / fprod(zp, zs))
+    return lhs, fprod(zs, ts) * fprod(xs, zs) * fprod(ss, zs) * hc(kern, side, ts, xs, ss, ys)
 
 
-def hc_reduction_pair(variant, kern, side, ts, xs, ss, ys, zs):
-    """Both sides of a plain (limit-free) reduction at shifted-coincident points."""
+def hc_red2_pair(kern, side, ts, xs, ss, ys, zs):
+    """lim_{z'->z} f^-1(z', z) Z(t; x | {s, z}; {y, z'})
+    = f(z, x) f(z, s) f(y, z) Z(t; x | s; y).
+    """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    n = len(zs)
-    if variant == "DEC2":
-        lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, ss + zs, ys)
-        total = Rat(0)
-        for y1, y2 in enumerate_partitions(ys, n):
-            total = total + (
-                izergin_side(kern, side, y1, zs)
-                * hc(kern, side, ts + kern.shift(y1, 2), xs, ss, y2)
-                * fprod(y2, y1)
-                * fprod(y1, xs)
-                * fprod(y1, ss)
-            )
-        rhs = total
-    elif variant == "DEC1":
-        lhs = hc(kern, side, ts, xs + zs, ss, ys + kern.shift(zs, -2))
-        total = Rat(0)
-        for t1, t2 in enumerate_partitions(ts, n):
-            total = total + (
-                izergin_side(kern, side, zs, t1)
-                * hc(kern, side, t2, xs, ss, ys + kern.shift(t1, -2))
-                * fprod(t1, t2)
-                * fprod(xs, t1)
-                * fprod(ss, t1)
-            )
-        rhs = total
-    elif variant == "DEC2_PC":
-        # b <= a, #z = b, s-slot = z itself
-        if len(zs) != len(ys):
-            raise ValueError("DEC2_PC requires #z = b")
-        lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, zs, ys)
-        rhs = (
-            fprod(ys, xs)
-            * izergin_side(kern, side, ys, zs)
-            * izergin_side(kern, side, xs, ts + kern.shift(ys, 2))
-        )
-    elif variant == "DEC1_PC":
-        # a <= b, #z = a, x-slot = z itself
-        if len(zs) != len(ts):
-            raise ValueError("DEC1_PC requires #z = a")
-        lhs = hc(kern, side, ts, zs, ss, ys + kern.shift(zs, -2))
-        rhs = (
-            fprod(ss, ts)
-            * izergin_side(kern, side, zs, ts)
-            * izergin_side(kern, side, ys + kern.shift(ts, -2), ss)
-        )
-    else:
-        raise ValueError(f"unknown reduction variant {variant!r}")
-    return lhs, rhs
+    zp = _nested_primes(zs)
+    lhs = take_limit(hc(kern, side, ts, xs, ss + zs, ys + zp) / fprod(zp, zs))
+    return lhs, fprod(zs, xs) * fprod(zs, ss) * fprod(ys, zs) * hc(kern, side, ts, xs, ss, ys)
 
 
-def hc_twin_sum_pair(variant, kern, side, ts, xs, ss, ys, xi):
-    """Both sides of a three-determinant partition sum reducible to Z.
-
-    Variants 1 and 2 need a >= b and sum over t-partitions (xs is unused and
-    must be empty there); variants 3 and 4 need a <= b and sum over
-    y-partitions (ss must be empty there).  #xi = |a - b| in all cases.
+def hc_nontriv2_pair(kern, side, ts, xs, ss, ys, zs):
+    """lim_{z'->z} f^-1(z, z') Z({t, z'}; x | {s, z}; y)
+    = f(s, z) f(z, t) sum_{x -> x1, x2; #x1 = #z} K(x1 | z) f(x2, x1) Z(t; x2 | {s, x1}; y).
     """
-    ts, xs, ss, ys, xi = map(tuple, (ts, xs, ss, ys, xi))
-    u = kern.usign(side)
-    opp = kern.other(side)
+    ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    if variant in (1, 2):
-        if xs:
-            raise ValueError("variants 1 and 2 take no x-set")
-        a, b = len(ts), len(ss)
-        if len(ys) != b or len(xi) != a - b:
-            raise ValueError("variants 1 and 2 require #y = b and #xi = a - b")
-        total = Rat(0)
-        for t1, t2 in enumerate_partitions(ts, b):
-            first = izergin_side(
-                kern, opp if variant == 1 else side, t1, kern.shift(ys, 2)
-            )
-            second = izergin_side(
-                kern, side if variant == 1 else opp, t1, kern.shift(ss, 2)
-            )
-            total = total + (
-                first * second * izergin_side(kern, side, xi, t2) * fprod(t2, t1)
-            )
-        lhs = total
-        if variant == 1:
-            z = hc(kern, side, ts, xi + ys, ss, kern.shift(ys, -2))
-        else:
-            z = hc(kern, side, ts, xi + ss, ys, kern.shift(ss, -2))
-        rhs = kern.mq(u * b) * z / (fprod(ys, ts) * fprod(ss, ts))
-    elif variant in (3, 4):
-        if ss:
-            raise ValueError("variants 3 and 4 take no s-set")
-        a, b = len(ts), len(ys)
-        if len(xs) != a or len(xi) != b - a:
-            raise ValueError("variants 3 and 4 require #x = a and #xi = b - a")
-        tq = kern.shift(ts, -2)
-        xq = kern.shift(xs, -2)
-        total = Rat(0)
-        for y1, y2 in enumerate_partitions(ys, a):
-            first = izergin_side(kern, opp if variant == 3 else side, tq, y1)
-            second = izergin_side(kern, side if variant == 3 else opp, xq, y1)
-            total = total + (
-                first * second * izergin_side(kern, side, y2, xi) * fprod(y1, y2)
-            )
-        lhs = total
-        if variant == 3:
-            z = hc(kern, side, kern.shift(ts, 2), xs, xi + ts, ys)
-        else:
-            z = hc(kern, side, kern.shift(xs, 2), ts, xi + xs, ys)
-        rhs = kern.mq(u * a) * z / (fprod(ys, ts) * fprod(ys, xs))
-    else:
-        raise ValueError(f"unknown twin variant {variant!r}")
-    return lhs, rhs
+    zp = _nested_primes(zs)
+    lhs = take_limit(hc(kern, side, ts + zp, xs, ss + zs, ys) / fprod(zs, zp))
+    total = Rat(0)
+    for x1, x2 in enumerate_partitions(xs, len(zs)):
+        total = total + (
+            izergin_side(kern, side, x1, zs) * fprod(x2, x1) * hc(kern, side, ts, x2, ss + x1, ys)
+        )
+    return lhs, fprod(ss, zs) * fprod(zs, ts) * total
+
+
+def hc_nontriv22_pair(kern, side, ts, xs, ss, ys, zs):
+    """lim_{z'->z} f^-1(z, z') Z(t; {x, z'} | s; {y, z})
+    = f(y, z) f(z, x) sum_{s -> s1, s2; #s1 = #z} K(z | s1) f(s1, s2) Z(t; {x, s1} | s2; y).
+    """
+    ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
+    fprod = kern.fprod
+    zp = _nested_primes(zs)
+    lhs = take_limit(hc(kern, side, ts, xs + zp, ss, ys + zs) / fprod(zs, zp))
+    total = Rat(0)
+    for s1, s2 in enumerate_partitions(ss, len(zs)):
+        total = total + (
+            izergin_side(kern, side, zs, s1) * fprod(s1, s2) * hc(kern, side, ts, xs + s1, s2, ys)
+        )
+    return lhs, fprod(ys, zs) * fprod(zs, xs) * total
+
+
+def hc_dec1_pair(kern, side, ts, xs, ss, ys, zs):
+    """Z(t; {x, z} | s; {y, z q^-2})
+    = sum_{t -> t1, t2; #t1 = #z} K(z | t1) f(t1, t2) f(x, t1) f(s, t1) Z(t2; x | s; {y, t1 q^-2}).
+    """
+    ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
+    fprod = kern.fprod
+    lhs = hc(kern, side, ts, xs + zs, ss, ys + kern.shift(zs, -2))
+    total = Rat(0)
+    for t1, t2 in enumerate_partitions(ts, len(zs)):
+        total = total + (
+            izergin_side(kern, side, zs, t1)
+            * hc(kern, side, t2, xs, ss, ys + kern.shift(t1, -2))
+            * fprod(t1, t2)
+            * fprod(xs, t1)
+            * fprod(ss, t1)
+        )
+    return lhs, total
+
+
+def hc_dec2_pair(kern, side, ts, xs, ss, ys, zs):
+    """Z({t, z q^2}; x | {s, z}; y)
+    = sum_{y -> y1, y2; #y1 = #z} K(y1 | z) f(y2, y1) f(y1, x) f(y1, s) Z({t, y1 q^2}; x | s; y2).
+    """
+    ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
+    fprod = kern.fprod
+    lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, ss + zs, ys)
+    total = Rat(0)
+    for y1, y2 in enumerate_partitions(ys, len(zs)):
+        total = total + (
+            izergin_side(kern, side, y1, zs)
+            * hc(kern, side, ts + kern.shift(y1, 2), xs, ss, y2)
+            * fprod(y2, y1)
+            * fprod(y1, xs)
+            * fprod(y1, ss)
+        )
+    return lhs, total
+
+
+def hc_dec1_pc_pair(kern, side, ts, ss, ys, zs):
+    """Z(t; z | s; {y, z q^-2}) = f(s, t) K(z | t) K({y, t q^-2} | s) for #z = a <= b."""
+    ts, ss, ys, zs = map(tuple, (ts, ss, ys, zs))
+    if len(zs) != len(ts):
+        raise ValueError("DEC1_PC requires #z = a")
+    lhs = hc(kern, side, ts, zs, ss, ys + kern.shift(zs, -2))
+    return lhs, (kern.fprod(ss, ts) * izergin_side(kern, side, zs, ts)
+                 * izergin_side(kern, side, ys + kern.shift(ts, -2), ss))
+
+
+def hc_dec2_pc_pair(kern, side, ts, xs, ys, zs):
+    """Z({t, z q^2}; x | z; y) = f(y, x) K(y | z) K(x | {t, y q^2}) for #z = b <= a."""
+    ts, xs, ys, zs = map(tuple, (ts, xs, ys, zs))
+    if len(zs) != len(ys):
+        raise ValueError("DEC2_PC requires #z = b")
+    lhs = hc(kern, side, ts + kern.shift(zs, 2), xs, zs, ys)
+    return lhs, (kern.fprod(ys, xs) * izergin_side(kern, side, ys, zs)
+                 * izergin_side(kern, side, xs, ts + kern.shift(ys, 2)))
+
+
+def _twin_t_sum(kern, side, ts, us, vs, xi):
+    """TWIN_1 with y, s as us, vs; TWIN_2 is the same sum with s, y as us, vs."""
+    ts, us, vs, xi = map(tuple, (ts, us, vs, xi))
+    if len(us) != len(vs) or len(xi) != len(ts) - len(vs):
+        raise ValueError("TWIN_1 and TWIN_2 require #y = #s and #xi = #t - #s")
+    fprod = kern.fprod
+    uq, vq = kern.shift(us, 2), kern.shift(vs, 2)
+    total = Rat(0)
+    for t1, t2 in enumerate_partitions(ts, len(vs)):
+        total = total + (
+            izergin_side(kern, kern.other(side), t1, uq)
+            * izergin_side(kern, side, t1, vq)
+            * izergin_side(kern, side, xi, t2)
+            * fprod(t2, t1)
+        )
+    z = hc(kern, side, ts, xi + us, vs, kern.shift(us, -2))
+    return total, kern.mq(kern.usign(side) * len(vs)) * z / (fprod(us, ts) * fprod(vs, ts))
+
+
+def hc_twin_1_pair(kern, side, ts, ss, ys, xi):
+    """TWIN_1, for a >= b and #xi = a - b:
+
+    sum_{t -> t1, t2; #t1 = b} K^(o)(t1 | y q^2) K(t1 | s q^2) K(xi | t2) f(t2, t1)
+    = (-q)^(+-b) Z(t; {xi, y} | s; y q^-2) / (f(y, t) f(s, t)).
+    """
+    return _twin_t_sum(kern, side, ts, ys, ss, xi)
+
+
+def hc_twin_2_pair(kern, side, ts, ss, ys, xi):
+    """TWIN_2, for a >= b and #xi = a - b:
+
+    sum_{t -> t1, t2; #t1 = b} K(t1 | y q^2) K^(o)(t1 | s q^2) K(xi | t2) f(t2, t1)
+    = (-q)^(+-b) Z(t; {xi, s} | y; s q^-2) / (f(y, t) f(s, t)).
+    """
+    return _twin_t_sum(kern, side, ts, ss, ys, xi)
+
+
+def _twin_y_sum(kern, side, us, vs, ys, xi):
+    """TWIN_3 with t, x as us, vs; TWIN_4 is the same sum with x, t as us, vs."""
+    us, vs, ys, xi = map(tuple, (us, vs, ys, xi))
+    if len(vs) != len(us) or len(xi) != len(ys) - len(us):
+        raise ValueError("TWIN_3 and TWIN_4 require #x = #t and #xi = #y - #t")
+    fprod = kern.fprod
+    uq, vq = kern.shift(us, -2), kern.shift(vs, -2)
+    total = Rat(0)
+    for y1, y2 in enumerate_partitions(ys, len(us)):
+        total = total + (
+            izergin_side(kern, kern.other(side), uq, y1)
+            * izergin_side(kern, side, vq, y1)
+            * izergin_side(kern, side, y2, xi)
+            * fprod(y1, y2)
+        )
+    z = hc(kern, side, kern.shift(us, 2), vs, xi + us, ys)
+    return total, kern.mq(kern.usign(side) * len(us)) * z / (fprod(ys, us) * fprod(ys, vs))
+
+
+def hc_twin_3_pair(kern, side, ts, xs, ys, xi):
+    """TWIN_3, for a <= b and #xi = b - a:
+
+    sum_{y -> y1, y2; #y1 = a} K^(o)(t q^-2 | y1) K(x q^-2 | y1) K(y2 | xi) f(y1, y2)
+    = (-q)^(+-a) Z(t q^2; x | {xi, t}; y) / (f(y, t) f(y, x)).
+    """
+    return _twin_y_sum(kern, side, ts, xs, ys, xi)
+
+
+def hc_twin_4_pair(kern, side, ts, xs, ys, xi):
+    """TWIN_4, for a <= b and #xi = b - a:
+
+    sum_{y -> y1, y2; #y1 = a} K(t q^-2 | y1) K^(o)(x q^-2 | y1) K(y2 | xi) f(y1, y2)
+    = (-q)^(+-a) Z(x q^2; t | {xi, x}; y) / (f(y, t) f(y, x)).
+    """
+    return _twin_y_sum(kern, side, xs, ts, ys, xi)
 
 
 def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):

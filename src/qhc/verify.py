@@ -20,9 +20,12 @@ from .exactnum import (
     INVERT_TERMS, LaurentSeries, Rat, WindowError, eps, invert_window, scalar_format,
 )
 from .highest import (
-    REPRESENTATIONS, decay_valuation, hc, hc_difference_11, hc_infinity_valuation,
-    hc_multiple_limit_pair, hc_prop51_pair, hc_reduction_pair, hc_residue_pair,
-    hc_symmetry_pair, hc_twin_sum_pair, singular_coeff,
+    REPRESENTATIONS, decay_valuation, hc, hc_dec1_pair, hc_dec1_pc_pair, hc_dec2_pair,
+    hc_dec2_pc_pair, hc_difference_11, hc_infinity_valuation, hc_nontriv2_pair,
+    hc_nontriv22_pair, hc_prop51_pair, hc_rec_z_nontriv_d_pair, hc_rec_z_nontriv_pair,
+    hc_rec_z_triv1_pair, hc_rec_z_triv2_pair, hc_red1_pair, hc_red2_pair, hc_twin_1_pair,
+    hc_twin_2_pair, hc_twin_3_pair, hc_twin_4_pair, hc_z_invers1_pair, hc_z_invers_pair,
+    hc_z_scal_pair, singular_coeff,
 )
 from .izergin import Kernel, izergin_side, lemma_partition_sum, mult_pole_limit
 from .params import MAX_ABS, sample_generic
@@ -58,7 +61,8 @@ WINDOWS = (2, 4, INVERT_TERMS)
 def _run(pools, names, evaluate, shape, q, seed):
     """Sample one generic point for `shape` and evaluate both sides there.
 
-    `evaluate(kern, *shape, *sets)` returns (lhs, rhs) or (lhs, rhs, ok); with
+    `evaluate(kern, *side, *sets)` gets the shape's side, if it has one, but
+    not its cardinalities; it returns (lhs, rhs) or (lhs, rhs, ok), and with
     no ok flag the sides are compared exactly.  The point is evaluated at each
     of `WINDOWS` in turn, on a fresh `Kernel`, and the first attempt that
     passes is kept, the last whatever it gives.  A narrower attempt that raises
@@ -67,6 +71,7 @@ def _run(pools, names, evaluate, shape, q, seed):
     carries the sampled point as `params`.
     """
     sets, q = sample_generic(pools(*shape), seed, q)
+    side = tuple(v for v in shape[:1] if v in SIDES)
     params = {"q": scalar_format(q)}
     for name, vals in zip(names, sets):
         params[name] = [scalar_format(v) for v in vals]
@@ -74,7 +79,7 @@ def _run(pools, names, evaluate, shape, q, seed):
         last = terms == WINDOWS[-1]
         try:
             with invert_window(terms):
-                lhs, rhs, *ok = evaluate(Kernel(q), *shape, *sets)
+                lhs, rhs, *ok = evaluate(Kernel(q), *side, *sets)
                 ok = ok[0] if ok else None
                 if last or (_eq(lhs, rhs) if ok is None else ok):
                     return lhs, rhs, ok, params
@@ -189,22 +194,22 @@ def _shapes_scalar(a_max, b_max):
 # ---------------------------------------------------------------------------
 
 
-def _k_red(kern, side, k, xs, ys, zs):
+def _k_red(kern, side, xs, ys, zs):
     form1 = izergin_side(kern, side, xs + kern.shift(zs, -2), ys + zs)
     form2 = izergin_side(kern, side, xs + zs, ys + kern.shift(zs, 2))
     expected = -(kern.q if kern.usign(side) < 0 else kern.qinv) * izergin_side(kern, side, xs, ys)
     return [form1, form2], [expected, expected]
 
 
-def _k_invers(kern, side, k, xs, ys):
+def _k_invers(kern, side, xs, ys):
     lhs = izergin_side(kern, side, kern.shift(xs, -2), ys)
-    rhs = kern.mq(-kern.usign(side) * k) / kern.fprod(ys, xs) * izergin_side(
+    rhs = kern.mq(-kern.usign(side) * len(xs)) / kern.fprod(ys, xs) * izergin_side(
         kern, kern.other(side), ys, xs
     )
     return lhs, rhs
 
 
-def _k_res(kern, side, k, xs, ys, zs):
+def _k_res(kern, side, xs, ys, zs):
     z = zs[0]
     zp = z + eps()
     lhs = izergin_side(kern, side, xs + (z,), ys + (zp,))
@@ -217,7 +222,7 @@ def _k_res(kern, side, k, xs, ys, zs):
     return singular_coeff(lhs), singular_coeff(rhs)
 
 
-def _k_inf(kern, side, k, xs, ys):
+def _k_inf(kern, side, xs, ys):
     """K^(l) decays as y -> infinity and K^(r) as x -> infinity."""
     big = eps().invert()
     vals = [decay_valuation(izergin_side(kern, side, (big,) + xs[1:], ys)),
@@ -225,31 +230,31 @@ def _k_inf(kern, side, k, xs, ys):
     return _bounded(vals, [int(side == "r"), int(side == "l")])
 
 
-def _lemma(kern, side, m1, m2, gamma, alpha, beta):
+def _lemma(kern, side, gamma, alpha, beta):
     lhs, rhs1, rhs2 = lemma_partition_sum(kern, side, gamma, alpha, beta)
     return [lhs, lhs], [rhs1, rhs2]
 
 
-def _rep_agree(kern, side, a, b, ts, xs, ss, ys):
+def _rep_agree(kern, side, ts, xs, ss, ys):
     vals = [hc(kern, side, ts, xs, ss, ys, rep) for rep in REPRESENTATIONS]
     return vals, [vals[0]] * len(vals), all(v == vals[0] for v in vals)
 
 
-def _z_inf(kern, side, a, b, ts, xs, ss, ys):
+def _z_inf(kern, side, ts, xs, ss, ys):
     """Z^(l) decays as t or s -> infinity and Z^(r) as x or y -> infinity."""
-    slots = [slot for slot, n in zip("txsy", (a, a, b, b)) if n]
+    slots = [slot for slot, vals in zip("txsy", (ts, xs, ss, ys)) if vals]
     decaying = ("t", "s") if side == "l" else ("x", "y")
     vals = [hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot) for slot in slots]
     return _bounded(vals, [int(slot in decaying) for slot in slots])
 
 
-def _z_zero(kern, side, a, b, ts, xs, ss, ys):
+def _z_zero(kern, side, ts, xs, ss, ys):
     if side == "l":
         return hc(kern, side, ts, xs, ss, (Rat(0),) + ys[1:]), Rat(0)
     return hc(kern, side, (Rat(0),) + ts[1:], xs, ss, ys), Rat(0)
 
 
-def _z_triv(kern, side, a, b, ts, xs, ss, ys):
+def _z_triv(kern, side, ts, xs, ss, ys):
     lhs = [hc(kern, side, ts, xs, (), ()), hc(kern, side, (), (), ss, ys),
            hc(kern, side, (), (), (), ())]
     return lhs, [izergin_side(kern, side, xs, ts), izergin_side(kern, side, ys, ss), Rat(1)]
@@ -258,7 +263,7 @@ def _z_triv(kern, side, a, b, ts, xs, ss, ys):
 def _run_sym_perm(shape, q, seed):
     """Z is symmetric within each of its four sets; the shuffles use the case seed."""
 
-    def evaluate(kern, side, a, b, ts, xs, ss, ys):
+    def evaluate(kern, side, ts, xs, ss, ys):
         rng = random.Random(seed ^ 0x5F5F)  # anew per attempt: every window shuffles alike
 
         def perm(vals):
@@ -270,19 +275,11 @@ def _run_sym_perm(shape, q, seed):
     return _run(_core, _TXSY, evaluate, shape, q, seed)
 
 
-def _limit_pair(variant):
-    return lambda kern, side, a, b, n, *sets: hc_multiple_limit_pair(
-        variant, kern, side, *sets)
-
-
-def _reduction_pair(variant):
-    return lambda kern, side, a, b, n, *sets: hc_reduction_pair(variant, kern, side, *sets)
-
-
 def _scal_res(which):
     """The two extreme coefficients of the scalar product are Z^(r) and Z^(l)."""
 
-    def evaluate(kern, a, b, uC, uB, vC, vB):
+    def evaluate(kern, uC, uB, vC, vB):
+        a, b = len(uC), len(vC)
         poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
         ff = kern.fprod(vC, uC) * kern.fprod(vB, uB)
         if which == 1:
@@ -296,7 +293,7 @@ def _scal_res(which):
     return evaluate
 
 
-def _scal_multilinear(kern, a, b, uC, uB, vC, vB):
+def _scal_multilinear(kern, uC, uB, vC, vB):
     """No monomial of the scalar product repeats a symbol."""
     poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
     return sum(len(mono) - len(set(mono)) for mono in poly), 0
@@ -315,20 +312,34 @@ _uv = lambda a, b: (a, a, b, b)
 
 
 def registry():
-    descs = [
+    # Z_INVERS and Z_INVERS1 sample an alpha they do not use: it is part of
+    # their replay data.  The n z's of NONTRIV2, NONTRIV22, DEC1 and DEC2 fill
+    # up the t and s (or x and y) sets, so those pools are n short.
+    sym, sym_sets = lambda side, a, b: (a, a, b, b, 1), _TXSY + ("alpha",)
+    abn, abn_sets = lambda side, a, b, n: (a, a, b, b, n), _TXSY + ("z",)
+    n_le_ab = _shapes_abn(lambda a, b, n: n <= a and n <= b)
+    fewer_ts = lambda side, a, b, n: (a - n, a, b - n, b, n)
+    fewer_xy = lambda side, a, b, n: (a, a - n, b, b - n, n)
+    a_le_b = _shapes_ab(amin=1, keep=lambda a, b: a <= b)
+    b_le_a = _shapes_ab(bmin=1, keep=lambda a, b: b <= a)
+    twin_ts = _shapes_ab(amin=1, keep=lambda a, b: b <= a)
+    twin_ys = _shapes_ab(bmin=1, keep=lambda a, b: a <= b)
+    twin_ts_pools, twin_ts_sets = lambda side, a, b: (a, b, b, a - b), ("t", "s", "y", "xi")
+    twin_ys_pools, twin_ys_sets = lambda side, a, b: (a, a, b, b - a), ("t", "x", "y", "xi")
+    return [
         _identity("K_INIT", "izergin", lambda a, b: [(s, 1) for s in SIDES], _kk, _XY,
-                  lambda kern, side, k, xs, ys: (
+                  lambda kern, side, xs, ys: (
                       izergin_side(kern, side, xs, ys),
                       (xs if side == "l" else ys)[0] * kern.g(xs[0], ys[0]))),
         _identity("K_SCAL", "izergin", _shapes_sk(), _kk1, _XY + ("alpha",),
-                  lambda kern, side, k, xs, ys, al: (
+                  lambda kern, side, xs, ys, al: (
                       izergin_side(kern, side, tuple(al[0] * v for v in xs),
                                    tuple(al[0] * v for v in ys)),
                       izergin_side(kern, side, xs, ys))),
         _identity("K_RED", "izergin", _shapes_sk(kmin=0, shift=-1), _kk1, _XY + ("z",), _k_red),
         _identity("K_INVERS", "izergin", _shapes_sk(), _kk, _XY, _k_invers),
         _identity("K_INVERS1", "izergin", _shapes_sk(), _kk, _XY,
-                  lambda kern, side, k, xs, ys: (
+                  lambda kern, side, xs, ys: (
                       izergin_side(kern.inverted(), side, xs, ys),
                       izergin_side(kern, kern.other(side), ys, xs))),
         _identity("K_RES", "izergin", _shapes_sk(kmin=0), _kk1, _XY + ("z",), _k_res),
@@ -337,8 +348,7 @@ def registry():
                   lambda side, m1, m2: (m1 + m2, m1, m2), ("gamma", "alpha", "beta"),
                   _lemma),
         _identity("MULT_POLE", "izergin", _shapes_mult_pole,
-                  lambda side, n, m: (n, n, m), _XY + ("z",),
-                  lambda kern, side, n, m, *sets: mult_pole_limit(kern, side, *sets)),
+                  lambda side, n, m: (n, n, m), _XY + ("z",), mult_pole_limit),
         _identity("HC_REP_AGREE", "hc-reps", _shapes_ab(), _core, _TXSY, _rep_agree),
         _identity("DIFF_11", "hc-reps", lambda a, b: [()], lambda: (1, 1, 1, 1), _TXSY,
                   lambda kern, *sets: hc_difference_11(kern, *(v[0] for v in sets))),
@@ -346,74 +356,50 @@ def registry():
         _identity("Z_ZERO_VANISH", "hc-reps", _shapes_ab(1, 1), _core, _TXSY, _z_zero),
         IdentityDescriptor("HC_SYM_PERM", "symmetries", _shapes_ab(), _run_sym_perm),
         _identity("Z_TRIV", "symmetries", _shapes_ab(), _core, _TXSY, _z_triv),
-    ]
-    for v in ("Z_SCAL", "Z_INVERS", "Z_INVERS1"):
-        descs.append(_identity(
-            v, "symmetries", _shapes_ab(), lambda side, a, b: (a, a, b, b, 1),
-            _TXSY + ("alpha",),
-            lambda kern, side, a, b, ts, xs, ss, ys, al, v=v: hc_symmetry_pair(
-                v, kern, side, ts, xs, ss, ys, alpha=al[0] if v == "Z_SCAL" else None)))
-    for ident, v, amin, bmin in (("REC_Z_TRIV1", "S_TO_Y", 0, 1),
-                                 ("REC_Z_TRIV2", "T_TO_X", 1, 0),
-                                 ("REC_Z_NONTRIV", "S_TO_T", 1, 1),
-                                 ("REC_Z_NONTRIV_D", "Y_TO_X", 1, 1)):
-        descs.append(_identity(
-            ident, "residues", _shapes_ab(amin, bmin), _core, _TXSY,
-            lambda kern, side, a, b, *sets, v=v: hc_residue_pair(v, kern, side, *sets)))
-    for v in ("RED1", "RED2"):
-        descs.append(_identity(v, "residues", _shapes_abn(),
-                               lambda side, a, b, n: (a, a, b, b, n), _TXSY + ("z",),
-                               _limit_pair(v)))
-    # The n z's fill up the t and s (or x and y) sets, so those pools are n short.
-    fewer_ts = lambda side, a, b, n: (a - n, a, b - n, b, n)
-    fewer_xy = lambda side, a, b, n: (a, a - n, b, b - n, n)
-    for v, suite, pools, pair in (("NONTRIV2", "residues", fewer_ts, _limit_pair),
-                                  ("NONTRIV22", "residues", fewer_xy, _limit_pair),
-                                  ("DEC1", "reductions", fewer_xy, _reduction_pair),
-                                  ("DEC2", "reductions", fewer_ts, _reduction_pair)):
-        descs.append(_identity(v, suite, _shapes_abn(lambda a, b, n: n <= a and n <= b),
-                               pools, _TXSY + ("z",), pair(v)))
-    a_le_b = _shapes_ab(amin=1, keep=lambda a, b: a <= b)
-    b_le_a = _shapes_ab(bmin=1, keep=lambda a, b: b <= a)
-    descs += [
+        _identity("Z_SCAL", "symmetries", _shapes_ab(), sym, sym_sets,
+                  lambda kern, side, ts, xs, ss, ys, al: hc_z_scal_pair(
+                      kern, side, ts, xs, ss, ys, al[0])),
+        _identity("Z_INVERS", "symmetries", _shapes_ab(), sym, sym_sets,
+                  lambda kern, side, *sets: hc_z_invers_pair(kern, side, *sets[:4])),
+        _identity("Z_INVERS1", "symmetries", _shapes_ab(), sym, sym_sets,
+                  lambda kern, side, *sets: hc_z_invers1_pair(kern, side, *sets[:4])),
+        _identity("REC_Z_TRIV1", "residues", _shapes_ab(0, 1), _core, _TXSY,
+                  hc_rec_z_triv1_pair),
+        _identity("REC_Z_TRIV2", "residues", _shapes_ab(1, 0), _core, _TXSY,
+                  hc_rec_z_triv2_pair),
+        _identity("REC_Z_NONTRIV", "residues", _shapes_ab(1, 1), _core, _TXSY,
+                  hc_rec_z_nontriv_pair),
+        _identity("REC_Z_NONTRIV_D", "residues", _shapes_ab(1, 1), _core, _TXSY,
+                  hc_rec_z_nontriv_d_pair),
+        _identity("RED1", "residues", _shapes_abn(), abn, abn_sets, hc_red1_pair),
+        _identity("RED2", "residues", _shapes_abn(), abn, abn_sets, hc_red2_pair),
+        _identity("NONTRIV2", "residues", n_le_ab, fewer_ts, abn_sets, hc_nontriv2_pair),
+        _identity("NONTRIV22", "residues", n_le_ab, fewer_xy, abn_sets, hc_nontriv22_pair),
+        _identity("DEC1", "reductions", n_le_ab, fewer_xy, abn_sets, hc_dec1_pair),
+        _identity("DEC2", "reductions", n_le_ab, fewer_ts, abn_sets, hc_dec2_pair),
         _identity("DEC1_PC", "reductions", a_le_b, lambda side, a, b: (a, b, b - a, a),
-                  ("t", "s", "y", "z"),
-                  lambda kern, side, a, b, ts, ss, ys, zs: hc_reduction_pair(
-                      "DEC1_PC", kern, side, ts, (), ss, ys, zs)),
+                  ("t", "s", "y", "z"), hc_dec1_pc_pair),
         _identity("DEC2_PC", "reductions", b_le_a, lambda side, a, b: (a - b, a, b, b),
-                  ("t", "x", "y", "z"),
-                  lambda kern, side, a, b, ts, xs, ys, zs: hc_reduction_pair(
-                      "DEC2_PC", kern, side, ts, xs, (), ys, zs)),
-    ]
-    for v in (1, 2):
-        descs.append(_identity(
-            f"TWIN_{v}", "twins", _shapes_ab(amin=1, keep=lambda a, b: b <= a),
-            lambda side, a, b: (a, b, b, a - b), ("t", "s", "y", "xi"),
-            lambda kern, side, a, b, ts, ss, ys, xi, v=v: hc_twin_sum_pair(
-                v, kern, side, ts, (), ss, ys, xi)))
-    for v in (3, 4):
-        descs.append(_identity(
-            f"TWIN_{v}", "twins", _shapes_ab(bmin=1, keep=lambda a, b: a <= b),
-            lambda side, a, b: (a, a, b, b - a), ("t", "x", "y", "xi"),
-            lambda kern, side, a, b, ts, xs, ys, xi, v=v: hc_twin_sum_pair(
-                v, kern, side, ts, xs, (), ys, xi)))
-    descs += [
+                  ("t", "x", "y", "z"), hc_dec2_pc_pair),
+        _identity("TWIN_1", "twins", twin_ts, twin_ts_pools, twin_ts_sets, hc_twin_1_pair),
+        _identity("TWIN_2", "twins", twin_ts, twin_ts_pools, twin_ts_sets, hc_twin_2_pair),
+        _identity("TWIN_3", "twins", twin_ys, twin_ys_pools, twin_ys_sets, hc_twin_3_pair),
+        _identity("TWIN_4", "twins", twin_ys, twin_ys_pools, twin_ys_sets, hc_twin_4_pair),
         _identity("PROP_5_1", "prop51", _shapes_prop51,
                   lambda side, a, b, p, n: (a, a, b, p, b - p, n), _TXSY + ("w", "z"),
-                  lambda kern, side, a, b, p, n, *sets: hc_prop51_pair(kern, side, *sets)),
+                  hc_prop51_pair),
         _identity("W_CORNER_L", "scalar", _shapes_scalar, _uv, _UV,
-                  lambda kern, a, b, uC, uB, vC, vB: (
+                  lambda kern, uC, uB, vC, vB: (
                       w_part(kern, ((), uC), ((), uB), (vC, ()), (vB, ())),
                       hc(kern, "l", uC, uB, vC, vB))),
         _identity("W_CORNER_R", "scalar", _shapes_scalar, _uv, _UV,
-                  lambda kern, a, b, uC, uB, vC, vB: (
+                  lambda kern, uC, uB, vC, vB: (
                       w_part(kern, (uC, ()), (uB, ()), ((), vC), ((), vB)),
                       hc(kern, "r", uB, uC, vB, vC))),
         _identity("SCAL_RES1", "scalar", _shapes_scalar, _uv, _UV, _scal_res(1)),
         _identity("SCAL_RES2", "scalar", _shapes_scalar, _uv, _UV, _scal_res(2)),
         _identity("SCAL_MULTILINEAR", "scalar", _shapes_scalar, _uv, _UV, _scal_multilinear),
     ]
-    return descs
 
 
 def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, q=None):
@@ -426,8 +412,8 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, q=None):
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if q is not None and Rat(q) in (Rat(0), Rat(1), Rat(-1)):
-        raise ValueError("q must not be 0, 1, or -1")
+    if q is not None:
+        Kernel(q)  # rejects an inadmissible q before any case is sampled
     cases = []
     npass = nfail = nerror = 0
     for desc in registry():

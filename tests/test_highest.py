@@ -12,14 +12,27 @@ from qhc.highest import (
     REPRESENTATIONS,
     hc,
     hc_closed_11,
+    hc_dec1_pair,
+    hc_dec1_pc_pair,
+    hc_dec2_pair,
+    hc_dec2_pc_pair,
     hc_difference_11,
     hc_infinity_valuation,
-    hc_multiple_limit_pair,
+    hc_nontriv2_pair,
     hc_prop51_pair,
-    hc_reduction_pair,
-    hc_residue_pair,
-    hc_symmetry_pair,
-    hc_twin_sum_pair,
+    hc_rec_z_nontriv_d_pair,
+    hc_rec_z_nontriv_pair,
+    hc_rec_z_triv1_pair,
+    hc_rec_z_triv2_pair,
+    hc_red1_pair,
+    hc_red2_pair,
+    hc_twin_1_pair,
+    hc_twin_2_pair,
+    hc_twin_3_pair,
+    hc_twin_4_pair,
+    hc_z_invers1_pair,
+    hc_z_invers_pair,
+    hc_z_scal_pair,
 )
 from qhc.izergin import Kernel, izergin_side
 from qhc.params import sample_generic
@@ -109,72 +122,79 @@ class TestSymmetries:
             kern, "l", ts[::-1], xs, ss, ys[::-1]
         )
 
-    @pytest.mark.parametrize("variant", ["Z_SCAL", "Z_INVERS", "Z_INVERS1"])
+    @pytest.mark.parametrize("pair", [
+        pytest.param(hc_z_scal_pair, id="Z_SCAL"),
+        pytest.param(hc_z_invers_pair, id="Z_INVERS"),
+        pytest.param(hc_z_invers1_pair, id="Z_INVERS1"),
+    ])
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_symmetry_pairs(self, variant, side):
+    def test_symmetry_pairs(self, pair, side):
         (ts, xs, ss, ys, al), q = sample_generic((2, 2, 1, 1, 1), 31)
-        lhs, rhs = hc_symmetry_pair(
-            variant, Kernel(q), side, ts, xs, ss, ys, alpha=al[0]
-        )
+        alpha = al if pair is hc_z_scal_pair else ()
+        lhs, rhs = pair(Kernel(q), side, ts, xs, ss, ys, *alpha)
         assert lhs == rhs
 
 
 class TestRecursions:
     @pytest.mark.parametrize(
-        "variant,shape",
+        "pair,shape",
         [
-            ("S_TO_Y", (1, 1, 2, 2)),
-            ("T_TO_X", (2, 2, 1, 1)),
-            ("S_TO_T", (2, 2, 1, 1)),
-            ("Y_TO_X", (1, 1, 2, 2)),
+            pytest.param(hc_rec_z_triv1_pair, (1, 1, 2, 2), id="S_TO_Y-shape0"),
+            pytest.param(hc_rec_z_triv2_pair, (2, 2, 1, 1), id="T_TO_X-shape1"),
+            pytest.param(hc_rec_z_nontriv_pair, (2, 2, 1, 1), id="S_TO_T-shape2"),
+            pytest.param(hc_rec_z_nontriv_d_pair, (1, 1, 2, 2), id="Y_TO_X-shape3"),
         ],
     )
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_residue_recursions(self, variant, shape, side):
+    def test_residue_recursions(self, pair, shape, side):
         a, _, b, _ = shape
         (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 41)
-        lhs, rhs = hc_residue_pair(variant, Kernel(q), side, ts, xs, ss, ys)
+        lhs, rhs = pair(Kernel(q), side, ts, xs, ss, ys)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("variant", ["RED1", "RED2"])
-    def test_multiple_limit_reductions(self, variant):
+    @pytest.mark.parametrize("pair", [
+        pytest.param(hc_red1_pair, id="RED1"),
+        pytest.param(hc_red2_pair, id="RED2"),
+    ])
+    def test_multiple_limit_reductions(self, pair):
         (ts, xs, ss, ys, zs), q = sample_generic((1, 1, 1, 1, 2), 43)
-        lhs, rhs = hc_multiple_limit_pair(
-            variant, Kernel(q), "l", ts, xs, ss, ys, zs
-        )
+        lhs, rhs = pair(Kernel(q), "l", ts, xs, ss, ys, zs)
         assert lhs == rhs
 
     def test_nontrivial_multiple_limit(self):
         # shape: #t = a - n, #x = a, #s = b - n, #y = b, #z = n
         (ts, xs, ss, ys, zs), q = sample_generic((1, 2, 1, 2, 1), 44)
-        lhs, rhs = hc_multiple_limit_pair(
-            "NONTRIV2", Kernel(q), "l", ts, xs, ss, ys, zs
-        )
+        lhs, rhs = hc_nontriv2_pair(Kernel(q), "l", ts, xs, ss, ys, zs)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("variant", ["DEC1", "DEC2"])
-    def test_decompositions(self, variant):
-        if variant == "DEC2":
-            pool = (1, 2, 1, 2, 1)
-        else:
-            pool = (2, 1, 2, 1, 1)
+    @pytest.mark.parametrize("pair,pool", [
+        pytest.param(hc_dec1_pair, (2, 1, 2, 1, 1), id="DEC1"),
+        pytest.param(hc_dec2_pair, (1, 2, 1, 2, 1), id="DEC2"),
+    ])
+    def test_decompositions(self, pair, pool):
         (ts, xs, ss, ys, zs), q = sample_generic(pool, 45)
-        lhs, rhs = hc_reduction_pair(variant, Kernel(q), "r", ts, xs, ss, ys, zs)
+        lhs, rhs = pair(Kernel(q), "r", ts, xs, ss, ys, zs)
         assert lhs == rhs
 
 
 class TestTwins:
-    @pytest.mark.parametrize("variant", [1, 2])
-    def test_first_kind_twin_sums(self, variant):
+    @pytest.mark.parametrize("pair", [
+        pytest.param(hc_twin_1_pair, id="1"),
+        pytest.param(hc_twin_2_pair, id="2"),
+    ])
+    def test_first_kind_twin_sums(self, pair):
         # a = 2, b = 1, xi has a - b = 1 element, no x-parameters
         (ts, ss, ys, xi), q = sample_generic((2, 1, 1, 1), 51)
-        lhs, rhs = hc_twin_sum_pair(variant, Kernel(q), "l", ts, (), ss, ys, xi)
+        lhs, rhs = pair(Kernel(q), "l", ts, ss, ys, xi)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("variant", [3, 4])
-    def test_third_kind_twin_sums(self, variant):
+    @pytest.mark.parametrize("pair", [
+        pytest.param(hc_twin_3_pair, id="3"),
+        pytest.param(hc_twin_4_pair, id="4"),
+    ])
+    def test_third_kind_twin_sums(self, pair):
         (ts, xs, ys, xi), q = sample_generic((1, 1, 2, 1), 52)
-        lhs, rhs = hc_twin_sum_pair(variant, Kernel(q), "r", ts, xs, (), ys, xi)
+        lhs, rhs = pair(Kernel(q), "r", ts, xs, ys, xi)
         assert lhs == rhs
 
 
@@ -220,3 +240,30 @@ class TestAsymptotics:
         monkeypatch.setattr(qhc.highest, "hc", lambda *args: zero)
         sets = ((Rat(2),), (Rat(3),), (Rat(5),), (Rat(7),))
         assert hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, "t") == want
+
+
+def _sets(*sizes):
+    sets, _ = sample_generic(sizes, 71)
+    return sets
+
+
+@pytest.mark.parametrize("evaluate,sets,message", [
+    pytest.param(hc_z_scal_pair, _sets(1, 1, 1, 1) + (Rat(0),), "nonzero alpha",
+                 id="z_scal-alpha-0"),
+    pytest.param(hc_dec1_pc_pair, _sets(2, 2, 1, 1), "#z = a", id="dec1_pc-#z"),
+    pytest.param(hc_dec2_pc_pair, _sets(1, 1, 2, 1), "#z = b", id="dec2_pc-#z"),
+    pytest.param(hc_twin_1_pair, _sets(2, 1, 2, 1), "TWIN_1 and TWIN_2", id="twin_1-#y"),
+    pytest.param(hc_twin_1_pair, _sets(2, 1, 1, 0), "TWIN_1 and TWIN_2", id="twin_1-#xi"),
+    pytest.param(hc_twin_2_pair, _sets(2, 1, 2, 1), "TWIN_1 and TWIN_2", id="twin_2-#y"),
+    pytest.param(hc_twin_2_pair, _sets(2, 1, 1, 2), "TWIN_1 and TWIN_2", id="twin_2-#xi"),
+    pytest.param(hc_twin_3_pair, _sets(1, 2, 2, 1), "TWIN_3 and TWIN_4", id="twin_3-#x"),
+    pytest.param(hc_twin_3_pair, _sets(1, 1, 2, 0), "TWIN_3 and TWIN_4", id="twin_3-#xi"),
+    pytest.param(hc_twin_4_pair, _sets(1, 2, 2, 1), "TWIN_3 and TWIN_4", id="twin_4-#x"),
+    pytest.param(hc_twin_4_pair, _sets(1, 1, 2, 2), "TWIN_3 and TWIN_4", id="twin_4-#xi"),
+    pytest.param(hc_prop51_pair, _sets(1, 1, 2, 1, 2, 1), "#w must equal", id="prop51-#w"),
+    pytest.param(hc, _sets(1, 2, 1, 1), "#t != #x", id="hc-#t"),
+])
+def test_bad_cardinalities_and_alpha_raise(evaluate, sets, message):
+    """Sets in the evaluator's order: twins 1/2 take (t, s, y, xi), 3/4 (t, x, y, xi)."""
+    with pytest.raises(ValueError, match=message):
+        evaluate(Kernel(Rat(2)), "l", *sets)

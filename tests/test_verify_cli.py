@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import qhc.cli
+import qhc.highest
 import qhc.verify
 from qhc.cli import build_parser, main
 from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError
@@ -26,6 +28,8 @@ EXPECTED_IDS = {
     "W_CORNER_L", "W_CORNER_R", "SCAL_RES1", "SCAL_RES2", "SCAL_MULTILINEAR",
 }
 
+TWINS = ("hc_twin_1_pair", "hc_twin_2_pair", "hc_twin_3_pair", "hc_twin_4_pair")
+
 
 class TestRegistry:
     def test_all_identities_present(self):
@@ -39,6 +43,23 @@ class TestRegistry:
     def test_ids_unique(self):
         ids = [d.identity_id for d in registry()]
         assert len(ids) == len(set(ids))
+
+    def test_the_sweep_runs_every_identity_evaluator(self, monkeypatch):
+        names = [n for n in qhc.highest.__all__
+                 if n.startswith("hc_") and n.endswith("_pair")]
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in names:
+            fn = getattr(qhc.highest, name)
+            monkeypatch.setattr(qhc.verify, name, counted(name, fn), raising=False)
+        run_suite("all", a_max=1, b_max=1, trials=1)
+        assert [name for name in names if not calls[name]] == []
 
 
 class TestRunSuite:
@@ -103,7 +124,8 @@ class TestRunSuite:
         def fail(*args):
             raise exc("injected")
 
-        monkeypatch.setattr(qhc.verify, "hc_twin_sum_pair", fail)
+        for name in TWINS:
+            monkeypatch.setattr(qhc.verify, name, fail)
         report = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)
         cases = report["cases"]
         assert len(cases) == 16  # 4 identities x 2 sides x 2 shapes
@@ -166,7 +188,7 @@ class TestWindowRetry:
     def test_a_case_moves_on_from_a_window_error(self):
         seen = []
 
-        def evaluate(kern, side, k, xs, ys):
+        def evaluate(kern, side, xs, ys):
             seen.append((_window(), kern))
             if _window() < 4:
                 raise WindowError("too narrow")
@@ -208,7 +230,8 @@ class TestWindowRetry:
             windows.append(_window())
             raise WindowError("injected")
 
-        monkeypatch.setattr(qhc.verify, "hc_twin_sum_pair", fail)
+        for name in TWINS:
+            monkeypatch.setattr(qhc.verify, name, fail)
         report = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)
         assert report["summary"] == {"pass": 0, "fail": 0, "error": 16}
         assert windows == [2, 4, 8] * 16
@@ -334,7 +357,10 @@ class TestCliInProcess:
             assert case["params"]["q"] == "5/2"
 
 
-    def test_a_report_that_cannot_be_written_is_one_line_and_exit_1(self, tmp_path, capsys):
+    def test_a_report_that_cannot_be_written_is_one_line_and_exit_1(
+            self, tmp_path, capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr(qhc.cli, "run_suite", lambda *args, **kwargs: swept.append(1))
         out_file = tmp_path / "missing" / "r.json"
         code = main(["verify", "--suite", "twins", "--a-max", "1", "--b-max", "1",
                      "--trials", "1", "--out", str(out_file)])
@@ -343,6 +369,17 @@ class TestCliInProcess:
         assert err.splitlines() == [
             f"qhc verify: FileNotFoundError: [Errno 2] No such file or directory: "
             f"'{out_file}'"]
+        assert swept == []  # the path fails before the sweep starts
+
+    def test_a_failed_sweep_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PoleError("injected")
+
+        monkeypatch.setattr(qhc.cli, "run_suite", fail)
+        out_file = tmp_path / "r.json"
+        out_file.write_text("previous\n")
+        assert main(["verify", "--suite", "twins", "--out", str(out_file)]) == 1
+        assert out_file.read_text() == "previous\n"
 
     def test_a_sweep_of_no_cases_is_not_a_pass(self, capsys):
         code = main(["verify", "--suite", "scalar", "--trials", "0"])
