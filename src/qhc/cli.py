@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exactnum import ExactError, Rat, scalar_format, scalar_parse
@@ -147,12 +148,23 @@ def _cmd_scalar_product(args):
 
 
 def _cmd_verify(args):
+    created = False
     if args.out:
-        # Fail before the sweep on an unwritable path, keeping any old report.
-        with open(args.out, "a"):
-            pass
-    report = run_suite(args.suite, a_max=args.a_max, b_max=args.b_max,
-                       trials=args.trials, seed=args.seed, q=args.q)
+        # Fail before the sweep on an unwritable path, keeping any old report;
+        # a file made here is removed again if the sweep raises.
+        try:
+            with open(args.out, "x"):
+                created = True
+        except FileExistsError:
+            with open(args.out, "a"):
+                pass
+    try:
+        report = run_suite(args.suite, a_max=args.a_max, b_max=args.b_max,
+                           trials=args.trials, seed=args.seed, q=args.q)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,7 +4,8 @@ Z^(l,r)_{a,b}(t;x|s;y) is computed via six equivalent partition-sum
 representations over different set unions (their shifted sets come from
 the kernel, which computes each shift once per value):
 
-    ws       -- partitions of {s, x}            (the defining formula)
+    ws       -- partitions of {s, x}            (the defining formula; also
+                `hc_ws_batch`, for many y sets at one (t, x, s))
     ws-twin  -- same union, twin rewriting
     ty       -- partitions of {y, t q^-2}
     ty-twin  -- same union, twin rewriting
@@ -26,7 +27,7 @@ from .izergin import izergin_side
 from .partitions import enumerate_partitions
 
 __all__ = [
-    "REPRESENTATIONS", "hc", "hc_closed_11", "hc_difference_11",
+    "REPRESENTATIONS", "hc", "hc_ws_batch", "hc_closed_11", "hc_difference_11",
     "hc_z_scal_pair", "hc_z_invers_pair", "hc_z_invers1_pair",
     "hc_rec_z_triv1_pair", "hc_rec_z_triv2_pair", "hc_rec_z_nontriv_pair",
     "hc_rec_z_nontriv_d_pair",
@@ -39,20 +40,33 @@ __all__ = [
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
-def _hc_ws(kern, side, ts, xs, ss, ys):
-    b = len(ss)
+def hc_ws_batch(kern, side, ts, xs, ss, yss):
+    """[Z^(side)_{a,b}(ts; xs | ss; ys) for ys in yss] by the defining ws sum.
+
+    Only K(ys | w_I) depends on ys, so the rest of each term,
+    K^(o)(ss | w_I q^2) K(w_II | ts) f(w_I, w_II), is formed once per split
+    of {s, x} for the whole batch.  `hc` with rep "ws" is the one-set case.
+    """
+    ts, xs, ss = tuple(ts), tuple(xs), tuple(ss)
+    yss = [tuple(ys) for ys in yss]
+    if len(ts) != len(xs) or any(len(ys) != len(ss) for ys in yss):
+        raise ValueError("cardinality mismatch: #t != #x or #s != #y")
     u = kern.usign(side)
+    if not yss:
+        return []
+    b = len(ss)
     opp = kern.other(side)
-    w = ss + xs
-    total = Rat(0)
-    for w1, w2 in enumerate_partitions(w, b):
-        total = total + (
+    totals = [Rat(0)] * len(yss)
+    for w1, w2 in enumerate_partitions(ss + xs, b):
+        common = (
             izergin_side(kern, opp, ss, kern.shift(w1, 2))
             * izergin_side(kern, side, w2, ts)
-            * izergin_side(kern, side, ys, w1)
             * kern.fprod(w1, w2)
         )
-    return kern.mq(-u * b) * total
+        for i, ys in enumerate(yss):
+            totals[i] = totals[i] + common * izergin_side(kern, side, ys, w1)
+    sign = kern.mq(-u * b)
+    return [sign * total for total in totals]
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):
@@ -153,7 +167,7 @@ def _hc_sy(kern, side, ts, xs, ss, ys):
 
 
 _REP_FUNCS = {
-    "ws": _hc_ws,
+    "ws": lambda kern, side, ts, xs, ss, ys: hc_ws_batch(kern, side, ts, xs, ss, [ys])[0],
     "ws-twin": _hc_ws_twin,
     "ty": _hc_ty,
     "ty-twin": _hc_ty_twin,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import PoleError, Rat, scalar_format
-from .highest import hc
+from .highest import hc, hc_ws_batch
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -153,24 +153,44 @@ def _splits(tag, vals, k):
 
 
 def scalar_product_symbolic(kern, uC, vC, uB, vB):
-    """S_{a,b} as a map monomial -> exact coefficient."""
+    """S_{a,b} as a map monomial -> exact coefficient.
+
+    S sums `w_part` over every four-way split.  For one pair of u splits,
+    Z^(l)(uC_II; uB_II | vC_I; vB_I) is formed for all vB splits of each vC
+    split in one `hc_ws_batch`, and Z^(r)(uB_I; uC_I | vB_II; vC_II) for all
+    vC splits of each vB split; the f-products of w_part are formed once per
+    split they depend on, with 1/f(vC, uC) f(vB, uB) folded into the u part.
+    """
     uC, vC, uB, vB = map(tuple, (uC, vC, uB, vB))
     a, b = len(uC), len(vC)
     if len(uB) != a or len(vB) != b:
         raise ValueError("cardinality mismatch between C and B sets")
-    global_f = kern.fprod(vC, uC) * kern.fprod(vB, uB)
+    fprod = kern.fprod
+    global_f = fprod(vC, uC) * fprod(vB, uB)
     poly = {}
     for k in range(a + 1):
         uCs, uBs = _splits("uC", uC, k), _splits("uB", uB, k)
         for n in range(b + 1):
             vCs, vBs = _splits("vC", vC, n), _splits("vB", vB, n)
-            for _, uC_syms, uC_split in uCs:
-                for uB_syms, _, uB_split in uBs:
-                    for _, vC_syms, vC_split in vCs:
-                        for vB_syms, _, vB_split in vBs:
-                            coeff = w_part(
-                                kern, uC_split, uB_split, vC_split, vB_split
-                            ) / global_f
+            vC2s = [vC2 for _, _, (_, vC2) in vCs]
+            vB1s = [vB1 for _, _, (vB1, _) in vBs]
+            vC_own = [fprod(vC2, vC1) for _, _, (vC1, vC2) in vCs]
+            vB_own = [fprod(vB1, vB2) for _, _, (vB1, vB2) in vBs]
+            for _, uC_syms, (uC1, uC2) in uCs:
+                vC_parts = [own * fprod(vC1, uC1)
+                            for own, (_, _, (vC1, _)) in zip(vC_own, vCs)]
+                for uB_syms, _, (uB1, uB2) in uBs:
+                    u_part = fprod(uB2, uB1) * fprod(uC1, uC2) / global_f
+                    vB_parts = [own * fprod(vB2, uB2)
+                                for own, (_, _, (_, vB2)) in zip(vB_own, vBs)]
+                    zls = [hc_ws_batch(kern, "l", uC2, uB2, vC1, vB1s)
+                           for _, _, (vC1, _) in vCs]
+                    zrs = [hc_ws_batch(kern, "r", uB1, uC1, vB2, vC2s)
+                           for _, _, (_, vB2) in vBs]
+                    for i, (_, vC_syms, _) in enumerate(vCs):
+                        uv_part = u_part * vC_parts[i]
+                        for j, (vB_syms, _, _) in enumerate(vBs):
+                            coeff = uv_part * vB_parts[j] * zls[i][j] * zrs[j][i]
                             mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
                             poly[mono] = poly.get(mono, Rat(0)) + coeff
     return {m: c for m, c in poly.items() if c != 0}

@@ -294,9 +294,12 @@ def _scal_res(which):
 
 
 def _scal_multilinear(kern, uC, uB, vC, vB):
-    """No monomial of the scalar product repeats a symbol."""
+    """Every monomial of the scalar product has a + b distinct symbols.
+
+    Returns the number of monomials that do not, which must be 0.
+    """
     poly = scalar_product_symbolic(kern, uC, vC, uB, vB)
-    return sum(len(mono) - len(set(mono)) for mono in poly), 0
+    return sum(1 for mono in poly if len(mono) != len(uC) + len(vC)), 0
 
 
 # ---------------------------------------------------------------------------

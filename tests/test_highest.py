@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhc.highest
-from qhc.exactnum import LaurentSeries, Rat
+from qhc.exactnum import LaurentSeries, Rat, eps
 from qhc.highest import (
     REPRESENTATIONS,
     hc,
@@ -30,6 +30,7 @@ from qhc.highest import (
     hc_twin_2_pair,
     hc_twin_3_pair,
     hc_twin_4_pair,
+    hc_ws_batch,
     hc_z_invers1_pair,
     hc_z_invers_pair,
     hc_z_scal_pair,
@@ -83,6 +84,45 @@ class TestRepresentationAgreement:
         kern = Kernel(q)
         vals = [hc(kern, side, ts, xs, ss, ys, rep) for rep in REPRESENTATIONS]
         assert all(v == vals[0] for v in vals)
+
+
+class TestWsBatch:
+    """`hc_ws_batch` gives, per y set, what `hc` gives with each rep."""
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
+    def test_each_set_of_the_batch_is_its_hc(self, side, a, b):
+        (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b, b), 22)
+        kern = Kernel(q)
+        got = hc_ws_batch(kern, side, ts, xs, ss, yss)
+        assert len(got) == 3
+        for ys, z in zip(yss, got):
+            for rep in REPRESENTATIONS:
+                assert z == hc(kern, side, ts, xs, ss, ys, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2)])
+    def test_a_set_holding_a_series(self, side, a, b):
+        (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 23)
+        kern = Kernel(q)
+        moved = (ys[0] + eps(),) + ys[1:]
+        got = hc_ws_batch(kern, side, ts, xs, ss, [ys, moved])
+        assert isinstance(got[1], LaurentSeries)
+        for rep in REPRESENTATIONS:
+            assert got[0] == hc(kern, side, ts, xs, ss, ys, rep), rep
+            assert got[1] == hc(kern, side, ts, xs, ss, moved, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_an_empty_batch(self, side):
+        (ts, xs, ss), q = sample_generic((1, 1, 1), 24)
+        assert hc_ws_batch(Kernel(q), side, ts, xs, ss, []) == []
+
+    def test_cardinalities_are_checked_per_set(self):
+        (ts, xs, ss, ys, y2), q = sample_generic((1, 1, 2, 2, 1), 25)
+        with pytest.raises(ValueError, match="cardinality mismatch"):
+            hc_ws_batch(Kernel(q), "l", ts, xs, ss, [ys, y2])
+        with pytest.raises(ValueError, match="cardinality mismatch"):
+            hc_ws_batch(Kernel(q), "l", ts, xs[:0], ss, [ys])
 
 
 class TestBoundaries:

@@ -8,6 +8,7 @@ from qhc.exactnum import PoleError, Rat
 from qhc.highest import hc
 from qhc.izergin import Kernel
 from qhc.params import sample_generic
+from qhc.partitions import enumerate_partitions
 from qhc.scalar import (
     RationalFunctionSpec,
     extract_coefficient,
@@ -90,7 +91,42 @@ class TestCornerCases:
             w_part(kern, ((Rat(2),), ()), ((), (Rat(3),)), ((), ()), ((), ()))
 
 
+def _splits(tag, vals, k):
+    return [([(tag, i) for i in one], [(tag, i) for i in two],
+             (tuple(vals[i] for i in one), tuple(vals[i] for i in two)))
+            for one, two in enumerate_partitions(range(len(vals)), k)]
+
+
+def reference_symbolic(kern, uC, vC, uB, vB):
+    """S_{a,b} with one `w_part` per four-way split, as the paper writes it."""
+    a, b = len(uC), len(vC)
+    global_f = kern.fprod(vC, uC) * kern.fprod(vB, uB)
+    poly = {}
+    for k in range(a + 1):
+        uCs, uBs = _splits("uC", uC, k), _splits("uB", uB, k)
+        for n in range(b + 1):
+            vCs, vBs = _splits("vC", vC, n), _splits("vB", vB, n)
+            for _, uC_syms, uC_split in uCs:
+                for uB_syms, _, uB_split in uBs:
+                    for _, vC_syms, vC_split in vCs:
+                        for vB_syms, _, vB_split in vBs:
+                            coeff = w_part(
+                                kern, uC_split, uB_split, vC_split, vB_split
+                            ) / global_f
+                            mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
+                            poly[mono] = poly.get(mono, Rat(0)) + coeff
+    return {m: c for m, c in poly.items() if c != 0}
+
+
 class TestSymbolicExpansion:
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_equals_the_sum_of_w_part_over_every_split(self, a, b):
+        (uC, uB, vC, vB), q = sample_generic((a, a, b, b), 76)
+        got = scalar_product_symbolic(Kernel(q), uC, vC, uB, vB)
+        want = reference_symbolic(Kernel(q), uC, vC, uB, vB)
+        assert len(want) == len(got) > 0
+        assert got == want
+
     def test_extreme_coefficients_recover_hc(self):
         (uC, uB, vC, vB), q = sample_generic((2, 2, 1, 1), 73)
         kern = Kernel(q)

@@ -9,6 +9,7 @@ import pytest
 
 import qhc.cli
 import qhc.highest
+import qhc.scalar
 import qhc.verify
 from qhc.cli import build_parser, main
 from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError
@@ -296,6 +297,22 @@ class TestShiftedValues:
         assert [len(k._aliases) for k in kernels] == [0] * len(kernels)
 
 
+class TestScalarChecks:
+    def test_multilinear_counts_monomials_without_a_plus_b_symbols(self, monkeypatch):
+        from qhc.scalar import monomial
+
+        def positionless(r1_symbols=(), r3_symbols=()):
+            # every symbol of a set collapses onto its first position
+            return frozenset((kind, tag, 0) for kind, tag, _ in monomial(r1_symbols, r3_symbols))
+
+        desc = _descriptor("SCAL_MULTILINEAR")
+        assert desc.run((2, 1), None, 3)[:2] == (0, 0)
+        monkeypatch.setattr(qhc.scalar, "monomial", positionless)
+        monkeypatch.setattr(qhc.verify, "monomial", positionless)
+        lhs, rhs, ok, _ = desc.run((2, 1), None, 3)
+        assert ok is None and rhs == 0 and lhs > 0
+
+
 class TestParsing:
     def test_set_syntax(self):
         from qhc.cli import _parse_set
@@ -380,6 +397,38 @@ class TestCliInProcess:
         out_file.write_text("previous\n")
         assert main(["verify", "--suite", "twins", "--out", str(out_file)]) == 1
         assert out_file.read_text() == "previous\n"
+
+    def test_an_interrupted_sweep_keeps_the_previous_report_byte_for_byte(
+            self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(qhc.cli, "run_suite", interrupt)
+        out_file = tmp_path / "r.json"
+        previous = b'{"suite": "twins"}\r\n\xff'
+        out_file.write_bytes(previous)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--suite", "twins", "--out", str(out_file)])
+        assert out_file.read_bytes() == previous
+
+    @pytest.mark.parametrize("exc", [PoleError("injected"), KeyboardInterrupt()],
+                             ids=["PoleError", "KeyboardInterrupt"])
+    def test_a_failed_sweep_leaves_no_new_report(self, tmp_path, monkeypatch, exc):
+        swept = []
+
+        def fail(*args, **kwargs):
+            swept.append(out_file.exists())  # the path was checked by creating it
+            raise exc
+
+        monkeypatch.setattr(qhc.cli, "run_suite", fail)
+        out_file = tmp_path / "fresh.json"
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(["verify", "--suite", "twins", "--out", str(out_file)])
+        else:
+            assert main(["verify", "--suite", "twins", "--out", str(out_file)]) == 1
+        assert swept == [True]
+        assert not out_file.exists()
 
     def test_a_sweep_of_no_cases_is_not_a_pass(self, capsys):
         code = main(["verify", "--suite", "scalar", "--trials", "0"])
