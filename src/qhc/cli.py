@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .exactnum import ExactError, Rat, scalar_format, scalar_parse
@@ -54,6 +55,26 @@ _PAIRED = {
     "hc": (("t", "x"), ("s", "y")),
     "scalar-product": (("uc", "ub"), ("vc", "vb")),
 }
+
+
+# Options whose values are rational literals, and a literal that is negative.
+_LITERAL_OPTIONS = {"--q", "--t", "--x", "--s", "--y", "--uc", "--vc", "--ub", "--vb"}
+_NEGATIVE = re.compile(r"-\d")
+
+
+def _attach_negative_literals(argv):
+    """Write ``--x -1/2,3`` as ``--x=-1/2,3``.
+
+    argparse reads a token that starts with '-' and is not a plain number as
+    an option, so a negative literal after a space would lose its option.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _LITERAL_OPTIONS and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser():
@@ -187,7 +208,8 @@ def main(argv=None):
     value is undefined, such as a vanishing denominator, and a report that
     cannot be written exit 1.  Each is reported as one line on standard error.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_literals(argv))
     for a, b in _PAIRED.get(args.command, ()):
         na, nb = len(getattr(args, a)), len(getattr(args, b))
         if na != nb:

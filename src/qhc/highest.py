@@ -23,7 +23,7 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 from __future__ import annotations
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import izergin_side
+from .izergin import izergin_side, nested_primes
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -303,18 +303,13 @@ def hc_rec_z_nontriv_d_pair(kern, side, ts, xs, ss, ys):
     return singular_coeff(lhs), singular_coeff(rhs)
 
 
-def _nested_primes(zs):
-    """One infinitesimal per collapsing variable, innermost first."""
-    return tuple(z + eps(level=j + 1) for j, z in enumerate(zs))
-
-
 def hc_red1_pair(kern, side, ts, xs, ss, ys, zs):
     """lim_{z'->z} f^-1(z', z) Z({t, z}; {x, z'} | s; y)
     = f(z, t) f(x, z) f(s, z) Z(t; x | s; y).
     """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    zp = _nested_primes(zs)
+    zp = nested_primes(zs)
     lhs = take_limit(hc(kern, side, ts + zs, xs + zp, ss, ys) / fprod(zp, zs))
     return lhs, fprod(zs, ts) * fprod(xs, zs) * fprod(ss, zs) * hc(kern, side, ts, xs, ss, ys)
 
@@ -325,7 +320,7 @@ def hc_red2_pair(kern, side, ts, xs, ss, ys, zs):
     """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    zp = _nested_primes(zs)
+    zp = nested_primes(zs)
     lhs = take_limit(hc(kern, side, ts, xs, ss + zs, ys + zp) / fprod(zp, zs))
     return lhs, fprod(zs, xs) * fprod(zs, ss) * fprod(ys, zs) * hc(kern, side, ts, xs, ss, ys)
 
@@ -336,7 +331,7 @@ def hc_nontriv2_pair(kern, side, ts, xs, ss, ys, zs):
     """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    zp = _nested_primes(zs)
+    zp = nested_primes(zs)
     lhs = take_limit(hc(kern, side, ts + zp, xs, ss + zs, ys) / fprod(zs, zp))
     total = Rat(0)
     for x1, x2 in enumerate_partitions(xs, len(zs)):
@@ -352,7 +347,7 @@ def hc_nontriv22_pair(kern, side, ts, xs, ss, ys, zs):
     """
     ts, xs, ss, ys, zs = map(tuple, (ts, xs, ss, ys, zs))
     fprod = kern.fprod
-    zp = _nested_primes(zs)
+    zp = nested_primes(zs)
     lhs = take_limit(hc(kern, side, ts, xs + zp, ss, ys + zs) / fprod(zs, zp))
     total = Rat(0)
     for s1, s2 in enumerate_partitions(ss, len(zs)):
@@ -545,9 +540,12 @@ def hc_infinity_valuation(kern, side, ts, xs, ss, ys, slot):
     The first argument of ``slot`` ("t", "x", "s" or "y") is replaced by
     1/delta; returns `decay_valuation` of the resulting series in delta.
     """
-    big = eps().invert()
     sets = {"t": list(ts), "x": list(xs), "s": list(ss), "y": list(ys)}
-    sets[slot][0] = big
+    if slot not in sets:
+        raise ValueError(f"unknown slot {slot!r} (expected t, x, s or y)")
+    if not sets[slot]:
+        raise ValueError(f"slot {slot!r} is empty: it has no argument to send to infinity")
+    sets[slot][0] = eps().invert()
     value = hc(kern, side, *(tuple(sets[k]) for k in "txsy"))
     if not isinstance(value, LaurentSeries):
         raise ValueError("expected a series result for an infinite argument")

@@ -36,6 +36,7 @@ __all__ = [
     "izergin_side",
     "lemma_partition_sum",
     "mult_pole_limit",
+    "nested_primes",
 ]
 
 
@@ -312,6 +313,11 @@ def lemma_partition_sum(kern, side, gamma, alpha, beta):
     return lhs, rhs1, rhs2
 
 
+def nested_primes(zs):
+    """One infinitesimal per collapsing variable, innermost first."""
+    return tuple(z + eps(level=j + 1) for j, z in enumerate(zs))
+
+
 def mult_pole_limit(kern, side, xs, ys, zs):
     """Both sides of the multiple-pole limit for K.
 
@@ -319,7 +325,7 @@ def mult_pole_limit(kern, side, xs, ys, zs):
     sequential single-variable series limits (one nested infinitesimal per
     z_j); RHS: f(x,z) f(z,y) K^(l,r)_n(x|y).  Returns (lhs, rhs).
     """
-    zprime = tuple(z + eps(level=j + 1) for j, z in enumerate(zs))
+    zprime = nested_primes(zs)
     expr = _div(
         izergin_side(kern, side, tuple(xs) + tuple(zs), tuple(ys) + zprime),
         kern.fprod(zs, zprime),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import PoleError, Rat, scalar_format
-from .highest import hc, hc_ws_batch
+from .highest import hc_ws_batch
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -114,29 +114,35 @@ def format_monomial(mono):
     )
 
 
-def w_part(kern, uC_split, uB_split, vC_split, vB_split):
-    """The rational coefficient of one fixed four-way partition.
+def w_part(kern, uC_split, uB_split, vC_splits, vB_splits):
+    """The coefficients of the four-way splits with one uC and one uB split.
 
     Each split is a pair (part_I, part_II) of tuples; #uC_I = #uB_I and
-    #vC_I = #vB_I are required.
+    #vC_I = #vB_I are required.  Entry [i][j] is the coefficient of the split
+    (uC, uB, vC_splits[i], vB_splits[j]):
+
+        f(uB_II, uB_I) f(uC_I, uC_II) f(vB_I, vB_II) f(vC_II, vC_I)
+        f(vC_I, uC_I) f(vB_II, uB_II)
+        Z^(l)(uC_II; uB_II | vC_I; vB_I) Z^(r)(uB_I; uC_I | vB_II; vC_II)
+
+    Z^(l) comes from one `hc_ws_batch` per vC split, over every vB_I, and
+    Z^(r) from one per vB split, over every vC_II.
     """
     uC1, uC2 = uC_split
     uB1, uB2 = uB_split
-    vC1, vC2 = vC_split
-    vB1, vB2 = vB_split
-    if len(uC1) != len(uB1) or len(vC1) != len(vB1):
+    sizes = {len(vC1) for vC1, _ in vC_splits} | {len(vB1) for vB1, _ in vB_splits}
+    if len(uC1) != len(uB1) or len(sizes) > 1:
         raise ValueError("linked partition cardinalities must match")
     fprod = kern.fprod
-    return (
-        fprod(uB2, uB1)
-        * fprod(uC1, uC2)
-        * fprod(vB1, vB2)
-        * fprod(vC2, vC1)
-        * fprod(vC1, uC1)
-        * fprod(vB2, uB2)
-        * hc(kern, "l", uC2, uB2, vC1, vB1)
-        * hc(kern, "r", uB1, uC1, vB2, vC2)
-    )
+    vB1s = [vB1 for vB1, _ in vB_splits]
+    vC2s = [vC2 for _, vC2 in vC_splits]
+    zls = [hc_ws_batch(kern, "l", uC2, uB2, vC1, vB1s) for vC1, _ in vC_splits]
+    zrs = [hc_ws_batch(kern, "r", uB1, uC1, vB2, vC2s) for _, vB2 in vB_splits]
+    u_part = fprod(uB2, uB1) * fprod(uC1, uC2)
+    vC_parts = [u_part * fprod(vC2, vC1) * fprod(vC1, uC1) for vC1, vC2 in vC_splits]
+    vB_parts = [fprod(vB1, vB2) * fprod(vB2, uB2) for vB1, vB2 in vB_splits]
+    return [[vC_part * vB_part * zl[j] * zrs[j][i] for j, vB_part in enumerate(vB_parts)]
+            for i, (vC_part, zl) in enumerate(zip(vC_parts, zls))]
 
 
 def _splits(tag, vals, k):
@@ -145,55 +151,40 @@ def _splits(tag, vals, k):
     Listed as ``(symbols_I, symbols_II, (part_I, part_II))`` in the order of
     `enumerate_partitions` over positions; a symbol is ``(tag, position)``.
     """
-    out = []
-    for one, two in enumerate_partitions(range(len(vals)), k):
-        out.append(([(tag, i) for i in one], [(tag, i) for i in two],
-                     (tuple(vals[i] for i in one), tuple(vals[i] for i in two))))
-    return out
+    return [([(tag, i) for i in one], [(tag, i) for i in two],
+             (tuple(vals[i] for i in one), tuple(vals[i] for i in two)))
+            for one, two in enumerate_partitions(range(len(vals)), k)]
 
 
 def scalar_product_symbolic(kern, uC, vC, uB, vB):
     """S_{a,b} as a map monomial -> exact coefficient.
 
-    S sums `w_part` over every four-way split.  For one pair of u splits,
-    Z^(l)(uC_II; uB_II | vC_I; vB_I) is formed for all vB splits of each vC
-    split in one `hc_ws_batch`, and Z^(r)(uB_I; uC_I | vB_II; vC_II) for all
-    vC splits of each vB split; the f-products of w_part are formed once per
-    split they depend on, with 1/f(vC, uC) f(vB, uB) folded into the u part.
+    S sums the `w_part` coefficient of every four-way split, times
+    1/f(vC, uC) f(vB, uB), under the monomial r1(uC_II, uB_I) r3(vC_II, vB_I).
+    That monomial determines the split, so no two splits share one; a split
+    whose coefficient is zero is left out.
     """
     uC, vC, uB, vB = map(tuple, (uC, vC, uB, vB))
     a, b = len(uC), len(vC)
     if len(uB) != a or len(vB) != b:
         raise ValueError("cardinality mismatch between C and B sets")
-    fprod = kern.fprod
-    global_f = fprod(vC, uC) * fprod(vB, uB)
+    inv_f = Rat(1) / (kern.fprod(vC, uC) * kern.fprod(vB, uB))
     poly = {}
     for k in range(a + 1):
         uCs, uBs = _splits("uC", uC, k), _splits("uB", uB, k)
         for n in range(b + 1):
             vCs, vBs = _splits("vC", vC, n), _splits("vB", vB, n)
-            vC2s = [vC2 for _, _, (_, vC2) in vCs]
-            vB1s = [vB1 for _, _, (vB1, _) in vBs]
-            vC_own = [fprod(vC2, vC1) for _, _, (vC1, vC2) in vCs]
-            vB_own = [fprod(vB1, vB2) for _, _, (vB1, vB2) in vBs]
-            for _, uC_syms, (uC1, uC2) in uCs:
-                vC_parts = [own * fprod(vC1, uC1)
-                            for own, (_, _, (vC1, _)) in zip(vC_own, vCs)]
-                for uB_syms, _, (uB1, uB2) in uBs:
-                    u_part = fprod(uB2, uB1) * fprod(uC1, uC2) / global_f
-                    vB_parts = [own * fprod(vB2, uB2)
-                                for own, (_, _, (_, vB2)) in zip(vB_own, vBs)]
-                    zls = [hc_ws_batch(kern, "l", uC2, uB2, vC1, vB1s)
-                           for _, _, (vC1, _) in vCs]
-                    zrs = [hc_ws_batch(kern, "r", uB1, uC1, vB2, vC2s)
-                           for _, _, (_, vB2) in vBs]
-                    for i, (_, vC_syms, _) in enumerate(vCs):
-                        uv_part = u_part * vC_parts[i]
-                        for j, (vB_syms, _, _) in enumerate(vBs):
-                            coeff = uv_part * vB_parts[j] * zls[i][j] * zrs[j][i]
-                            mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
-                            poly[mono] = poly.get(mono, Rat(0)) + coeff
-    return {m: c for m, c in poly.items() if c != 0}
+            vC_splits = [split for _, _, split in vCs]
+            vB_splits = [split for _, _, split in vBs]
+            for _, uC_syms, uC_split in uCs:
+                for uB_syms, _, uB_split in uBs:
+                    rows = w_part(kern, uC_split, uB_split, vC_splits, vB_splits)
+                    for (_, vC_syms, _), row in zip(vCs, rows):
+                        for (vB_syms, _, _), coeff in zip(vBs, row):
+                            if coeff != 0:
+                                mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
+                                poly[mono] = coeff * inv_f
+    return poly
 
 
 def extract_coefficient(poly, mono):

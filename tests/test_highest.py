@@ -1,5 +1,6 @@
 """Highest-coefficient representations, symmetries, and recursions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,16 @@ class TestAsymptotics:
         monkeypatch.setattr(qhc.highest, "hc", lambda *args: zero)
         sets = ((Rat(2),), (Rat(3),), (Rat(5),), (Rat(7),))
         assert hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, "t") == want
+
+    @pytest.mark.parametrize("sets,slot,message", [
+        (((2,), (3,), (), ()), "s", "slot 's' is empty"),
+        (((), (), (5,), (7,)), "t", "slot 't' is empty"),
+        (((2,), (3,), (5,), (7,)), "z", "unknown slot 'z' (expected t, x, s or y)"),
+    ])
+    def test_a_slot_with_no_argument_is_rejected(self, sets, slot, message):
+        sets = [tuple(Rat(v) for v in vals) for vals in sets]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hc_infinity_valuation(Kernel(Rat(2)), "l", *sets, slot)
 
 
 def _sets(*sizes):

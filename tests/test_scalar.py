@@ -1,5 +1,7 @@
 """Scalar-product expansion and coefficient extraction."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,23 +74,19 @@ class TestMonomials:
         assert format_monomial(monomial()) == "1"
 
 
-class TestCornerCases:
-    def test_left_corner_is_left_hc(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 71)
-        kern = Kernel(q)
-        got = w_part(kern, ((), uC), ((), uB), (vC, ()), (vB, ()))
-        assert got == hc(kern, "l", uC, uB, vC, vB)
+def split_coefficient(kern, uC_split, uB_split, vC_split, vB_split):
+    """The paper's coefficient of one four-way split, from `hc` and f alone.
 
-    def test_right_corner_is_right_hc(self):
-        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 72)
-        kern = Kernel(q)
-        got = w_part(kern, (uC, ()), (uB, ()), ((), vC), ((), vB))
-        assert got == hc(kern, "r", uB, uC, vB, vC)
-
-    def test_linked_cardinality_enforced(self):
-        kern = Kernel(Rat(2))
-        with pytest.raises(ValueError):
-            w_part(kern, ((Rat(2),), ()), ((), (Rat(3),)), ((), ()), ((), ()))
+    Z is taken in the "ty" representation, so the check does not share the
+    "ws" sum that `w_part` runs.
+    """
+    (uC1, uC2), (uB1, uB2), (vC1, vC2), (vB1, vB2) = uC_split, uB_split, vC_split, vB_split
+    f = kern.fprod
+    return (
+        f(uB2, uB1) * f(uC1, uC2) * f(vB1, vB2) * f(vC2, vC1) * f(vC1, uC1) * f(vB2, uB2)
+        * hc(kern, "l", uC2, uB2, vC1, vB1, "ty")
+        * hc(kern, "r", uB1, uC1, vB2, vC2, "ty")
+    )
 
 
 def _splits(tag, vals, k):
@@ -98,7 +96,11 @@ def _splits(tag, vals, k):
 
 
 def reference_symbolic(kern, uC, vC, uB, vB):
-    """S_{a,b} with one `w_part` per four-way split, as the paper writes it."""
+    """S_{a,b} one four-way split at a time, as the paper writes it.
+
+    The monomial r1(uC_II, uB_I) r3(vC_II, vB_I) determines the split, so
+    no monomial is met twice.
+    """
     a, b = len(uC), len(vC)
     global_f = kern.fprod(vC, uC) * kern.fprod(vB, uB)
     poly = {}
@@ -110,12 +112,66 @@ def reference_symbolic(kern, uC, vC, uB, vB):
                 for uB_syms, _, uB_split in uBs:
                     for _, vC_syms, vC_split in vCs:
                         for vB_syms, _, vB_split in vBs:
-                            coeff = w_part(
+                            mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
+                            assert mono not in poly
+                            poly[mono] = split_coefficient(
                                 kern, uC_split, uB_split, vC_split, vB_split
                             ) / global_f
-                            mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
-                            poly[mono] = poly.get(mono, Rat(0)) + coeff
     return {m: c for m, c in poly.items() if c != 0}
+
+
+class TestWPart:
+    @pytest.mark.parametrize("a,b,k,n", [
+        (1, 1, 0, 1), (1, 1, 1, 0), (2, 2, 1, 1), (2, 1, 1, 1), (1, 2, 0, 1), (2, 2, 2, 0),
+    ])
+    def test_each_entry_is_its_splits_coefficient(self, a, b, k, n):
+        (uC, uB, vC, vB), q = sample_generic((a, a, b, b), 78 + a + b + k + n)
+        kern = Kernel(q)
+        vC_splits = list(enumerate_partitions(vC, n))
+        vB_splits = list(enumerate_partitions(vB, n))
+        for uC_split in enumerate_partitions(uC, k):
+            for uB_split in enumerate_partitions(uB, k):
+                got = w_part(kern, uC_split, uB_split, vC_splits, vB_splits)
+                assert len(got) == len(vC_splits)
+                for vC_split, row in zip(vC_splits, got):
+                    assert row == [
+                        split_coefficient(kern, uC_split, uB_split, vC_split, vB_split)
+                        for vB_split in vB_splits
+                    ]
+
+    def test_empty_batches(self):
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 2, 2), 79)
+        kern = Kernel(q)
+        uC_split, uB_split = (uC, ()), (uB, ())
+        vC_splits = list(enumerate_partitions(vC, 1))
+        vB_splits = list(enumerate_partitions(vB, 1))
+        assert w_part(kern, uC_split, uB_split, [], vB_splits) == []
+        assert w_part(kern, uC_split, uB_split, vC_splits, []) == [[], []]
+
+
+class TestCornerCases:
+    def test_left_corner_is_left_hc(self):
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 71)
+        kern = Kernel(q)
+        got = w_part(kern, ((), uC), ((), uB), [(vC, ())], [(vB, ())])
+        assert got == [[hc(kern, "l", uC, uB, vC, vB)]]
+
+    def test_right_corner_is_right_hc(self):
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 72)
+        kern = Kernel(q)
+        got = w_part(kern, (uC, ()), (uB, ()), [((), vC)], [((), vB)])
+        assert got == [[hc(kern, "r", uB, uC, vB, vC)]]
+
+    def test_linked_cardinality_enforced(self):
+        kern = Kernel(Rat(2))
+        two, three, five, seven = Rat(2), Rat(3), Rat(5), Rat(7)
+        for args in [
+            (((two,), ()), ((), (three,)), [((), ())], [((), ())]),
+            (((), ()), ((), ()), [((two,), ())], [((), (three,))]),
+            (((), ()), ((), ()), [((two,), (five,)), ((), (two, five))], [((three,), (seven,))]),
+        ]:
+            with pytest.raises(ValueError, match="linked partition cardinalities must match"):
+                w_part(kern, *args)
 
 
 class TestSymbolicExpansion:
@@ -124,7 +180,7 @@ class TestSymbolicExpansion:
         (uC, uB, vC, vB), q = sample_generic((a, a, b, b), 76)
         got = scalar_product_symbolic(Kernel(q), uC, vC, uB, vB)
         want = reference_symbolic(Kernel(q), uC, vC, uB, vB)
-        assert len(want) == len(got) > 0
+        assert len(got) == comb(2 * a, a) * comb(2 * b, b)
         assert got == want
 
     def test_extreme_coefficients_recover_hc(self):

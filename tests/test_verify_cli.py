@@ -437,6 +437,23 @@ class TestCliInProcess:
         assert "pass=0 fail=0 error=0" in captured.out
         assert "no case ran" in captured.err
 
+    @pytest.mark.parametrize("spaced,joined", [
+        (["hc", "--side", "l", "--t", "2", "--x", "3", "--s", "5", "--y", "7", "--q", "-3/2"],
+         ["hc", "--side", "l", "--t", "2", "--x", "3", "--s", "5", "--y", "7", "--q=-3/2"]),
+        (["izergin", "--x", "-1/2,3", "--y", "5,7", "--q", "2"],
+         ["izergin", "--x=-1/2,3", "--y", "5,7", "--q", "2"]),
+        (["hc", "--side", "r", "--t", "-2,3", "--x", "5,7", "--q", "2"],
+         ["hc", "--side", "r", "--t=-2,3", "--x", "5,7", "--q", "2"]),
+    ])
+    def test_a_negative_literal_after_a_space_reads_as_after_an_equals_sign(
+        self, capsys, spaced, joined
+    ):
+        assert main(joined) == 0
+        want = capsys.readouterr()
+        assert main(spaced) == 0
+        assert capsys.readouterr() == want
+        assert want.out.strip() != ""
+
     @pytest.mark.parametrize("argv,message", [
         (["izergin", "--x", "1,a", "--q", "2"],
          "argument --x: malformed rational literal: 'a'"),
@@ -453,6 +470,8 @@ class TestCliInProcess:
          "argument --r3: unknown section 'dem' in 'num:1;dem:2' (expected num or den)"),
         (["scalar-product", "--q", "2", "--r1", "num:1;num:2"],
          "argument --r1: repeated section 'num' in 'num:1;num:2'"),
+        (["izergin", "--x", "1,2", "--y", "3,4", "--q", "-1/1"],
+         "argument --q: q must not be 0, 1, or -1"),
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
