@@ -46,7 +46,18 @@ def _parse_q(text):
     return Kernel(scalar_parse(text)).q
 
 
-_SET, _Q = _literal(_parse_set), _literal(_parse_q)
+def _parse_count(text):
+    """A non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise ValueError(f"must not be negative, got {value}")
+    return value
+
+
+_SET, _Q, _COUNT = _literal(_parse_set), _literal(_parse_q), _literal(_parse_count)
 _FUNCTION = _literal(RationalFunctionSpec.parse)
 
 # Set options of an evaluator that must hold equally many values.
@@ -118,9 +129,9 @@ def build_parser():
 
     p_v = sub.add_parser("verify", help="run an identity suite")
     p_v.add_argument("--suite", choices=SUITES, required=True)
-    p_v.add_argument("--a-max", type=int, default=2)
-    p_v.add_argument("--b-max", type=int, default=2)
-    p_v.add_argument("--trials", type=int, default=5)
+    p_v.add_argument("--a-max", type=_COUNT, default=2)
+    p_v.add_argument("--b-max", type=_COUNT, default=2)
+    p_v.add_argument("--trials", type=_COUNT, default=5)
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--q", type=_Q, default=None,
                      help="fix q instead of sampling it per case")

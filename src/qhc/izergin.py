@@ -18,8 +18,10 @@ the point meets gets a small integer, a rational by its value and a series by
 its identity (series are unhashable).  K_k, f, f-products, side products and
 q^{+-2} shifts are memoised under tuples of these integers, since the
 partition sums of Z and of the scalar product ask for them many times over;
-no rational is hashed on a repeat lookup.  Rationals and series share this
-one path.
+no rational is hashed on a repeat lookup.  So is the pair table: the
+differences u - v and the factors q u - q^{-1} v under the index pair (u, v),
+from which every K and every f of the point is built, each pair once.
+Rationals and series share this one path.
 """
 
 from __future__ import annotations
@@ -56,27 +58,30 @@ def _div(a, b):
 class Kernel:
     """The deformation parameter q, the kernel functions and the index space of one point.
 
-    Build one instance per sampled point: it memoises K and f at every
-    argument it is asked for, for as long as it lives.  ``values[i]`` is the
-    value of index ``i``; memo keys are the indices of the argument sets in
-    argument order.  The kernel holds every object whose ``id`` it records,
-    so an ``id`` names one object while the kernel lives.  Kernels compare
-    and hash by q alone.
+    Build one instance per sampled point: it memoises K, f and the pair
+    quantities u - v and q u - q^-1 v at every argument it is asked for, for
+    as long as it lives.  ``values[i]`` is the value of index ``i``; memo
+    keys are the indices of the argument sets in argument order.  The kernel
+    holds every object whose ``id`` it records, so an ``id`` names one object
+    while the kernel lives.  Kernels compare and hash by q alone.
     """
 
-    __slots__ = ("q", "qinv", "values", "_ids", "_aliases", "_rationals",
-                 "_shifts", "_fs", "_fprods", "_ks", "_ksides")
+    __slots__ = ("q", "qinv", "_gq", "values", "_ids", "_aliases", "_rationals",
+                 "_shifts", "_ds", "_qds", "_fs", "_fprods", "_ks", "_ksides")
 
     def __init__(self, q):
         q = Rat(q)
         if q == 0 or q == 1 or q == -1:
             raise ValueError("q must not be 0, 1, or -1")
         self.q, self.qinv = q, Rat(1) / q
+        self._gq = q - self.qinv
         self.values = []
         self._ids = {}        # id(object) -> index
         self._aliases = []    # rationals equal to values[i] under another id
         self._rationals = {}  # rational value -> index
         self._shifts = {}     # (index, k) -> index of the value times q^k
+        self._ds = {}         # (i, j) -> values[i] - values[j]
+        self._qds = {}        # (i, j) -> q values[i] - q^-1 values[j]
         self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
@@ -125,18 +130,29 @@ class Kernel:
             out.append(self.values[j])
         return tuple(out)
 
+    def _d(self, i, j):
+        out = self._ds.get((i, j))
+        if out is None:
+            out = self._ds[i, j] = self.values[i] - self.values[j]
+        return out
+
+    def _qd(self, i, j):
+        out = self._qds.get((i, j))
+        if out is None:
+            out = self._qds[i, j] = self.q * self.values[i] - self.qinv * self.values[j]
+        return out
+
     def _f(self, i, j):
         out = self._fs.get((i, j))
         if out is None:
-            u, v = self.values[i], self.values[j]
-            out = self._fs[i, j] = _div(self.q * u - self.qinv * v, u - v)
+            out = self._fs[i, j] = _div(self._qd(i, j), self._d(i, j))
         return out
 
     def f(self, u, v):
         return self._f(self.index(u), self.index(v))
 
     def g(self, u, v):
-        return _div(self.q - self.qinv, u - v)
+        return _div(self._gq, u - v)
 
     def fprod(self, us, vs):
         """f over all pairs of the two sets; empty product = 1."""
@@ -157,10 +173,34 @@ class Kernel:
         key = self.indices((*xs, *ys))
         out = self._ks.get(key)
         if out is None:
-            vals = [self.values[i] for i in key]
             n = len(xs)
-            out = self._ks[key] = _izergin(self.q, self.qinv, vals[:n], vals[n:])
+            out = self._ks[key] = self._izergin(key[:n], key[n:])
         return out
+
+    def _izergin(self, ixs, iys):
+        """K of the values of two index tuples, from the pair table."""
+        k = len(ixs)
+        if k == 0:
+            return Rat(1)
+        d, qd = self._d, self._qd
+        rows = []
+        for i in ixs:
+            factors = [qd(i, j) for j in iys]
+            row = []
+            for c, j in enumerate(iys):
+                num = self._gq
+                for cp, fct in enumerate(factors):
+                    if cp != c:
+                        num = num * fct
+                row.append(_div(num, d(i, j)))
+            rows.append(row)
+        if k == 1:  # the prefactor is the empty product
+            return det(rows)
+        denom = Rat(1)
+        for a in range(k):
+            for b in range(a + 1, k):
+                denom = denom * d(ixs[a], ixs[b]) * d(iys[b], iys[a])
+        return _div(det(rows), denom)
 
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.
@@ -240,29 +280,6 @@ def det(rows):
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return result if sign == 1 else -result
-
-
-def _izergin(q, qi, xs, ys):
-    k = len(xs)
-    if k == 0:
-        return Rat(1)
-    gq = q - qi
-    rows = []
-    for x in xs:
-        factors = [q * x - qi * y for y in ys]
-        row = []
-        for j, y in enumerate(ys):
-            num = gq
-            for jp, fct in enumerate(factors):
-                if jp != j:
-                    num = num * fct
-            row.append(_div(num, x - y))
-        rows.append(row)
-    denom = Rat(1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            denom = denom * (xs[i] - xs[j]) * (ys[j] - ys[i])
-    return _div(det(rows), denom)
 
 
 def izergin(kern, xs, ys):

@@ -415,6 +415,9 @@ def run_suite(suite, a_max=2, b_max=2, trials=5, seed=0, q=None):
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    for name, value in (("a_max", a_max), ("b_max", b_max), ("trials", trials)):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     if q is not None:
         Kernel(q)  # rejects an inadmissible q before any case is sampled
     cases = []

@@ -389,6 +389,39 @@ class TestKernelMemo:
                 want *= (q * u - v / q) / (u - v)
         assert kern.fprod(xs, ys) == want
 
+    @given(st.integers(min_value=0, max_value=10**5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_pair_entries_match_a_fresh_kernel(self, seed, data):
+        # One kernel answers f, K and K^(l,r) in drawn order, so pair-table
+        # entries made for one call serve later ones, f before K and after.
+        # Each outcome, an error included, is that of a fresh kernel field
+        # for field; at rational arguments it is the reference's value.
+        (pool,), q = sample_generic((8,), seed)
+        values = (*pool, pool[0] + eps(), pool[1] + eps(level=2))
+        kern = Kernel(q)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            call = data.draw(st.sampled_from(["f", "k", "l", "r"]))
+            k = 1 if call == "f" else data.draw(st.integers(min_value=0, max_value=4))
+            rational = data.draw(st.booleans())
+            drawn = data.draw(st.permutations(pool if rational else values))
+            xs, ys = tuple(drawn[:k]), tuple(drawn[k:2 * k])
+            if call == "f":
+                run = lambda kn: kn.f(xs[0], ys[0])
+            elif call == "k":
+                run = lambda kn: izergin(kn, xs, ys)
+            else:
+                run = lambda kn: izergin_side(kn, call, xs, ys)
+            got = outcome(run, kern)
+            assert got == outcome(run, Kernel(q))
+            if rational:
+                if call == "f":
+                    (u,), (v,) = xs, ys
+                    want = (q * u - v / q) / (u - v)
+                else:
+                    want = as_rat(reference_izergin(q, xs, ys))
+                    want *= {"k": 1, "l": math.prod(xs), "r": math.prod(ys)}[call]
+                assert got == fields(want)
+
 
 class TestRepeatedValues:
     """A set that repeats a value raises PoleError, as its evaluation does."""

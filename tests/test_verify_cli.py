@@ -68,6 +68,12 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
+    @pytest.mark.parametrize("name", ["a_max", "b_max", "trials"])
+    def test_negative_sweep_bounds_rejected(self, monkeypatch, name):
+        monkeypatch.setattr(qhc.verify, "registry", lambda: pytest.fail("swept"))
+        with pytest.raises(ValueError, match=f"{name} must not be negative, got -1"):
+            run_suite("izergin", **{name: -1})
+
     def test_report_schema(self):
         report = run_suite("twins", a_max=1, b_max=1, trials=1, seed=5)
         assert set(report) == {"suite", "config", "cases", "summary"}
@@ -472,6 +478,14 @@ class TestCliInProcess:
          "argument --r1: repeated section 'num' in 'num:1;num:2'"),
         (["izergin", "--x", "1,2", "--y", "3,4", "--q", "-1/1"],
          "argument --q: q must not be 0, 1, or -1"),
+        (["verify", "--suite", "izergin", "--a-max", "-1", "--b-max", "1", "--trials", "1"],
+         "argument --a-max: must not be negative, got -1"),
+        (["verify", "--suite", "hc-reps", "--a-max", "2", "--b-max", "-3"],
+         "argument --b-max: must not be negative, got -3"),
+        (["verify", "--suite", "scalar", "--trials", "-2"],
+         "argument --trials: must not be negative, got -2"),
+        (["verify", "--suite", "scalar", "--trials", "2.5"],
+         "argument --trials: invalid int value: '2.5'"),
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
