@@ -493,6 +493,8 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     """Both sides of the double-partition summation identity.
 
     Cardinalities: #t = #x = a, #s = b, #y = p <= b, #w = b - p, #z = n.
+    On the right, the Z of every split of xi comes from one `hc_ws_batch`
+    per split of s, and the factors of s_I alone are formed once per split.
     """
     ts, xs, ss, ys, ws, zs = map(tuple, (ts, xs, ss, ys, ws, zs))
     b, p = len(ss), len(ys)
@@ -505,18 +507,17 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws)
     total = Rat(0)
     for k in range(max(0, p - len(xi)), min(p, b) + 1):
+        sign = kern.mq(-u * k)
+        splits = list(enumerate_partitions(xi, p - k))
         for s1, s2 in enumerate_partitions(ss, k):
-            for x1, x2 in enumerate_partitions(xi, p - k):
-                total = total + (
-                    kern.mq(-u * k)
-                    * izergin_side(kern, opp, kern.shift(s1, -2) + x1, ys)
-                    * hc(kern, side, ts, xs, s2, ws + x1)
-                    * fprod(s1, s2)
-                    * fprod(x2, x1)
-                    * fprod(ys, s1)
-                    * fprod(ws, s1)
-                    / fprod(s1, zs)
-                )
+            s1q = kern.shift(s1, -2)
+            zvals = hc_ws_batch(kern, side, ts, xs, s2, [ws + x1 for x1, _ in splits])
+            inner = Rat(0)
+            for (x1, x2), z in zip(splits, zvals):
+                inner = inner + izergin_side(kern, opp, s1q + x1, ys) * z * fprod(x2, x1)
+            total = total + (
+                sign * fprod(s1, s2) * fprod(ys, s1) * fprod(ws, s1) / fprod(s1, zs) * inner
+            )
     return lhs, total
 
 

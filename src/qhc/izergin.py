@@ -11,7 +11,8 @@ product of (q x_i - q^{-1} y_j) into the matrix rows gives entries
 
 so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
-points where some q x_i - q^{-1} y_j vanishes benignly.
+points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
+`det` eliminates the matrix fraction-free, in integers.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, a rational by its value and a series by
@@ -25,6 +26,8 @@ Rationals and series share this one path.
 """
 
 from __future__ import annotations
+
+import math
 
 from .exactnum import (
     _INF, PoleError, Rat, WindowError, _coeff_is_zero, _is_series, eps, take_limit,
@@ -239,20 +242,30 @@ class Kernel:
 
 
 def det(rows):
-    """Determinant by Gaussian elimination, generic over the scalar ring.
+    """Determinant of a square matrix, generic over the scalar ring.
 
-    Pivots on the entry of minimal valuation (plain nonzero scalars count as
-    valuation 0), which keeps series windows as wide as possible.  Only exact
-    zeros are skipped: a pivot column of zeros known only within their
-    windows raises WindowError.  A series pivot is inverted once, at the
-    first row it eliminates, and ``a / b`` is ``a * b.invert()``, so the
-    factors are those of dividing.  A rational pivot divides each row: a
-    division costs a rational no more than a product, and an inverse would
-    be one more operation.
+    A matrix of rationals (``Rat`` or ``int`` entries) has each row scaled
+    to integers by the lcm of its denominators and is eliminated
+    fraction-free (Bareiss): a zero pivot swaps in a lower row, and each
+    step divides exactly by the previous pivot.  The result is one ``Rat``.
+
+    A matrix that holds a series pivots on the entry of minimal valuation
+    (plain nonzero scalars count as valuation 0), which keeps series windows
+    as wide as possible.  Only exact zeros are skipped: a pivot column of
+    zeros known only within their windows raises WindowError.  A series
+    pivot is inverted once, at the first row it eliminates, and ``a / b`` is
+    ``a * b.invert()``, so the factors are those of dividing.  A rational
+    pivot divides each row: a division costs a rational no more than a
+    product, and an inverse would be one more operation.
     """
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"det needs a square matrix, got {n} rows of lengths "
+                         f"{[len(r) for r in rows]}")
     if n == 0:
         return Rat(1)
+    if all(isinstance(x, (Rat, int)) for r in rows for x in r):
+        return _bareiss(rows)
     m = [list(r) for r in rows]
     sign = 1
     result = Rat(1)
@@ -280,6 +293,31 @@ def det(rows):
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return result if sign == 1 else -result
+
+
+def _bareiss(rows):
+    """The determinant of a nonempty square matrix of rationals, in integers."""
+    m, scale = [], 1
+    for row in rows:
+        lcm = math.lcm(*[x.denominator for x in row])
+        scale *= lcm
+        m.append([x.numerator * (lcm // x.denominator) for x in row])
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return Rat(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return Rat(sign * m[-1][-1], scale)
 
 
 def izergin(kern, xs, ys):

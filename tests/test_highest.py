@@ -38,6 +38,7 @@ from qhc.highest import (
 )
 from qhc.izergin import Kernel, izergin_side
 from qhc.params import sample_generic
+from qhc.partitions import enumerate_partitions
 
 
 def closed_form_left(q, t, x, s, y):
@@ -239,6 +240,25 @@ class TestTwins:
         assert lhs == rhs
 
 
+def prop51_rhs_per_split(kern, side, ts, xs, ss, ys, ws, zs):
+    """The right side of PROP_5_1 with one `hc` per split of xi."""
+    b, p = len(ss), len(ys)
+    u, opp, fprod = kern.usign(side), kern.other(side), kern.fprod
+    xi = kern.shift(xs, -2) + kern.shift(zs, -2)
+    total = Rat(0)
+    for k in range(max(0, p - len(xi)), min(p, b) + 1):
+        for s1, s2 in enumerate_partitions(ss, k):
+            for x1, x2 in enumerate_partitions(xi, p - k):
+                total = total + (
+                    kern.mq(-u * k)
+                    * izergin_side(kern, opp, kern.shift(s1, -2) + x1, ys)
+                    * hc(kern, side, ts, xs, s2, ws + x1)
+                    * fprod(s1, s2) * fprod(x2, x1) * fprod(ys, s1) * fprod(ws, s1)
+                    / fprod(s1, zs)
+                )
+    return total
+
+
 class TestSummationIdentity:
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_double_partition_sum(self, side):
@@ -246,6 +266,16 @@ class TestSummationIdentity:
         (ts, xs, ss, ys, ws, zs), q = sample_generic((1, 1, 2, 1, 1, 1), 53)
         lhs, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b,p,n", [
+        (1, 2, 1, 1), (2, 2, 2, 0), (1, 1, 1, 2), (0, 2, 2, 1), (2, 3, 2, 1), (2, 2, 0, 1),
+    ])
+    def test_batched_right_side_matches_one_hc_per_split(self, side, a, b, p, n):
+        (ts, xs, ss, ys, ws, zs), q = sample_generic((a, a, b, p, b - p, n), 54)
+        _, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+        want = prop51_rhs_per_split(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+        assert rhs == want != 0
 
 
 class TestAsymptotics:

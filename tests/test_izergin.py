@@ -105,6 +105,19 @@ class TestDeterminant:
         with pytest.raises(WindowError):
             det(rows)
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, 2, 3], [4, 5, 6]], id="2x3"),
+        pytest.param([[1, 2], [3]], id="ragged"),
+        pytest.param([[1], [2, 3]], id="ragged-first-short"),
+    ])
+    def test_non_square_rejected(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            det(rows)
+
+    def test_int_entries_are_exact(self):
+        got = det([[1, 2], [3, 4]])
+        assert got == Rat(-2) and type(got) is Rat
+
     def test_truncated_zero_entry_is_not_skipped(self):
         # det [[1, 1], [O(e^2), 1]] = 1 + O(e^2): only known below e^2
         rows = [[Rat(1), Rat(1)], [LaurentSeries(0, (), order=2), Rat(1)]]
@@ -210,6 +223,41 @@ class TestDeterminantInversesOnce:
         assert len(calls) == 3
         monkeypatch.undo()
         assert fields(got) == fields(divided_det(rows))
+
+
+small_ints = st.integers(min_value=-9, max_value=9)
+rational_entries = st.one_of(rats, st.just(Rat(0)), small_ints)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of rationals and ints up to 6x6, some singular, some needing swaps."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    row = st.one_of(st.lists(rational_entries, min_size=n, max_size=n),
+                    st.lists(small_ints, min_size=n, max_size=n))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):  # one row a multiple of another: singular
+        i, j = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                             min_size=2, max_size=2, unique=True))
+        c = draw(st.one_of(rats, small_ints))
+        rows[i] = [c * x for x in rows[j]]
+    for r in rows[:draw(st.integers(min_value=0, max_value=n))]:
+        r[0] = 0  # zero leading entries: a row swap, or a zero column
+    return rows
+
+
+class TestRationalDeterminant:
+    """At rational matrices `det` eliminates fraction-free and gives what dividing gives."""
+
+    @given(rational_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dividing_per_row(self, rows):
+        as_rats = [[Rat(x) for x in r] for r in rows]
+        assert outcome(det, rows) == outcome(divided_det, as_rats)
+
+    def test_zero_pivots_swap_rows_at_every_step(self):
+        rows = [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+        assert outcome(det, rows) == (Rat, Rat(-6))
 
 
 class TestIzergin:
