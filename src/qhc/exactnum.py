@@ -1,13 +1,13 @@
 """Exact rational scalars and truncated Laurent series.
 
 All identity checks in this package compare values with exact equality, so the
-ground field is the rationals (gmpy2.mpq when available, fractions.Fraction
-otherwise).  Limits and residues are computed in a truncated Laurent series
-ring over that field.  Series can be nested (a series whose coefficients are
-themselves series of a lower ``level``), which is how sequential multi-variable
-limits are evaluated one infinitesimal at a time.  Level-1 products clear
-denominators and convolve integer numerators, and a level-2 product sums the
-level-1 products of each of its coefficients in one such integer pass.
+ground field is the rationals (``fractions.Fraction``).  Limits and residues
+are computed in a truncated Laurent series ring over that field.  Series can
+be nested (a series whose coefficients are themselves series of a lower
+``level``), which is how sequential multi-variable limits are evaluated one
+infinitesimal at a time.  Level-1 products clear denominators and convolve
+integer numerators, and a level-2 product sums the level-1 products of each of
+its coefficients in one such integer pass.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import math
 import re
 from contextlib import contextmanager
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 __all__ = [
     "Rat",

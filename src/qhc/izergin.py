@@ -12,7 +12,9 @@ product of (q x_i - q^{-1} y_j) into the matrix rows gives entries
 so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
-`det` eliminates the matrix fraction-free, in integers.
+the matrix is built in integers, with (q - q^{-1})^k and a scale per row
+taken out, and `det` eliminates it fraction-free; the result is scaled back
+by one rational.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, a rational by its value and a series by
@@ -181,29 +183,63 @@ class Kernel:
         return out
 
     def _izergin(self, ixs, iys):
-        """K of the values of two index tuples, from the pair table."""
+        """K of the values of two index tuples, from the pair table.
+
+        At a rational point the matrix is built in integers.  Row ``i`` reads
+        q x_i - q^-1 y_j = A_j / B_j and x_i - y_j = C_j / E_j from the table;
+        times prod_j B_j C_j and without the factor q - q^-1 it is
+        N_ij = B_j E_j prod_{j' != j} A_j' C_j'.  `det` eliminates the integer
+        rows, and its result is scaled once by (q - q^-1)^k over the product
+        of the row scales.  A point that holds a series builds its rows from
+        the table's values.
+        """
         k = len(ixs)
         if k == 0:
             return Rat(1)
-        d, qd = self._d, self._qd
-        rows = []
-        for i in ixs:
-            factors = [qd(i, j) for j in iys]
-            row = []
-            for c, j in enumerate(iys):
-                num = self._gq
-                for cp, fct in enumerate(factors):
-                    if cp != c:
-                        num = num * fct
-                row.append(_div(num, d(i, j)))
-            rows.append(row)
+        d, qd, values = self._d, self._qd, self.values
+        if all(isinstance(values[i], (Rat, int)) for i in (*ixs, *iys)):
+            rows, scale = [], 1
+            for i in ixs:
+                prods, outer = [], []
+                for j in iys:
+                    qdij, dij = qd(i, j), d(i, j)
+                    if not dij:
+                        raise PoleError("vanishing denominator")
+                    b = qdij.denominator
+                    prods.append(qdij.numerator * dij.numerator)  # A_j C_j
+                    outer.append(b * dij.denominator)             # B_j E_j
+                    scale *= b * dij.numerator                    # B_j C_j
+                row = []
+                for c, entry in enumerate(outer):
+                    for cp, p in enumerate(prods):
+                        if cp != c:
+                            entry *= p
+                    row.append(entry)
+                rows.append(row)
+            value = det(rows)
+            gq = self._gq
+            value = Rat(value.numerator * gq.numerator ** k,
+                        value.denominator * gq.denominator ** k * scale)
+        else:
+            rows = []
+            for i in ixs:
+                factors = [qd(i, j) for j in iys]
+                row = []
+                for c, j in enumerate(iys):
+                    num = self._gq
+                    for cp, fct in enumerate(factors):
+                        if cp != c:
+                            num = num * fct
+                    row.append(_div(num, d(i, j)))
+                rows.append(row)
+            value = det(rows)
         if k == 1:  # the prefactor is the empty product
-            return det(rows)
+            return value
         denom = Rat(1)
         for a in range(k):
             for b in range(a + 1, k):
                 denom = denom * d(ixs[a], ixs[b]) * d(iys[b], iys[a])
-        return _div(det(rows), denom)
+        return _div(value, denom)
 
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.

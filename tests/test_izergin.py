@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhc.izergin
 from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
 from qhc.highest import REPRESENTATIONS, hc
 from qhc.izergin import (
@@ -333,6 +334,95 @@ class TestMultiplePole:
         got = izergin(kern, (x,), (y,))
         assert got == kern.g(x, y)
         assert got == Rat(0) - Rat(3, 2) / (y - x)
+
+
+def divide(a, b):
+    if b == 0:
+        raise PoleError("vanishing denominator")
+    return a / b
+
+
+def rat_row_izergin(q, xs, ys):
+    """K from a matrix of `Rat` entries, as `Kernel` forms it at a series point.
+
+    The row entries and the prefactor divide as they go, so a pole raises
+    where the kernel's must.
+    """
+    k = len(xs)
+    if k == 0:
+        return Rat(1)
+    qinv = Rat(1) / q
+    rows = []
+    for x in xs:
+        factors = [q * x - qinv * y for y in ys]
+        row = []
+        for c, y in enumerate(ys):
+            num = q - qinv
+            for cp, fct in enumerate(factors):
+                if cp != c:
+                    num = num * fct
+            row.append(divide(num, x - y))
+        rows.append(row)
+    if k == 1:
+        return det(rows)
+    denom = Rat(1)
+    for a in range(k):
+        for b in range(a + 1, k):
+            denom = denom * (xs[a] - xs[b]) * (ys[b] - ys[a])
+    return divide(det(rows), denom)
+
+
+@st.composite
+def rational_points(draw):
+    """q and two sets of k <= 4 rationals or ints, with benign zeros, poles and repeats."""
+    q = draw(st.sampled_from([Rat(2), Rat(-3), Rat(1, 2), Rat(5, 3), Rat(-2, 7)]))
+    k = draw(st.integers(min_value=0, max_value=4))
+    value = st.one_of(small_ints, rats)
+    xs = draw(st.lists(value, min_size=k, max_size=k))
+    ys = draw(st.lists(value, min_size=k, max_size=k))
+    if k:
+        index = st.integers(min_value=0, max_value=k - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=k))):
+            ys[draw(index)] = q * q * xs[draw(index)]  # q x - q^-1 y = 0
+        if draw(st.booleans()):
+            ys[draw(index)] = xs[draw(index)]  # x - y = 0: a pole
+        if k > 1 and draw(st.booleans()):
+            side = draw(st.sampled_from([xs, ys]))
+            side[draw(index)] = side[draw(index)]  # a repeat, or none
+    return q, tuple(xs), tuple(ys)
+
+
+class TestIntegerRows:
+    """At a rational point K's rows are integers and K is what `Rat` rows give."""
+
+    @given(rational_points())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_rat_rows(self, point):
+        q, xs, ys = point
+        kern = Kernel(q)
+        for rows in (xs, xs[::-1]):  # the second shares the first's pair table
+            assert outcome(kern.k, rows, ys) == outcome(rat_row_izergin, q, rows, ys)
+
+    def test_det_gets_integer_rows_once_per_evaluated_k(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(qhc.izergin, "det", counting)
+        (t, x, s, y), q = sample_generic((2, 2, 2, 2), 7)
+        kern = Kernel(q)
+        for rep in REPRESENTATIONS:
+            for side in ("l", "r"):
+                hc(kern, side, t, x, s, y, rep)
+        for _ in range(2):  # the second pass only hits the memo
+            assert izergin(kern, t[:1], y[:1]) == kern.g(t[0], y[0])
+            izergin(kern, (*t, *x), (*s, *y))
+        evaluated = [key for key in kern._ks if key]
+        assert len(calls) == len(evaluated) > 20
+        assert {1, 2, 4} <= {len(rows) for rows in calls}
+        assert all(type(e) is int for rows in calls for row in rows for e in row)
 
 
 class TestKernelMemo:
