@@ -185,6 +185,7 @@ def hc(kern, side, ts, xs, ss, ys, rep="ws"):
 
 def hc_closed_11(kern, side, t, x, s, y):
     """The a=b=1 closed form."""
+    kern.usign(side)
     f, g = kern.f, kern.g
     term1 = g(x, t) * g(y, s) * f(s, x)
     term2 = g(x, s) * g(s, t) * g(y, x)

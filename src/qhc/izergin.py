@@ -12,9 +12,13 @@ product of (q x_i - q^{-1} y_j) into the matrix rows gives entries
 so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
-the matrix is built in integers, with (q - q^{-1})^k and a scale per row
-taken out, and `det` eliminates it fraction-free; the result is scaled back
-by one rational.
+K is one integer fraction: the matrix is built in integers from an integer
+pair table, with (q - q^{-1})^k and a scale per row taken out, `det`
+eliminates it fraction-free, and the determinant, (q - q^{-1})^k, the row
+scales and the Cauchy-like prefactor are multiplied into one integer
+numerator and one integer denominator, so each K costs one rational.  A
+point that holds a series keeps rational or series rows, prefactor and
+divisions.  Floats are rejected: every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, a rational by its value and a series by
@@ -23,8 +27,10 @@ q^{+-2} shifts are memoised under tuples of these integers, since the
 partition sums of Z and of the scalar product ask for them many times over;
 no rational is hashed on a repeat lookup.  So is the pair table: the
 differences u - v and the factors q u - q^{-1} v under the index pair (u, v),
-from which every K and every f of the point is built, each pair once.
-Rationals and series share this one path.
+from which every f of the point and every K at a series point is built, each
+pair once.  Beside it, the integer pair table holds both as integer
+fractions for every pair of rationals; K at a rational point reads only
+that.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ def _val(x):
     return _INF if x == 0 else 0
 
 
+def _check_exact(x):
+    """Raise TypeError for a float or complex value: qhc computes exactly."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"inexact value {x!r} ({type(x).__name__}); "
+                        "use an exact rational such as Fraction or int") from None
+
+
 def _div(a, b):
     if not _is_series(b) and b == 0:
         raise PoleError("vanishing denominator")
@@ -71,8 +84,9 @@ class Kernel:
     while the kernel lives.  Kernels compare and hash by q alone.
     """
 
-    __slots__ = ("q", "qinv", "_gq", "values", "_ids", "_aliases", "_rationals",
-                 "_shifts", "_ds", "_qds", "_fs", "_fprods", "_ks", "_ksides")
+    __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
+                 "_aliases", "_rationals", "_shifts", "_ds", "_qds", "_ips", "_fs",
+                 "_fprods", "_ks", "_ksides")
 
     def __init__(self, q):
         q = Rat(q)
@@ -80,13 +94,17 @@ class Kernel:
             raise ValueError("q must not be 0, 1, or -1")
         self.q, self.qinv = q, Rat(1) / q
         self._gq = q - self.qinv
+        n, m = q.numerator, q.denominator
+        self._qn2, self._qm2, self._qnm = n * n, m * m, n * m
         self.values = []
+        self._nds = []        # (numerator, denominator) of values[i], or None
         self._ids = {}        # id(object) -> index
         self._aliases = []    # rationals equal to values[i] under another id
         self._rationals = {}  # rational value -> index
         self._shifts = {}     # (index, k) -> index of the value times q^k
         self._ds = {}         # (i, j) -> values[i] - values[j]
         self._qds = {}        # (i, j) -> q values[i] - q^-1 values[j]
+        self._ips = {}        # (i, j) -> (A, B, C, E): those two as A/B and C/E
         self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
@@ -102,14 +120,21 @@ class Kernel:
         return f"Kernel(q={self.q!r})"
 
     def index(self, x):
-        """The index of ``x``: a rational by its value, a series by its identity."""
+        """The index of ``x``: a rational by its value, a series by its identity.
+
+        A float or complex value raises TypeError: it would make every value
+        built from it inexact.
+        """
         i = self._ids.get(id(x))
         if i is None:
+            _check_exact(x)
             if not _is_series(x):
                 i = self._rationals.get(x)
             if i is None:
                 i = len(self.values)
                 self.values.append(x)
+                self._nds.append((x.numerator, x.denominator)
+                                 if isinstance(x, (Rat, int)) else None)
                 if not _is_series(x):
                     self._rationals[x] = i
             else:
@@ -147,6 +172,18 @@ class Kernel:
             out = self._qds[i, j] = self.q * self.values[i] - self.qinv * self.values[j]
         return out
 
+    def _ip(self, i, j):
+        """(A, B, C, E) with q u - q^-1 v = A/B and u - v = C/E, in integers.
+
+        With u = a/b, v = c/d and q = n/m: A = n^2 a d - m^2 b c, B = n m b d,
+        C = a d - b c and E = b d.  The fractions are not reduced.
+        """
+        a, b = self._nds[i]
+        c, d = self._nds[j]
+        ad, bc, bd = a * d, b * c, b * d
+        out = self._ips[i, j] = (self._qn2 * ad - self._qm2 * bc, self._qnm * bd, ad - bc, bd)
+        return out
+
     def _f(self, i, j):
         out = self._fs.get((i, j))
         if out is None:
@@ -157,6 +194,8 @@ class Kernel:
         return self._f(self.index(u), self.index(v))
 
     def g(self, u, v):
+        _check_exact(u)
+        _check_exact(v)
         return _div(self._gq, u - v)
 
     def fprod(self, us, vs):
@@ -183,32 +222,37 @@ class Kernel:
         return out
 
     def _izergin(self, ixs, iys):
-        """K of the values of two index tuples, from the pair table.
+        """K of the values of two index tuples, from the pair tables.
 
-        At a rational point the matrix is built in integers.  Row ``i`` reads
-        q x_i - q^-1 y_j = A_j / B_j and x_i - y_j = C_j / E_j from the table;
-        times prod_j B_j C_j and without the factor q - q^-1 it is
-        N_ij = B_j E_j prod_{j' != j} A_j' C_j'.  `det` eliminates the integer
-        rows, and its result is scaled once by (q - q^-1)^k over the product
-        of the row scales.  A point that holds a series builds its rows from
-        the table's values.
+        At a rational point K is one integer fraction.  Row ``i`` reads
+        q x_i - q^-1 y_j = A_j / B_j and x_i - y_j = C_j / E_j from the
+        integer pair table; times prod_j B_j C_j and without the factor
+        q - q^-1 it is N_ij = B_j E_j prod_{j' != j} A_j' C_j'.  `det`
+        eliminates the integer rows, and K is its result times
+        (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
+        scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
+        factors are C/E from the same table: one ``Rat`` of one integer
+        numerator and one integer denominator.  A point that holds a series
+        builds its rows from the values of the rational pair table and
+        divides by the prefactor as a product of them.  A zero x_i - y_j or
+        prefactor factor raises PoleError either way.
         """
         k = len(ixs)
         if k == 0:
             return Rat(1)
-        d, qd, values = self._d, self._qd, self.values
-        if all(isinstance(values[i], (Rat, int)) for i in (*ixs, *iys)):
-            rows, scale = [], 1
+        nds = self._nds
+        if all(nds[i] is not None for i in (*ixs, *iys)):
+            ips, ip = self._ips, self._ip
+            rows, den = [], 1
             for i in ixs:
                 prods, outer = [], []
                 for j in iys:
-                    qdij, dij = qd(i, j), d(i, j)
-                    if not dij:
+                    a, b, c, e = ips.get((i, j)) or ip(i, j)
+                    if not c:
                         raise PoleError("vanishing denominator")
-                    b = qdij.denominator
-                    prods.append(qdij.numerator * dij.numerator)  # A_j C_j
-                    outer.append(b * dij.denominator)             # B_j E_j
-                    scale *= b * dij.numerator                    # B_j C_j
+                    prods.append(a * c)   # A_j C_j
+                    outer.append(b * e)   # B_j E_j
+                    den *= b * c          # B_j C_j
                 row = []
                 for c, entry in enumerate(outer):
                     for cp, p in enumerate(prods):
@@ -217,22 +261,30 @@ class Kernel:
                     row.append(entry)
                 rows.append(row)
             value = det(rows)
-            gq = self._gq
-            value = Rat(value.numerator * gq.numerator ** k,
-                        value.denominator * gq.denominator ** k * scale)
-        else:
-            rows = []
-            for i in ixs:
-                factors = [qd(i, j) for j in iys]
-                row = []
-                for c, j in enumerate(iys):
-                    num = self._gq
-                    for cp, fct in enumerate(factors):
-                        if cp != c:
-                            num = num * fct
-                    row.append(_div(num, d(i, j)))
-                rows.append(row)
-            value = det(rows)
+            num = value.numerator * (self._qn2 - self._qm2) ** k
+            den *= value.denominator * self._qnm ** k
+            for a in range(k):
+                for b in range(a + 1, k):
+                    c1, e1 = (ips.get((ixs[a], ixs[b])) or ip(ixs[a], ixs[b]))[2:]
+                    c2, e2 = (ips.get((iys[b], iys[a])) or ip(iys[b], iys[a]))[2:]
+                    if not (c1 and c2):
+                        raise PoleError("vanishing denominator")
+                    num *= e1 * e2
+                    den *= c1 * c2
+            return Rat(num, den)
+        d, qd = self._d, self._qd
+        rows = []
+        for i in ixs:
+            factors = [qd(i, j) for j in iys]
+            row = []
+            for c, j in enumerate(iys):
+                num = self._gq
+                for cp, fct in enumerate(factors):
+                    if cp != c:
+                        num = num * fct
+                row.append(_div(num, d(i, j)))
+            rows.append(row)
+        value = det(rows)
         if k == 1:  # the prefactor is the empty product
             return value
         denom = Rat(1)
@@ -288,7 +340,8 @@ def det(rows):
     A matrix that holds a series pivots on the entry of minimal valuation
     (plain nonzero scalars count as valuation 0), which keeps series windows
     as wide as possible.  Only exact zeros are skipped: a pivot column of
-    zeros known only within their windows raises WindowError.  A series
+    zeros known only within their windows raises WindowError.  A float or
+    complex entry raises TypeError.  A series
     pivot is inverted once, at the first row it eliminates, and ``a / b`` is
     ``a * b.invert()``, so the factors are those of dividing.  A rational
     pivot divides each row: a division costs a rational no more than a
@@ -302,6 +355,9 @@ def det(rows):
         return Rat(1)
     if all(isinstance(x, (Rat, int)) for r in rows for x in r):
         return _bareiss(rows)
+    for r in rows:
+        for x in r:
+            _check_exact(x)
     m = [list(r) for r in rows]
     sign = 1
     result = Rat(1)

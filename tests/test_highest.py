@@ -72,6 +72,20 @@ class TestSmallestCase:
             kern, side, ts[0], xs[0], ss[0], ys[0]
         )
 
+    @pytest.mark.parametrize("side", ["x", "L", ""])
+    def test_closed_form_rejects_an_unknown_side_as_hc_does(self, side):
+        kern = Kernel(Rat(2))
+        args = (Rat(2), Rat(3), Rat(5), Rat(7))
+        message = re.escape(f"side must be 'l' or 'r', got {side!r}")
+        with pytest.raises(ValueError, match=message):
+            hc(kern, side, *((a,) for a in args))
+        with pytest.raises(ValueError, match=message):
+            hc_closed_11(kern, side, *args)
+
+    def test_closed_form_rejects_a_float(self):
+        with pytest.raises(TypeError, match=r"inexact value 7\.0 \(float\)"):
+            hc_closed_11(Kernel(Rat(2)), "l", Rat(2), Rat(3), Rat(5), 7.0)
+
     def test_difference_identity(self):
         (ts, xs, ss, ys), q = sample_generic((1, 1, 1, 1), 4)
         lhs, rhs = hc_difference_11(Kernel(q), ts[0], xs[0], ss[0], ys[0])

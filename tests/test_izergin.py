@@ -425,6 +425,68 @@ class TestIntegerRows:
         assert all(type(e) is int for rows in calls for row in rows for e in row)
 
 
+    @given(rational_points())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_pair_table_holds_both_pair_quantities(self, point):
+        q, xs, ys = point
+        kern = Kernel(q)
+        outcome(kern.k, xs, ys)
+        assert kern._ips or len(xs) == 0
+        for (i, j), (a, b, c, e) in kern._ips.items():
+            u, v = kern.values[i], kern.values[j]
+            assert all(type(n) is int for n in (a, b, c, e))
+            assert Rat(a, b) == q * u - v / q
+            assert Rat(c, e) == u - v
+
+    def test_a_prefactor_pole_raises_after_the_determinant(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(qhc.izergin, "det", counting)
+        kern = Kernel(Rat(3, 2))
+        for xs, ys in [((Rat(1, 2), Rat(1, 2)), (2, 3)), ((2, 3), (5, 5))]:
+            with pytest.raises(PoleError, match="vanishing denominator"):
+                izergin(kern, xs, ys)
+        assert len(calls) == 2
+
+
+class TestExactValuesOnly:
+    """A float or complex value raises TypeError instead of giving an inexact result."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda kern: izergin(kern, (0.5, 1.25), (1.5, 3.0)),
+        lambda kern: izergin(kern, (Rat(1, 2), Rat(5, 4)), (Rat(3, 2), 3.0)),
+        lambda kern: izergin_side(kern, "r", (Rat(1, 2),), (1.5 + 0j,)),
+        lambda kern: kern.f(0.5, 1.5),
+        lambda kern: kern.g(Rat(1, 2), 1.5),
+        lambda kern: kern.fprod((Rat(1, 2),), (1.5,)),
+        lambda kern: kern.shift((0.5,), 2),
+    ])
+    def test_the_kernel_rejects_them(self, evaluate):
+        kern = Kernel(2)
+        with pytest.raises(TypeError, match=r"inexact value \(?(0\.5|1\.5|3\.0)"):
+            evaluate(kern)
+        assert all(isinstance(v, (Rat, int)) for v in kern.values)
+
+    def test_a_float_equal_to_an_indexed_rational_is_rejected(self):
+        kern = Kernel(2)
+        assert kern.f(Rat(1, 2), 3) == Rat(1, 5)
+        with pytest.raises(TypeError, match=r"inexact value 0\.5 \(float\)"):
+            kern.f(0.5, 3)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 1], [2, 3]],
+        [[Rat(1), 2], [1j, 1]],
+        [[eps(), 0.5], [1, 1]],
+    ], ids=["rational", "complex", "series"])
+    def test_det_rejects_them(self, rows):
+        with pytest.raises(TypeError, match="inexact value"):
+            det(rows)
+
+
 class TestKernelMemo:
     """A Kernel indexes the values of its own point and memoises K and f."""
 
