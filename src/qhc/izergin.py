@@ -25,20 +25,18 @@ the point meets gets a small integer, a rational by its value and a series by
 its identity (series are unhashable).  K_k, f, f-products, side products and
 q^{+-2} shifts are memoised under tuples of these integers, since the
 partition sums of Z and of the scalar product ask for them many times over;
-no rational is hashed on a repeat lookup.  So is the pair table: the
-differences u - v and the factors q u - q^{-1} v under the index pair (u, v),
-from which every f of the point and every K at a series point is built, each
-pair once.  Beside it, the integer pair table holds both as integer
-fractions for every pair of rationals; K at a rational point reads only
-that.
+no rational is hashed on a repeat lookup.  So are the two pair quantities
+q u - q^{-1} v and u - v, each pair once: the integer pair table holds them
+as integer fractions for every pair of rationals, from which K and f at
+rationals are built, and a series pair table holds them as values for each
+pair of a K that holds a series and each pair of f that holds one.
 """
 
 from __future__ import annotations
 
-import math
-
 from .exactnum import (
-    _INF, PoleError, Rat, WindowError, _coeff_is_zero, _is_series, eps, take_limit,
+    _INF, PoleError, Rat, WindowError, _coeff_invert, _coeff_is_zero, _is_series, eps,
+    take_limit,
 )
 from .partitions import enumerate_partitions
 
@@ -85,10 +83,11 @@ class Kernel:
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_aliases", "_rationals", "_shifts", "_ds", "_qds", "_ips", "_fs",
-                 "_fprods", "_ks", "_ksides")
+                 "_aliases", "_rationals", "_shifts", "_ips", "_sps", "_fs", "_fprods",
+                 "_ks", "_ksides")
 
     def __init__(self, q):
+        _check_exact(q)
         q = Rat(q)
         if q == 0 or q == 1 or q == -1:
             raise ValueError("q must not be 0, 1, or -1")
@@ -102,9 +101,8 @@ class Kernel:
         self._aliases = []    # rationals equal to values[i] under another id
         self._rationals = {}  # rational value -> index
         self._shifts = {}     # (index, k) -> index of the value times q^k
-        self._ds = {}         # (i, j) -> values[i] - values[j]
-        self._qds = {}        # (i, j) -> q values[i] - q^-1 values[j]
-        self._ips = {}        # (i, j) -> (A, B, C, E): those two as A/B and C/E
+        self._ips = {}        # (i, j) -> (A, B, C, E): q u - q^-1 v = A/B, u - v = C/E
+        self._sps = {}        # (i, j) -> (q u - q^-1 v, u - v) where a series is met
         self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
@@ -160,18 +158,6 @@ class Kernel:
             out.append(self.values[j])
         return tuple(out)
 
-    def _d(self, i, j):
-        out = self._ds.get((i, j))
-        if out is None:
-            out = self._ds[i, j] = self.values[i] - self.values[j]
-        return out
-
-    def _qd(self, i, j):
-        out = self._qds.get((i, j))
-        if out is None:
-            out = self._qds[i, j] = self.q * self.values[i] - self.qinv * self.values[j]
-        return out
-
     def _ip(self, i, j):
         """(A, B, C, E) with q u - q^-1 v = A/B and u - v = C/E, in integers.
 
@@ -184,10 +170,27 @@ class Kernel:
         out = self._ips[i, j] = (self._qn2 * ad - self._qm2 * bc, self._qnm * bd, ad - bc, bd)
         return out
 
+    def _sp(self, i, j):
+        """(q u - q^-1 v, u - v) of the values, for a pair at which a series is met."""
+        out = self._sps.get((i, j))
+        if out is None:
+            u, v = self.values[i], self.values[j]
+            out = (self.q * u - self.qinv * v, u - v)
+            self._sps[i, j] = out
+        return out
+
     def _f(self, i, j):
+        """f of two indexed values; at rationals A E / (B C) from the integer pair table."""
         out = self._fs.get((i, j))
         if out is None:
-            out = self._fs[i, j] = _div(self._qd(i, j), self._d(i, j))
+            if self._nds[i] is not None and self._nds[j] is not None:
+                a, b, c, e = self._ips.get((i, j)) or self._ip(i, j)
+                if not c:
+                    raise PoleError("vanishing denominator")
+                out = Rat(a * e, b * c)
+            else:
+                out = _div(*self._sp(i, j))
+            self._fs[i, j] = out
         return out
 
     def f(self, u, v):
@@ -233,9 +236,10 @@ class Kernel:
         scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
         factors are C/E from the same table: one ``Rat`` of one integer
         numerator and one integer denominator.  A point that holds a series
-        builds its rows from the values of the rational pair table and
-        divides by the prefactor as a product of them.  A zero x_i - y_j or
-        prefactor factor raises PoleError either way.
+        reads the pair quantities from the series pair table, builds
+        rational or series rows and divides by the prefactor as a product
+        of them.  A zero x_i - y_j or prefactor factor raises PoleError
+        either way.
         """
         k = len(ixs)
         if k == 0:
@@ -260,9 +264,8 @@ class Kernel:
                             entry *= p
                     row.append(entry)
                 rows.append(row)
-            value = det(rows)
-            num = value.numerator * (self._qn2 - self._qm2) ** k
-            den *= value.denominator * self._qnm ** k
+            num = det(rows).numerator * (self._qn2 - self._qm2) ** k
+            den *= self._qnm ** k
             for a in range(k):
                 for b in range(a + 1, k):
                     c1, e1 = (ips.get((ixs[a], ixs[b])) or ip(ixs[a], ixs[b]))[2:]
@@ -272,17 +275,17 @@ class Kernel:
                     num *= e1 * e2
                     den *= c1 * c2
             return Rat(num, den)
-        d, qd = self._d, self._qd
+        sp = self._sp
         rows = []
         for i in ixs:
-            factors = [qd(i, j) for j in iys]
+            pairs = [sp(i, j) for j in iys]
             row = []
-            for c, j in enumerate(iys):
+            for c, (_, d) in enumerate(pairs):
                 num = self._gq
-                for cp, fct in enumerate(factors):
+                for cp, (qd, _) in enumerate(pairs):
                     if cp != c:
-                        num = num * fct
-                row.append(_div(num, d(i, j)))
+                        num = num * qd
+                row.append(_div(num, d))
             rows.append(row)
         value = det(rows)
         if k == 1:  # the prefactor is the empty product
@@ -290,7 +293,7 @@ class Kernel:
         denom = Rat(1)
         for a in range(k):
             for b in range(a + 1, k):
-                denom = denom * d(ixs[a], ixs[b]) * d(iys[b], iys[a])
+                denom = denom * sp(ixs[a], ixs[b])[1] * sp(iys[b], iys[a])[1]
         return _div(value, denom)
 
     def k_side(self, k, side, vs):
@@ -332,20 +335,19 @@ class Kernel:
 def det(rows):
     """Determinant of a square matrix, generic over the scalar ring.
 
-    A matrix of rationals (``Rat`` or ``int`` entries) has each row scaled
-    to integers by the lcm of its denominators and is eliminated
-    fraction-free (Bareiss): a zero pivot swaps in a lower row, and each
-    step divides exactly by the previous pivot.  The result is one ``Rat``.
+    A matrix of ``int`` entries, as `Kernel` builds at a rational point,
+    is eliminated fraction-free (Bareiss): a zero pivot swaps in a lower
+    row, and each step divides exactly by the previous pivot.  The result is
+    one ``Rat``.
 
-    A matrix that holds a series pivots on the entry of minimal valuation
-    (plain nonzero scalars count as valuation 0), which keeps series windows
-    as wide as possible.  Only exact zeros are skipped: a pivot column of
-    zeros known only within their windows raises WindowError.  A float or
-    complex entry raises TypeError.  A series
-    pivot is inverted once, at the first row it eliminates, and ``a / b`` is
-    ``a * b.invert()``, so the factors are those of dividing.  A rational
-    pivot divides each row: a division costs a rational no more than a
-    product, and an inverse would be one more operation.
+    Any other matrix (``Rat``, mixed or series entries) pivots on the entry
+    of minimal valuation (plain nonzero scalars count as valuation 0), which
+    keeps series windows as wide as possible.  Only exact zeros are skipped:
+    a pivot column of zeros known only within their windows raises
+    WindowError.  A float or complex entry raises TypeError.  Each pivot,
+    rational or series, is inverted once, at the first row it eliminates,
+    and ``a / b`` is ``a * b.invert()`` for a series and ``a * (1 / b)`` for
+    a rational, so the factors are those of dividing.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -353,7 +355,7 @@ def det(rows):
                          f"{[len(r) for r in rows]}")
     if n == 0:
         return Rat(1)
-    if all(isinstance(x, (Rat, int)) for r in rows for x in r):
+    if all(type(x) is int for r in rows for x in r):
         return _bareiss(rows)
     for r in rows:
         for x in r:
@@ -376,24 +378,17 @@ def det(rows):
         for i in range(k + 1, n):
             if _coeff_is_zero(m[i][k]):
                 continue
-            if not _is_series(pivot):
-                factor = m[i][k] / pivot
-            else:
-                if pinv is None:
-                    pinv = pivot.invert()
-                factor = m[i][k] * pinv
+            if pinv is None:
+                pinv = _coeff_invert(pivot)
+            factor = m[i][k] * pinv
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return result if sign == 1 else -result
 
 
 def _bareiss(rows):
-    """The determinant of a nonempty square matrix of rationals, in integers."""
-    m, scale = [], 1
-    for row in rows:
-        lcm = math.lcm(*[x.denominator for x in row])
-        scale *= lcm
-        m.append([x.numerator * (lcm // x.denominator) for x in row])
+    """The determinant of a nonempty square matrix of integers, as a ``Rat``."""
+    m = [list(r) for r in rows]
     n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -409,7 +404,7 @@ def _bareiss(rows):
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return Rat(sign * m[-1][-1], scale)
+    return Rat(sign * m[-1][-1])
 
 
 def izergin(kern, xs, ys):
@@ -421,8 +416,7 @@ def izergin(kern, xs, ys):
 
 def izergin_side(kern, side, xs, ys):
     """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side."""
-    if side not in ("l", "r"):
-        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    kern.usign(side)
     k = izergin(kern, xs, ys)
     return kern.k_side(k, side, xs if side == "l" else ys)
 

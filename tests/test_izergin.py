@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhc.izergin
-from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError, eps, take_limit
+from qhc.exactnum import LaurentSeries, PoleError, Rat, WindowError, eps
 from qhc.highest import REPRESENTATIONS, hc
 from qhc.izergin import (
     Kernel,
@@ -20,6 +21,7 @@ from qhc.izergin import (
     mult_pole_limit,
 )
 from qhc.params import sample_generic
+from qhc.verify import run_suite
 
 
 def reference_izergin(q, xs, ys):
@@ -118,6 +120,8 @@ class TestDeterminant:
     def test_int_entries_are_exact(self):
         got = det([[1, 2], [3, 4]])
         assert got == Rat(-2) and type(got) is Rat
+        got = det([[1, 2], [3, eps()]])  # an int pivot over a series row
+        assert got.coeff(0) == -6 and all(type(c) is Rat for c in got.coeffs)
 
     def test_truncated_zero_entry_is_not_skipped(self):
         # det [[1, 1], [O(e^2), 1]] = 1 + O(e^2): only known below e^2
@@ -248,7 +252,7 @@ def rational_matrices(draw):
 
 
 class TestRationalDeterminant:
-    """At rational matrices `det` eliminates fraction-free and gives what dividing gives."""
+    """At rational matrices `det` gives what dividing gives: fraction-free on integers."""
 
     @given(rational_matrices())
     @settings(max_examples=300, deadline=None)
@@ -428,15 +432,18 @@ class TestIntegerRows:
     @given(rational_points())
     @settings(max_examples=200, deadline=None)
     def test_integer_pair_table_holds_both_pair_quantities(self, point):
+        # f reads the same table: A E / (B C), or the row's PoleError at C = 0
         q, xs, ys = point
         kern = Kernel(q)
         outcome(kern.k, xs, ys)
         assert kern._ips or len(xs) == 0
-        for (i, j), (a, b, c, e) in kern._ips.items():
+        for (i, j), (a, b, c, e) in list(kern._ips.items()):
             u, v = kern.values[i], kern.values[j]
             assert all(type(n) is int for n in (a, b, c, e))
             assert Rat(a, b) == q * u - v / q
             assert Rat(c, e) == u - v
+            for s, t in ((u, v), (v, u)):
+                assert outcome(kern.f, s, t) == outcome(divide, q * s - t / q, s - t)
 
     def test_a_prefactor_pole_raises_after_the_determinant(self, monkeypatch):
         calls = []
@@ -476,6 +483,16 @@ class TestExactValuesOnly:
         assert kern.f(Rat(1, 2), 3) == Rat(1, 5)
         with pytest.raises(TypeError, match=r"inexact value 0\.5 \(float\)"):
             kern.f(0.5, 3)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 2 + 0j])
+    def test_q_is_rejected(self, q):
+        with pytest.raises(TypeError, match=re.escape(f"inexact value {q!r} ")):
+            Kernel(q)
+
+    def test_a_sweep_rejects_q_before_any_case_is_sampled(self, monkeypatch):
+        monkeypatch.setattr("qhc.verify.registry", lambda: pytest.fail("swept"))
+        with pytest.raises(TypeError, match=r"inexact value 0\.1 \(float\)"):
+            run_suite("twins", a_max=1, b_max=1, trials=1, q=0.1)
 
     @pytest.mark.parametrize("rows", [
         [[0.5, 1], [2, 3]],
