@@ -6,8 +6,8 @@ are computed in a truncated Laurent series ring over that field.  Series can
 be nested (a series whose coefficients are themselves series of a lower
 ``level``), which is how sequential multi-variable limits are evaluated one
 infinitesimal at a time.  Level-1 products clear denominators and convolve
-integer numerators, and a level-2 product sums the level-1 products of each of
-its coefficients in one such integer pass.
+integer numerators; a product at level 2 or above is the ring sum of its
+coefficients' products.  An ``int`` operand is lifted as a ``Rat``.
 """
 
 from __future__ import annotations
@@ -119,73 +119,16 @@ def _over_common_denominator(cs):
     return [c.numerator * (d // c.denominator) for c in cs], d
 
 
-def _convolve_into(out, xs, ys, shift=0):
-    """Add the product of ``xs`` and ``ys``, moved up ``shift`` places, to ``out``.
+def _convolve_into(out, xs, ys):
+    """Add the product of ``xs`` and ``ys`` to ``out``, keeping its first ``len(out)`` places.
 
-    Only the first ``len(out)`` places are kept.  Every product is added, so a
-    coefficient's type follows the ring whichever factor is on the left.
+    Every product is added, so a coefficient's type follows the ring
+    whichever factor is on the left.
     """
-    n = max(0, len(out) - shift)
+    n = len(out)
     for i, x in enumerate(xs[:n]):
-        for j, y in enumerate(ys[:n - i], shift + i):
+        for j, y in enumerate(ys[:n - i], i):
             out[j] = out[j] + x * y
-
-
-def _integer_rows(coeffs):
-    """Level-0 and level-1 coefficients over one common denominator ``d``.
-
-    Each row is ``(is_series, is_exact_zero, low, order, valuation, nums)``
-    with ``nums`` the integer numerators over ``d``; a scalar is a constant.
-    """
-    flat = [x for c in coeffs for x in (c.coeffs if _is_series(c) else (c,))]
-    nums, d = _over_common_denominator(flat)
-    rows, at = [], 0
-    for c in coeffs:
-        if _is_series(c):
-            row = nums[at:at + len(c.coeffs)]
-            rows.append((True, _coeff_is_zero(c), _low(c), c.order, c.valuation, row))
-        else:
-            row = nums[at:at + 1]
-            rows.append((False, row[0] == 0, 0, _INF, 0, row))
-        at += len(row)
-    return rows, d
-
-
-def _nested_convolve(xs, ys, n):
-    """The first ``n`` coefficients of a product of two level-2 coefficient lists.
-
-    Equals the sum over ``i + j = k`` of ``xs[i] * ys[j]`` in the series ring,
-    type and order included, but adds each coefficient's level-1 products
-    as integers and builds its scalars once.
-    """
-    xs, dx = _integer_rows(xs)
-    ys, dy = _integer_rows(ys)
-    d = dx * dy
-    out = []
-    for k in range(n):
-        is_series, order, terms = False, _INF, []
-        for i in range(max(0, k - len(ys) + 1), min(k + 1, len(xs))):
-            x_series, x_zero, x_low, x_order, x_val, x_nums = xs[i]
-            y_series, y_zero, y_low, y_order, y_val, y_nums = ys[k - i]
-            # a product with a series is a series, even an exact zero one
-            is_series = is_series or x_series or y_series
-            if x_zero or y_zero:
-                continue
-            order = min(order, _shift(x_low, y_order), _shift(y_low, x_order))
-            if x_nums and y_nums:
-                terms.append((x_val + y_val, x_nums, y_nums))
-        if not is_series:
-            out.append(Rat(sum(a[0] * b[0] for _, a, b in terms), d))
-            continue
-        lo = min((v for v, _, _ in terms), default=0)
-        hi = max((v + len(a) + len(b) - 1 for v, a, b in terms), default=0)
-        if order is not _INF:
-            hi = min(hi, int(order))
-        acc = [0] * max(0, hi - lo)
-        for v, a, b in terms:
-            _convolve_into(acc, a, b, v - lo)
-        out.append(LaurentSeries(lo, [Rat(c, d) for c in acc], order, 1))
-    return out
 
 
 @contextmanager
@@ -287,11 +230,15 @@ class LaurentSeries:
 
         Only an exact zero lifts to the zero series; a truncated zero of a
         lower level stays a coefficient that is known only in its window.
+        An ``int`` is lifted as a ``Rat``, so a sum or product holds the same
+        coefficient types whichever operand is on the left.
         """
         lo = _level(other)
         if lo == self.level:
             return other
         if lo < self.level:
+            if type(other) is int:
+                other = Rat(other)
             return LaurentSeries.constant(other, self.level)
         return None
 
@@ -379,8 +326,6 @@ class LaurentSeries:
             acc = [0] * n
             _convolve_into(acc, xs, ys)
             cs = [Rat(c, da * db) for c in acc]
-        elif self.level == 2:
-            cs = _nested_convolve(a.coeffs, b.coeffs, n)
         else:
             cs = [Rat(0)] * n
             _convolve_into(cs, a.coeffs, b.coeffs)

@@ -180,6 +180,8 @@ def hc(kern, side, ts, xs, ss, ys, rep="ws"):
     """Z^(side)_{a,b}(ts; xs | ss; ys) via the chosen representation."""
     if len(ts) != len(xs) or len(ss) != len(ys):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
+    if rep not in _REP_FUNCS:
+        raise ValueError(f"rep must be one of {', '.join(REPRESENTATIONS)}, got {rep!r}")
     return _REP_FUNCS[rep](kern, side, tuple(ts), tuple(xs), tuple(ss), tuple(ys))
 
 

@@ -21,15 +21,15 @@ point that holds a series keeps rational or series rows, prefactor and
 divisions.  Floats are rejected: every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
-the point meets gets a small integer, a rational by its value and a series by
-its identity (series are unhashable).  K_k, f, f-products, side products and
-q^{+-2} shifts are memoised under tuples of these integers, since the
-partition sums of Z and of the scalar product ask for them many times over;
-no rational is hashed on a repeat lookup.  So are the two pair quantities
-q u - q^{-1} v and u - v, each pair once: the integer pair table holds them
-as integer fractions for every pair of rationals, from which K and f at
-rationals are built, and a series pair table holds them as values for each
-pair of a K that holds a series and each pair of f that holds one.
+the point meets gets a small integer, known by its identity alone, so no
+value is hashed.  K_k, f, f-products, side products and q^{+-2} shifts are
+memoised under tuples of these integers, since the partition sums of Z and of
+the scalar product ask for them many times over.  So are the two pair
+quantities q u - q^{-1} v and u - v, each pair once: the integer pair table
+holds them as integer fractions for every pair of rationals, from which K and
+f at rationals are built, and a series pair table holds them as values for
+each pair of a K that holds a series and each pair of f that holds one.  A
+value shifted and shifted back is the object it came from.
 """
 
 from __future__ import annotations
@@ -77,14 +77,14 @@ class Kernel:
     Build one instance per sampled point: it memoises K, f and the pair
     quantities u - v and q u - q^-1 v at every argument it is asked for, for
     as long as it lives.  ``values[i]`` is the value of index ``i``; memo
-    keys are the indices of the argument sets in argument order.  The kernel
-    holds every object whose ``id`` it records, so an ``id`` names one object
-    while the kernel lives.  Kernels compare and hash by q alone.
+    keys are the indices of the argument sets in argument order.  Every value
+    is known by its identity; the kernel holds every object whose ``id`` it
+    records, so an ``id`` names one object while the kernel lives.  Kernels
+    compare and hash by q alone.
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_aliases", "_rationals", "_shifts", "_ips", "_sps", "_fs", "_fprods",
-                 "_ks", "_ksides")
+                 "_shifts", "_ips", "_sps", "_fs", "_fprods", "_ks", "_ksides")
 
     def __init__(self, q):
         _check_exact(q)
@@ -98,8 +98,6 @@ class Kernel:
         self.values = []
         self._nds = []        # (numerator, denominator) of values[i], or None
         self._ids = {}        # id(object) -> index
-        self._aliases = []    # rationals equal to values[i] under another id
-        self._rationals = {}  # rational value -> index
         self._shifts = {}     # (index, k) -> index of the value times q^k
         self._ips = {}        # (i, j) -> (A, B, C, E): q u - q^-1 v = A/B, u - v = C/E
         self._sps = {}        # (i, j) -> (q u - q^-1 v, u - v) where a series is met
@@ -118,7 +116,7 @@ class Kernel:
         return f"Kernel(q={self.q!r})"
 
     def index(self, x):
-        """The index of ``x``: a rational by its value, a series by its identity.
+        """The index of ``x``, by its identity.
 
         A float or complex value raises TypeError: it would make every value
         built from it inexact.
@@ -126,18 +124,10 @@ class Kernel:
         i = self._ids.get(id(x))
         if i is None:
             _check_exact(x)
-            if not _is_series(x):
-                i = self._rationals.get(x)
-            if i is None:
-                i = len(self.values)
-                self.values.append(x)
-                self._nds.append((x.numerator, x.denominator)
-                                 if isinstance(x, (Rat, int)) else None)
-                if not _is_series(x):
-                    self._rationals[x] = i
-            else:
-                self._aliases.append(x)
-            self._ids[id(x)] = i
+            i = self._ids[id(x)] = len(self.values)
+            self.values.append(x)
+            self._nds.append((x.numerator, x.denominator)
+                             if isinstance(x, (Rat, int)) else None)
         return i
 
     def indices(self, xs):
@@ -149,12 +139,13 @@ class Kernel:
             return tuple([self.index(x) for x in xs])
 
     def shift(self, xs, k):
-        """The values of ``xs`` times q^k, one object per value."""
+        """The values of ``xs`` times q^k, one object per value; shifting back gives ``xs``."""
         out = []
         for i in self.indices(xs):
             j = self._shifts.get((i, k))
             if j is None:
                 j = self._shifts[i, k] = self.index(self.values[i] * self.q ** k)
+                self._shifts[j, -k] = i  # the product is a fresh object, so j is fresh
             out.append(self.values[j])
         return tuple(out)
 

@@ -361,6 +361,9 @@ class TestProductReference:
              LaurentSeries.constant(Rat(3), 2))
     @example(LaurentSeries(0, (Rat(1), LaurentSeries.zero(2), Rat(2)), level=3),
              LaurentSeries.constant(Rat(3), 3))
+    # int coefficients: the truncated zero's sum with 1 * 1 holds an int unless 1 is lifted as Rat
+    @example(LaurentSeries(0, (1, 1), level=2),
+             LaurentSeries(0, (1, LaurentSeries(0, (), order=1)), level=2))
     @settings(max_examples=200)
     def test_product_commutes_field_for_field(self, s, t):
         # a coefficient's type follows the ring, whichever factor is on the left

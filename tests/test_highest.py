@@ -82,6 +82,13 @@ class TestSmallestCase:
         with pytest.raises(ValueError, match=message):
             hc_closed_11(kern, side, *args)
 
+    @pytest.mark.parametrize("rep", ["bogus", "WS", ""])
+    def test_an_unknown_rep_is_rejected(self, rep):
+        kern = Kernel(Rat(2))
+        message = re.escape(f"rep must be one of ws, ws-twin, ty, ty-twin, tx, sy, got {rep!r}")
+        with pytest.raises(ValueError, match=message):
+            hc(kern, "l", (Rat(2),), (Rat(3),), (Rat(5),), (Rat(7),), rep)
+
     def test_closed_form_rejects_a_float(self):
         with pytest.raises(TypeError, match=r"inexact value 7\.0 \(float\)"):
             hc_closed_11(Kernel(Rat(2)), "l", Rat(2), Rat(3), Rat(5), 7.0)

@@ -1,4 +1,8 @@
-"""Source hygiene that no installed linter checks: every module-level import is used."""
+"""Source hygiene that no installed linter checks.
+
+Every module-level import is used, and every module-level definition of the
+package is used by the package or exported.
+"""
 
 import ast
 from pathlib import Path
@@ -6,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*ROOT.glob("src/qhc/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/qhc/*.py"))
+MODULES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def module_imports(tree):
@@ -45,6 +50,42 @@ def test_every_module_level_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in module_imports(tree)
               if name not in used and name not in exported(tree)]
     assert not unused, f"unused imports in {path.relative_to(ROOT)}: {unused}"
+
+
+def references(node):
+    """The names ``node`` reads, as a name, an attribute or an imported name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def definitions(tree):
+    """(name, statement) for each module-level function, class and assigned name."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, stmt
+
+
+def test_every_module_level_definition_is_used():
+    # a definition that only refers to itself, as a recursive function can, is unused
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    reads = [(stmt, set(references(stmt))) for tree in trees.values() for stmt in tree.body]
+    unused = [f"{path.relative_to(ROOT)}:{stmt.lineno} {name}"
+              for path, tree in trees.items() for name, stmt in definitions(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in exported(tree)
+              and not any(name in names for other, names in reads if other is not stmt)]
+    assert not unused, f"module-level definitions nothing in src/qhc uses: {unused}"
 
 
 def test_modules_are_found():

@@ -517,13 +517,20 @@ class TestKernelMemo:
         assert got[1] == as_rat(reference_izergin(3, self.xs, self.ys))
         assert [k2.f(Rat(3), Rat(1)), k3.f(Rat(3), Rat(1))] == [Rat(11, 4), Rat(13, 3)]
 
-    def test_rationals_are_indexed_by_value(self):
+    def test_values_are_indexed_by_identity(self):
         kern = Kernel(Rat(2))
-        i = kern.index(Rat(3, 2))
-        assert kern.index(Fraction(6, 4)) == i and kern.index(Rat(3, 2)) == i
-        assert kern.index(Rat(3)) != i
-        assert kern.indices((Rat(3), Fraction(3, 2))) == (kern.index(Rat(3)), i)
+        u, twin, v = Rat(3, 2), Fraction(6, 4), Rat(7)
+        i = kern.index(u)
+        assert kern.index(u) == i
+        assert kern.index(twin) != i  # equal, but another object
+        assert kern.indices((twin, u)) == (kern.index(twin), i)
         assert len(kern.values) == 2
+        assert kern.f(twin, v) == kern.f(u, v)
+        assert izergin(kern, (twin,), (v,)) == izergin(kern, (u,), (v,))
+        near = u + eps()
+        for x in (u, near):
+            assert kern.shift(kern.shift((x,), 2), -2)[0] is x
+            assert kern.shift(kern.shift((x,), -2), 2)[0] is x
 
     def test_a_series_is_indexed_by_identity(self):
         kern = Kernel(Rat(2))
