@@ -5,7 +5,8 @@ representations over different set unions (their shifted sets come from
 the kernel, which computes each shift once per value):
 
     ws       -- partitions of {s, x}            (the defining formula; also
-                `hc_ws_batch`, for many y sets at one (t, x, s))
+                `hc_ws_batch`, for many y sets at one (t, x, s), one
+                integer fraction per Z at a rational point)
     ws-twin  -- same union, twin rewriting
     ty       -- partitions of {y, t q^-2}
     ty-twin  -- same union, twin rewriting
@@ -46,6 +47,13 @@ def hc_ws_batch(kern, side, ts, xs, ss, yss):
     Only K(ys | w_I) depends on ys, so the rest of each term,
     K^(o)(ss | w_I q^2) K(w_II | ts) f(w_I, w_II), is formed once per split
     of {s, x} for the whole batch.  `hc` with rep "ws" is the one-set case.
+
+    When every value of ts, xs, ss and the ys is rational, each Z is one
+    integer fraction: the numerators and the denominators of the four
+    factors of a term are multiplied as ints, and the term is added to a
+    running numerator and denominator per ys without a gcd (the numerators
+    alone where the denominators are equal), so each Z makes one ``Rat``.
+    A batch that holds a series sums the terms as values.
     """
     ts, xs, ss = tuple(ts), tuple(xs), tuple(ss)
     yss = [tuple(ys) for ys in yss]
@@ -56,6 +64,24 @@ def hc_ws_batch(kern, side, ts, xs, ss, yss):
         return []
     b = len(ss)
     opp = kern.other(side)
+    sign = kern.mq(-u * b)
+    if kern.rational(ts + xs + ss + tuple(v for ys in yss for v in ys)):
+        nums, dens = [0] * len(yss), [1] * len(yss)
+        for w1, w2 in enumerate_partitions(ss + xs, b):
+            k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
+            k_t = izergin_side(kern, side, w2, ts)
+            f12 = kern.fprod(w1, w2)
+            cn = k_o.numerator * k_t.numerator * f12.numerator
+            cd = k_o.denominator * k_t.denominator * f12.denominator
+            for i, ys in enumerate(yss):
+                k_y = izergin_side(kern, side, ys, w1)
+                n, d, den = cn * k_y.numerator, cd * k_y.denominator, dens[i]
+                if d == den:
+                    nums[i] += n
+                else:
+                    nums[i] = nums[i] * d + n * den
+                    dens[i] = den * d
+        return [sign * Rat(n, d) for n, d in zip(nums, dens)]
     totals = [Rat(0)] * len(yss)
     for w1, w2 in enumerate_partitions(ss + xs, b):
         common = (
@@ -65,7 +91,6 @@ def hc_ws_batch(kern, side, ts, xs, ss, yss):
         )
         for i, ys in enumerate(yss):
             totals[i] = totals[i] + common * izergin_side(kern, side, ys, w1)
-    sign = kern.mq(-u * b)
     return [sign * total for total in totals]
 
 

@@ -27,9 +27,9 @@ memoised under tuples of these integers, since the partition sums of Z and of
 the scalar product ask for them many times over.  So are the two pair
 quantities q u - q^{-1} v and u - v, each pair once: the integer pair table
 holds them as integer fractions for every pair of rationals, from which K and
-f at rationals are built, and a series pair table holds them as values for
-each pair of a K that holds a series and each pair of f that holds one.  A
-value shifted and shifted back is the object it came from.
+f at rationals are built, and two series pair tables hold them as values
+where a K or an f holds a series, each quantity only for the pairs that read
+it.  A value shifted and shifted back is the object it came from.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Kernel:
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_shifts", "_ips", "_sps", "_fs", "_fprods", "_ks", "_ksides")
+                 "_shifts", "_ips", "_sqs", "_sds", "_fs", "_fprods", "_ks", "_ksides")
 
     def __init__(self, q):
         _check_exact(q)
@@ -100,7 +100,8 @@ class Kernel:
         self._ids = {}        # id(object) -> index
         self._shifts = {}     # (index, k) -> index of the value times q^k
         self._ips = {}        # (i, j) -> (A, B, C, E): q u - q^-1 v = A/B, u - v = C/E
-        self._sps = {}        # (i, j) -> (q u - q^-1 v, u - v) where a series is met
+        self._sqs = {}        # (i, j) -> q u - q^-1 v, where a series is met
+        self._sds = {}        # (i, j) -> u - v, where a series is met
         self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
@@ -138,6 +139,11 @@ class Kernel:
         except KeyError:
             return tuple([self.index(x) for x in xs])
 
+    def rational(self, xs):
+        """Whether every value of ``xs`` is rational, that is none is a series."""
+        nds = self._nds
+        return all(nds[i] is not None for i in self.indices(xs))
+
     def shift(self, xs, k):
         """The values of ``xs`` times q^k, one object per value; shifting back gives ``xs``."""
         out = []
@@ -161,13 +167,18 @@ class Kernel:
         out = self._ips[i, j] = (self._qn2 * ad - self._qm2 * bc, self._qnm * bd, ad - bc, bd)
         return out
 
-    def _sp(self, i, j):
-        """(q u - q^-1 v, u - v) of the values, for a pair at which a series is met."""
-        out = self._sps.get((i, j))
+    def _sq(self, i, j):
+        """q u - q^-1 v of the values, for a pair at which a series is met."""
+        out = self._sqs.get((i, j))
         if out is None:
-            u, v = self.values[i], self.values[j]
-            out = (self.q * u - self.qinv * v, u - v)
-            self._sps[i, j] = out
+            out = self._sqs[i, j] = self.q * self.values[i] - self.qinv * self.values[j]
+        return out
+
+    def _sd(self, i, j):
+        """u - v of the values, for a pair at which a series is met."""
+        out = self._sds.get((i, j))
+        if out is None:
+            out = self._sds[i, j] = self.values[i] - self.values[j]
         return out
 
     def _f(self, i, j):
@@ -180,7 +191,7 @@ class Kernel:
                     raise PoleError("vanishing denominator")
                 out = Rat(a * e, b * c)
             else:
-                out = _div(*self._sp(i, j))
+                out = _div(self._sq(i, j), self._sd(i, j))
             self._fs[i, j] = out
         return out
 
@@ -227,9 +238,9 @@ class Kernel:
         scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
         factors are C/E from the same table: one ``Rat`` of one integer
         numerator and one integer denominator.  A point that holds a series
-        reads the pair quantities from the series pair table, builds
+        reads the pair quantities from the series pair tables, builds
         rational or series rows and divides by the prefactor as a product
-        of them.  A zero x_i - y_j or prefactor factor raises PoleError
+        of its u - v.  A zero x_i - y_j or prefactor factor raises PoleError
         either way.
         """
         k = len(ixs)
@@ -266,17 +277,17 @@ class Kernel:
                     num *= e1 * e2
                     den *= c1 * c2
             return Rat(num, den)
-        sp = self._sp
+        sq, sd = self._sq, self._sd
         rows = []
         for i in ixs:
-            pairs = [sp(i, j) for j in iys]
+            qds = [sq(i, j) for j in iys] if k > 1 else ()  # a 1x1 row reads no q u - q^-1 v
             row = []
-            for c, (_, d) in enumerate(pairs):
+            for c, j in enumerate(iys):
                 num = self._gq
-                for cp, (qd, _) in enumerate(pairs):
+                for cp, qd in enumerate(qds):
                     if cp != c:
                         num = num * qd
-                row.append(_div(num, d))
+                row.append(_div(num, sd(i, j)))
             rows.append(row)
         value = det(rows)
         if k == 1:  # the prefactor is the empty product
@@ -284,7 +295,7 @@ class Kernel:
         denom = Rat(1)
         for a in range(k):
             for b in range(a + 1, k):
-                denom = denom * sp(ixs[a], ixs[b])[1] * sp(iys[b], iys[a])[1]
+                denom = denom * sd(ixs[a], ixs[b]) * sd(iys[b], iys[a])
         return _div(value, denom)
 
     def k_side(self, k, side, vs):

@@ -1,5 +1,6 @@
 """Highest-coefficient representations, symmetries, and recursions."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhc.highest
-from qhc.exactnum import LaurentSeries, Rat, eps
+from qhc.exactnum import LaurentSeries, PoleError, Rat, eps
 from qhc.highest import (
     REPRESENTATIONS,
     hc,
@@ -134,6 +135,41 @@ class TestWsBatch:
         for rep in REPRESENTATIONS:
             assert got[0] == hc(kern, side, ts, xs, ss, ys, rep), rep
             assert got[1] == hc(kern, side, ts, xs, ss, moved, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a", range(4))
+    @pytest.mark.parametrize("b", range(4))
+    def test_a_rational_batch_is_the_sum_of_its_terms(self, side, a, b):
+        # The ws formula summed term by term in Rat, with K from a fresh
+        # kernel and f written out, against the batch's integer sums.
+        (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b), 26)
+        got = hc_ws_batch(Kernel(q), side, ts, xs, ss, yss)
+        ref = Kernel(q)
+        opp = "r" if side == "l" else "l"
+        sign = (-q) ** (-b if side == "l" else b)
+        ws = ss + xs
+        for ys, z in zip(yss, got):
+            assert type(z) is Rat
+            want = Rat(0)
+            for picked in itertools.combinations(range(a + b), b):
+                w1 = tuple(ws[i] for i in picked)
+                w2 = tuple(w for i, w in enumerate(ws) if i not in picked)
+                term = (izergin_side(ref, opp, ss, tuple(w * q ** 2 for w in w1))
+                        * izergin_side(ref, side, w2, ts)
+                        * izergin_side(ref, side, ys, w1))
+                for u in w1:
+                    for v in w2:
+                        term *= (q * u - v / q) / (u - v)
+                want += term
+            assert z == sign * want
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("met", ["s", "x"])
+    def test_a_y_value_met_in_s_or_x_is_a_pole(self, side, met):
+        (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), 27)
+        value = Rat(ss[1] if met == "s" else xs[0])  # an equal value, another object
+        with pytest.raises(PoleError):
+            hc_ws_batch(Kernel(q), side, ts, xs, ss, [ys, (ys[0], value)])
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_an_empty_batch(self, side):

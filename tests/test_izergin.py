@@ -549,6 +549,17 @@ class TestKernelMemo:
         assert repr(flipped) == repr(fresh) != repr(first)
         assert first.coeff(0) == izergin(kern, self.xs, self.ys)
 
+    def test_rational_asks_the_index_space(self):
+        kern = Kernel(Rat(2))
+        near = Rat(3) + eps()
+        assert kern.rational(())
+        assert kern.rational((Rat(3, 2), 7, Fraction(6, 4)))
+        assert kern.rational(kern.shift((Rat(5), 7), 2))
+        assert not kern.rational((Rat(3), near))
+        assert not kern.rational((eps(level=2), 7))
+        assert not kern.rational(kern.shift((near,), -2))
+        assert kern.rational((Rat(3),))  # near's point is still rational
+
     def test_memo_does_not_change_equality_or_hash(self):
         used, fresh = Kernel(Rat(2)), Kernel(Rat(2))
         izergin(used, self.xs, self.ys)
