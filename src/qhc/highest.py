@@ -4,9 +4,9 @@ Z^(l,r)_{a,b}(t;x|s;y) is computed via six equivalent partition-sum
 representations over different set unions (their shifted sets come from
 the kernel, which computes each shift once per value):
 
-    ws       -- partitions of {s, x}            (the defining formula; also
-                `hc_ws_batch`, for many y sets at one (t, x, s), one
-                integer fraction per Z at a rational point)
+    ws       -- partitions of {s, x}            (the defining formula;
+                `hc_ws_batch` sums it over a grid of t sets by y sets at
+                one (x, s), one integer fraction per Z at a rational point)
     ws-twin  -- same union, twin rewriting
     ty       -- partitions of {y, t q^-2}
     ty-twin  -- same union, twin rewriting
@@ -41,57 +41,74 @@ __all__ = [
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
-def hc_ws_batch(kern, side, ts, xs, ss, yss):
-    """[Z^(side)_{a,b}(ts; xs | ss; ys) for ys in yss] by the defining ws sum.
+def hc_ws_batch(kern, side, tss, xs, ss, yss):
+    """[[Z^(side)_{a,b}(ts; xs | ss; ys) for ys in yss] for ts in tss] by the ws sum.
 
-    Only K(ys | w_I) depends on ys, so the rest of each term,
-    K^(o)(ss | w_I q^2) K(w_II | ts) f(w_I, w_II), is formed once per split
-    of {s, x} for the whole batch.  `hc` with rep "ws" is the one-set case.
+    Per split of {s, x} into {w_I, w_II}, K^(o)(ss | w_I q^2) and
+    f(w_I, w_II) are formed once for the whole grid, K(ys | w_I) once per y
+    set and K(w_II | ts) once per t set; each cell's term is their product.
+    `hc` with rep "ws" is the one-cell case.
 
-    When every value of ts, xs, ss and the ys is rational, each Z is one
-    integer fraction: the numerators and the denominators of the four
-    factors of a term are multiplied as ints, and the term is added to a
-    running numerator and denominator per ys without a gcd (the numerators
-    alone where the denominators are equal), so each Z makes one ``Rat``.
-    A batch that holds a series sums the terms as values.
+    When every value of the t sets, xs, ss and the y sets is rational, each
+    Z is one integer fraction: the numerators and the denominators of a
+    term's four factors are multiplied as ints, and the term is added to a
+    running numerator and denominator per cell without a gcd (the numerators
+    alone where the denominators are equal), so each Z, with its sign
+    (-q)^(-+b), makes one ``Rat``.  A grid that holds a series sums each
+    cell's terms as values, in the same split order, as
+    (K^(o) K(w_II | ts) f(w_I, w_II)) K(ys | w_I).
     """
-    ts, xs, ss = tuple(ts), tuple(xs), tuple(ss)
+    tss = [tuple(ts) for ts in tss]
+    xs, ss = tuple(xs), tuple(ss)
     yss = [tuple(ys) for ys in yss]
-    if len(ts) != len(xs) or any(len(ys) != len(ss) for ys in yss):
+    if (any(len(ts) != len(xs) for ts in tss)
+            or any(len(ys) != len(ss) for ys in yss)):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
     u = kern.usign(side)
-    if not yss:
-        return []
+    if not tss or not yss:
+        return [[] for _ in tss]
     b = len(ss)
     opp = kern.other(side)
     sign = kern.mq(-u * b)
-    if kern.rational(ts + xs + ss + tuple(v for ys in yss for v in ys)):
-        nums, dens = [0] * len(yss), [1] * len(yss)
-        for w1, w2 in enumerate_partitions(ss + xs, b):
+    cells = len(tss) * len(yss)
+    splits = enumerate_partitions(ss + xs, b)
+    if kern.rational(xs + ss + tuple(v for vs in tss + yss for v in vs)):
+        nums, dens = [0] * cells, [1] * cells
+        for w1, w2 in splits:
             k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
-            k_t = izergin_side(kern, side, w2, ts)
             f12 = kern.fprod(w1, w2)
-            cn = k_o.numerator * k_t.numerator * f12.numerator
-            cd = k_o.denominator * k_t.denominator * f12.denominator
-            for i, ys in enumerate(yss):
-                k_y = izergin_side(kern, side, ys, w1)
-                n, d, den = cn * k_y.numerator, cd * k_y.denominator, dens[i]
-                if d == den:
-                    nums[i] += n
-                else:
-                    nums[i] = nums[i] * d + n * den
-                    dens[i] = den * d
-        return [sign * Rat(n, d) for n, d in zip(nums, dens)]
-    totals = [Rat(0)] * len(yss)
-    for w1, w2 in enumerate_partitions(ss + xs, b):
-        common = (
-            izergin_side(kern, opp, ss, kern.shift(w1, 2))
-            * izergin_side(kern, side, w2, ts)
-            * kern.fprod(w1, w2)
-        )
-        for i, ys in enumerate(yss):
-            totals[i] = totals[i] + common * izergin_side(kern, side, ys, w1)
-    return [sign * total for total in totals]
+            cn = k_o.numerator * f12.numerator
+            cd = k_o.denominator * f12.denominator
+            k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
+            c = 0
+            for ts in tss:
+                k_t = izergin_side(kern, side, w2, ts)
+                tn, td = cn * k_t.numerator, cd * k_t.denominator
+                for k_y in k_ys:
+                    n, d, den = tn * k_y.numerator, td * k_y.denominator, dens[c]
+                    if d == den:
+                        nums[c] += n
+                    else:
+                        nums[c] = nums[c] * d + n * den
+                        dens[c] = den * d
+                    c += 1
+        sn, sd = sign.numerator, sign.denominator
+        totals = [Rat(n * sn, d * sd) for n, d in zip(nums, dens)]
+    else:
+        totals = [Rat(0)] * cells
+        for w1, w2 in splits:
+            k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
+            f12 = kern.fprod(w1, w2)
+            k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
+            c = 0
+            for ts in tss:
+                common = k_o * izergin_side(kern, side, w2, ts) * f12
+                for k_y in k_ys:
+                    totals[c] = totals[c] + common * k_y
+                    c += 1
+        totals = [sign * total for total in totals]
+    width = len(yss)
+    return [totals[i:i + width] for i in range(0, len(totals), width)]
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):
@@ -192,7 +209,7 @@ def _hc_sy(kern, side, ts, xs, ss, ys):
 
 
 _REP_FUNCS = {
-    "ws": lambda kern, side, ts, xs, ss, ys: hc_ws_batch(kern, side, ts, xs, ss, [ys])[0],
+    "ws": lambda kern, side, ts, xs, ss, ys: hc_ws_batch(kern, side, [ts], xs, ss, [ys])[0][0],
     "ws-twin": _hc_ws_twin,
     "ty": _hc_ty,
     "ty-twin": _hc_ty_twin,
@@ -539,7 +556,7 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
         splits = list(enumerate_partitions(xi, p - k))
         for s1, s2 in enumerate_partitions(ss, k):
             s1q = kern.shift(s1, -2)
-            zvals = hc_ws_batch(kern, side, ts, xs, s2, [ws + x1 for x1, _ in splits])
+            zvals = hc_ws_batch(kern, side, [ts], xs, s2, [ws + x1 for x1, _ in splits])[0]
             inner = Rat(0)
             for (x1, x2), z in zip(splits, zvals):
                 inner = inner + izergin_side(kern, opp, s1q + x1, ys) * z * fprod(x2, x1)

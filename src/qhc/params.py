@@ -9,6 +9,7 @@ of q^k-multiples of the pool (k in {-4, -2, 0, 2, 4}) are pairwise distinct.
 from __future__ import annotations
 
 import random
+from math import lcm
 
 from .exactnum import Rat
 
@@ -26,12 +27,20 @@ class GenericityError(RuntimeError):
 
 
 def is_generic(pool, q):
-    """True if all q^k multiples (k even, |k| <= 4) of the pool are distinct."""
+    """True if all q^k multiples (k even, |k| <= 4) of the pool are distinct.
+
+    With q = n/m, each v q^k times lcm(denominators of the pool) n^4 m^4 is
+    an integer, and scaling by one nonzero factor keeps values distinct, so
+    the test compares ints.
+    """
     if q in (Rat(0), Rat(1), Rat(-1)):
         return False
-    factors = [q ** k for k in _QPOWERS]
-    shifted = [v * factor for factor in factors for v in pool]
-    return len(set(shifted)) == len(shifted)
+    n, m = q.numerator, q.denominator
+    scale = lcm(*(v.denominator for v in pool))
+    ints = [v.numerator * (scale // v.denominator) for v in pool]
+    factors = [n ** (4 + k) * m ** (4 - k) for k in _QPOWERS]
+    shifted = {c * factor for factor in factors for c in ints}
+    return len(shifted) == len(factors) * len(ints)
 
 
 def _draw_rat(rng):

@@ -3,13 +3,16 @@
 The scalar product S_{a,b} is a sum over four simultaneous set partitions; the
 coefficient of each monomial in the formal symbols r1(u), r3(v) is a rational
 number built from f-products and a product of one left and one right highest
-coefficient.  Symbols are tracked per parameter (set tag + position), so
+coefficient.  `w_part` computes every coefficient of one block of splits
+(#uC_I = #uB_I = k, #vC_I = #vB_I = n) from grids of Z, each coefficient one
+integer fraction.  Symbols are tracked per parameter (set tag + position), so
 coefficient extraction is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .exactnum import PoleError, Rat, scalar_format
 from .highest import hc_ws_batch
@@ -114,35 +117,66 @@ def format_monomial(mono):
     )
 
 
-def w_part(kern, uC_split, uB_split, vC_splits, vB_splits):
-    """The coefficients of the four-way splits with one uC and one uB split.
+def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
+    """The coefficients of every four-way split of one (k, n) block.
 
-    Each split is a pair (part_I, part_II) of tuples; #uC_I = #uB_I and
-    #vC_I = #vB_I are required.  Entry [i][j] is the coefficient of the split
-    (uC, uB, vC_splits[i], vB_splits[j]):
+    Each split is a pair (part_I, part_II) of tuples; every uC_I and uB_I
+    has one size k, and every vC_I and vB_I one size n.  The result lists
+    the coefficient of each split (uC, uB, vC, vB) of
+    ``itertools.product(uC_splits, uB_splits, vC_splits, vB_splits)``, in
+    that order:
 
         f(uB_II, uB_I) f(uC_I, uC_II) f(vB_I, vB_II) f(vC_II, vC_I)
         f(vC_I, uC_I) f(vB_II, uB_II)
         Z^(l)(uC_II; uB_II | vC_I; vB_I) Z^(r)(uB_I; uC_I | vB_II; vC_II)
 
-    Z^(l) comes from one `hc_ws_batch` per vC split, over every vB_I, and
-    Z^(r) from one per vB split, over every vC_II.
+    Z^(l) comes from one `hc_ws_batch` grid per (uB, vC) split pair, over
+    every uC_II and vB_I, and Z^(r) from one per (uC, vB) split pair, over
+    every uB_I and vC_II.  Each f-product is formed once, and each
+    coefficient is one ``Rat`` of the integer numerators and denominators
+    of its eight factors, so every value must be rational.
     """
-    uC1, uC2 = uC_split
-    uB1, uB2 = uB_split
-    sizes = {len(vC1) for vC1, _ in vC_splits} | {len(vB1) for vB1, _ in vB_splits}
-    if len(uC1) != len(uB1) or len(sizes) > 1:
+    if (len({len(one) for one, _ in uC_splits} | {len(one) for one, _ in uB_splits}) > 1
+            or len({len(one) for one, _ in vC_splits} | {len(one) for one, _ in vB_splits}) > 1):
         raise ValueError("linked partition cardinalities must match")
+    if not kern.rational([v for splits in (uC_splits, uB_splits, vC_splits, vB_splits)
+                          for one, two in splits for v in one + two]):
+        raise TypeError("w_part needs rational values")
     fprod = kern.fprod
+
+    def fractions(values):
+        return [(value.numerator, value.denominator) for value in values]
+
+    uC_fs = fractions(fprod(uC1, uC2) for uC1, uC2 in uC_splits)
+    uB_fs = fractions(fprod(uB2, uB1) for uB1, uB2 in uB_splits)
+    vC_fs = fractions(fprod(vC2, vC1) for vC1, vC2 in vC_splits)
+    vB_fs = fractions(fprod(vB1, vB2) for vB1, vB2 in vB_splits)
+    vCuC_fs = [fractions(fprod(vC1, uC1) for vC1, _ in vC_splits) for uC1, _ in uC_splits]
+    vBuB_fs = [fractions(fprod(vB2, uB2) for _, vB2 in vB_splits) for _, uB2 in uB_splits]
+    uC2s = [uC2 for _, uC2 in uC_splits]
+    uB1s = [uB1 for uB1, _ in uB_splits]
     vB1s = [vB1 for vB1, _ in vB_splits]
     vC2s = [vC2 for _, vC2 in vC_splits]
-    zls = [hc_ws_batch(kern, "l", uC2, uB2, vC1, vB1s) for vC1, _ in vC_splits]
-    zrs = [hc_ws_batch(kern, "r", uB1, uC1, vB2, vC2s) for _, vB2 in vB_splits]
-    u_part = fprod(uB2, uB1) * fprod(uC1, uC2)
-    vC_parts = [u_part * fprod(vC2, vC1) * fprod(vC1, uC1) for vC1, vC2 in vC_splits]
-    vB_parts = [fprod(vB1, vB2) * fprod(vB2, uB2) for vB1, vB2 in vB_splits]
-    return [[vC_part * vB_part * zl[j] * zrs[j][i] for j, vB_part in enumerate(vB_parts)]
-            for i, (vC_part, zl) in enumerate(zip(vC_parts, zls))]
+    zls = [[hc_ws_batch(kern, "l", uC2s, uB2, vC1, vB1s) for vC1, _ in vC_splits]
+           for _, uB2 in uB_splits]   # zls[j][k][i][l]
+    zrs = [[hc_ws_batch(kern, "r", uB1s, uC1, vB2, vC2s) for _, vB2 in vB_splits]
+           for uC1, _ in uC_splits]   # zrs[i][l][j][k]
+    out = []
+    for i, (uC_n, uC_d) in enumerate(uC_fs):
+        zr_i, vCuC_i = zrs[i], vCuC_fs[i]
+        for j, (uB_n, uB_d) in enumerate(uB_fs):
+            zl_j, vBuB_j = zls[j], vBuB_fs[j]
+            for k, (vC_n, vC_d) in enumerate(vC_fs):
+                vCuC_n, vCuC_d = vCuC_i[k]
+                cn = uC_n * uB_n * vC_n * vCuC_n
+                cd = uC_d * uB_d * vC_d * vCuC_d
+                zl = zl_j[k][i]
+                for l, (vB_n, vB_d) in enumerate(vB_fs):
+                    vBuB_n, vBuB_d = vBuB_j[l]
+                    z1, z2 = zl[l], zr_i[l][j][k]
+                    out.append(Rat(cn * vB_n * vBuB_n * z1.numerator * z2.numerator,
+                                   cd * vB_d * vBuB_d * z1.denominator * z2.denominator))
+    return out
 
 
 def _splits(tag, vals, k):
@@ -160,7 +194,8 @@ def scalar_product_symbolic(kern, uC, vC, uB, vB):
     """S_{a,b} as a map monomial -> exact coefficient.
 
     S sums the `w_part` coefficient of every four-way split, times
-    1/f(vC, uC) f(vB, uB), under the monomial r1(uC_II, uB_I) r3(vC_II, vB_I).
+    1/f(vC, uC) f(vB, uB), under the monomial r1(uC_II, uB_I) r3(vC_II, vB_I),
+    with one `w_part` call per block of splits with #uC_I = k and #vC_I = n.
     That monomial determines the split, so no two splits share one; a split
     whose coefficient is zero is left out.
     """
@@ -174,16 +209,12 @@ def scalar_product_symbolic(kern, uC, vC, uB, vB):
         uCs, uBs = _splits("uC", uC, k), _splits("uB", uB, k)
         for n in range(b + 1):
             vCs, vBs = _splits("vC", vC, n), _splits("vB", vB, n)
-            vC_splits = [split for _, _, split in vCs]
-            vB_splits = [split for _, _, split in vBs]
-            for _, uC_syms, uC_split in uCs:
-                for uB_syms, _, uB_split in uBs:
-                    rows = w_part(kern, uC_split, uB_split, vC_splits, vB_splits)
-                    for (_, vC_syms, _), row in zip(vCs, rows):
-                        for (vB_syms, _, _), coeff in zip(vBs, row):
-                            if coeff != 0:
-                                mono = monomial(uC_syms + uB_syms, vC_syms + vB_syms)
-                                poly[mono] = coeff * inv_f
+            coeffs = w_part(kern, *([split for _, _, split in splits]
+                                    for splits in (uCs, uBs, vCs, vBs)))
+            for split, coeff in zip(product(uCs, uBs, vCs, vBs), coeffs):
+                if coeff != 0:
+                    (_, uC_syms, _), (uB_syms, _, _), (_, vC_syms, _), (vB_syms, _, _) = split
+                    poly[monomial(uC_syms + uB_syms, vC_syms + vB_syms)] = coeff * inv_f
     return poly
 
 

@@ -393,11 +393,11 @@ def registry():
                   hc_prop51_pair),
         _identity("W_CORNER_L", "scalar", _shapes_scalar, _uv, _UV,
                   lambda kern, uC, uB, vC, vB: (
-                      w_part(kern, ((), uC), ((), uB), [(vC, ())], [(vB, ())])[0][0],
+                      w_part(kern, [((), uC)], [((), uB)], [(vC, ())], [(vB, ())])[0],
                       hc(kern, "l", uC, uB, vC, vB))),
         _identity("W_CORNER_R", "scalar", _shapes_scalar, _uv, _UV,
                   lambda kern, uC, uB, vC, vB: (
-                      w_part(kern, (uC, ()), (uB, ()), [((), vC)], [((), vB)])[0][0],
+                      w_part(kern, [(uC, ())], [(uB, ())], [((), vC)], [((), vB)])[0],
                       hc(kern, "r", uB, uC, vB, vC))),
         _identity("SCAL_RES1", "scalar", _shapes_scalar, _uv, _UV, _scal_res(1)),
         _identity("SCAL_RES2", "scalar", _shapes_scalar, _uv, _UV, _scal_res(2)),

@@ -111,16 +111,16 @@ class TestRepresentationAgreement:
 
 
 class TestWsBatch:
-    """`hc_ws_batch` gives, per y set, what `hc` gives with each rep."""
+    """`hc_ws_batch` at one t set gives, per y set, what `hc` gives with each rep."""
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
     def test_each_set_of_the_batch_is_its_hc(self, side, a, b):
         (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b, b), 22)
         kern = Kernel(q)
-        got = hc_ws_batch(kern, side, ts, xs, ss, yss)
-        assert len(got) == 3
-        for ys, z in zip(yss, got):
+        got = hc_ws_batch(kern, side, [ts], xs, ss, yss)
+        assert len(got) == 1 and len(got[0]) == 3
+        for ys, z in zip(yss, got[0]):
             for rep in REPRESENTATIONS:
                 assert z == hc(kern, side, ts, xs, ss, ys, rep), rep
 
@@ -130,7 +130,7 @@ class TestWsBatch:
         (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 23)
         kern = Kernel(q)
         moved = (ys[0] + eps(),) + ys[1:]
-        got = hc_ws_batch(kern, side, ts, xs, ss, [ys, moved])
+        (got,) = hc_ws_batch(kern, side, [ts], xs, ss, [ys, moved])
         assert isinstance(got[1], LaurentSeries)
         for rep in REPRESENTATIONS:
             assert got[0] == hc(kern, side, ts, xs, ss, ys, rep), rep
@@ -143,7 +143,7 @@ class TestWsBatch:
         # The ws formula summed term by term in Rat, with K from a fresh
         # kernel and f written out, against the batch's integer sums.
         (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b), 26)
-        got = hc_ws_batch(Kernel(q), side, ts, xs, ss, yss)
+        (got,) = hc_ws_batch(Kernel(q), side, [ts], xs, ss, yss)
         ref = Kernel(q)
         opp = "r" if side == "l" else "l"
         sign = (-q) ** (-b if side == "l" else b)
@@ -169,19 +169,63 @@ class TestWsBatch:
         (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), 27)
         value = Rat(ss[1] if met == "s" else xs[0])  # an equal value, another object
         with pytest.raises(PoleError):
-            hc_ws_batch(Kernel(q), side, ts, xs, ss, [ys, (ys[0], value)])
+            hc_ws_batch(Kernel(q), side, [ts], xs, ss, [ys, (ys[0], value)])
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_an_empty_batch(self, side):
         (ts, xs, ss), q = sample_generic((1, 1, 1), 24)
-        assert hc_ws_batch(Kernel(q), side, ts, xs, ss, []) == []
+        assert hc_ws_batch(Kernel(q), side, [ts], xs, ss, []) == [[]]
 
     def test_cardinalities_are_checked_per_set(self):
         (ts, xs, ss, ys, y2), q = sample_generic((1, 1, 2, 2, 1), 25)
         with pytest.raises(ValueError, match="cardinality mismatch"):
-            hc_ws_batch(Kernel(q), "l", ts, xs, ss, [ys, y2])
+            hc_ws_batch(Kernel(q), "l", [ts], xs, ss, [ys, y2])
         with pytest.raises(ValueError, match="cardinality mismatch"):
-            hc_ws_batch(Kernel(q), "l", ts, xs[:0], ss, [ys])
+            hc_ws_batch(Kernel(q), "l", [ts], xs[:0], ss, [ys])
+
+
+class TestWsGrid:
+    """Cell [i][j] of `hc_ws_batch` is Z(tss[i]; xs | ss; yss[j]) by every rep."""
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (2, 1),
+                                     (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)])
+    def test_each_cell_is_its_hc(self, side, a, b):
+        (t1, t2, xs, ss, *yss), q = sample_generic((a, a, a, b, b, b, b), 28)
+        kern = Kernel(q)
+        got = hc_ws_batch(kern, side, [t1, t2], xs, ss, yss)
+        assert [len(row) for row in got] == [3, 3]
+        for ts, row in zip((t1, t2), got):
+            for ys, z in zip(yss, row):
+                assert type(z) is Rat
+                for rep in REPRESENTATIONS:
+                    assert z == hc(kern, side, ts, xs, ss, ys, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_a_t_set_holding_a_series(self, side, a, b):
+        # One series t value sends the whole grid down the series branch.
+        (t1, xs, ss, y1, y2), q = sample_generic((a, a, b, b, b), 29)
+        kern = Kernel(q)
+        moved = (t1[0] + eps(),) + t1[1:]
+        got = hc_ws_batch(kern, side, [t1, moved], xs, ss, [y1, y2])
+        assert all(isinstance(z, LaurentSeries) for z in got[1])
+        for ts, row in zip((t1, moved), got):
+            for ys, z in zip((y1, y2), row):
+                for rep in REPRESENTATIONS:
+                    assert z == hc(kern, side, ts, xs, ss, ys, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_no_t_sets_or_no_y_sets(self, side):
+        (t1, t2, xs, ss, ys), q = sample_generic((1, 1, 1, 2, 2), 30)
+        kern = Kernel(q)
+        assert hc_ws_batch(kern, side, [], xs, ss, [ys]) == []
+        assert hc_ws_batch(kern, side, [t1, t2], xs, ss, []) == [[], []]
+
+    def test_t_sets_of_unequal_sizes(self):
+        (t1, t2, xs, ss, ys), q = sample_generic((2, 1, 2, 1, 1), 31)
+        with pytest.raises(ValueError, match="cardinality mismatch"):
+            hc_ws_batch(Kernel(q), "l", [t1, t2], xs, ss, [ys])
 
 
 class TestBoundaries:

@@ -1,5 +1,7 @@
 """Run configuration and generic-point sampling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,3 +57,26 @@ class TestGenericity:
 
     def test_accepts_unrelated_points(self):
         assert is_generic((Rat(3), Rat(5), Rat(7)), Rat(2))
+
+    def test_agrees_with_the_fraction_set_form(self):
+        # The definition in Fraction arithmetic, on pools small enough that
+        # repeated values and q-power collisions are common, and with some
+        # collisions planted.
+        def by_fractions(pool, q):
+            if q in (0, 1, -1):
+                return False
+            shifted = [v * q ** k for k in (-4, -2, 0, 2, 4) for v in pool]
+            return len(set(shifted)) == len(shifted)
+
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(3000):
+            pool = tuple(Rat(rng.randint(-6, 6), rng.randint(1, 6))
+                         for _ in range(rng.randint(0, 5)))
+            q = Rat(rng.randint(-6, 6), rng.randint(1, 5))
+            if pool and q and rng.random() < 0.25:  # plant a q-power collision
+                pool += (pool[0] * q ** rng.choice((-4, -2, 2, 4)),)
+            want = by_fractions(pool, q)
+            assert is_generic(pool, q) == want, (pool, q)
+            seen.add(want)
+        assert seen == {True, False}

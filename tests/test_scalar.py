@@ -1,12 +1,13 @@
 """Scalar-product expansion and coefficient extraction."""
 
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc.exactnum import PoleError, Rat
+from qhc.exactnum import PoleError, Rat, eps
 from qhc.highest import hc
 from qhc.izergin import Kernel
 from qhc.params import sample_generic
@@ -127,55 +128,63 @@ class TestWPart:
     def test_each_entry_is_its_splits_coefficient(self, a, b, k, n):
         (uC, uB, vC, vB), q = sample_generic((a, a, b, b), 78 + a + b + k + n)
         kern = Kernel(q)
-        vC_splits = list(enumerate_partitions(vC, n))
-        vB_splits = list(enumerate_partitions(vB, n))
-        for uC_split in enumerate_partitions(uC, k):
-            for uB_split in enumerate_partitions(uB, k):
-                got = w_part(kern, uC_split, uB_split, vC_splits, vB_splits)
-                assert len(got) == len(vC_splits)
-                for vC_split, row in zip(vC_splits, got):
-                    assert row == [
-                        split_coefficient(kern, uC_split, uB_split, vC_split, vB_split)
-                        for vB_split in vB_splits
-                    ]
+        splits = [list(enumerate_partitions(uC, k)), list(enumerate_partitions(uB, k)),
+                  list(enumerate_partitions(vC, n)), list(enumerate_partitions(vB, n))]
+        got = w_part(kern, *splits)
+        assert len(got) == prod(len(s) for s in splits)
+        for four, coeff in zip(product(*splits), got):
+            assert type(coeff) is Rat
+            assert coeff == split_coefficient(kern, *four)
 
     def test_empty_batches(self):
         (uC, uB, vC, vB), q = sample_generic((1, 1, 2, 2), 79)
         kern = Kernel(q)
-        uC_split, uB_split = (uC, ()), (uB, ())
+        uC_splits, uB_splits = [(uC, ())], [(uB, ())]
         vC_splits = list(enumerate_partitions(vC, 1))
         vB_splits = list(enumerate_partitions(vB, 1))
-        assert w_part(kern, uC_split, uB_split, [], vB_splits) == []
-        assert w_part(kern, uC_split, uB_split, vC_splits, []) == [[], []]
+        assert w_part(kern, uC_splits, uB_splits, [], vB_splits) == []
+        assert w_part(kern, uC_splits, uB_splits, vC_splits, []) == []
+        assert w_part(kern, [], uB_splits, vC_splits, vB_splits) == []
+
+    def test_a_series_value_is_rejected(self):
+        (uC, uB, vC, vB), q = sample_generic((1, 1, 1, 1), 80)
+        moved = (uC[0] + eps(),)
+        with pytest.raises(TypeError, match="w_part needs rational values"):
+            w_part(Kernel(q), [((), moved)], [((), uB)], [(vC, ())], [(vB, ())])
 
 
 class TestCornerCases:
     def test_left_corner_is_left_hc(self):
         (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 71)
         kern = Kernel(q)
-        got = w_part(kern, ((), uC), ((), uB), [(vC, ())], [(vB, ())])
-        assert got == [[hc(kern, "l", uC, uB, vC, vB)]]
+        got = w_part(kern, [((), uC)], [((), uB)], [(vC, ())], [(vB, ())])
+        assert got == [hc(kern, "l", uC, uB, vC, vB)]
 
     def test_right_corner_is_right_hc(self):
         (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 72)
         kern = Kernel(q)
-        got = w_part(kern, (uC, ()), (uB, ()), [((), vC)], [((), vB)])
-        assert got == [[hc(kern, "r", uB, uC, vB, vC)]]
+        got = w_part(kern, [(uC, ())], [(uB, ())], [((), vC)], [((), vB)])
+        assert got == [hc(kern, "r", uB, uC, vB, vC)]
 
     def test_linked_cardinality_enforced(self):
         kern = Kernel(Rat(2))
         two, three, five, seven = Rat(2), Rat(3), Rat(5), Rat(7)
         for args in [
-            (((two,), ()), ((), (three,)), [((), ())], [((), ())]),
-            (((), ()), ((), ()), [((two,), ())], [((), (three,))]),
-            (((), ()), ((), ()), [((two,), (five,)), ((), (two, five))], [((three,), (seven,))]),
+            ([((two,), ())], [((), (three,))], [((), ())], [((), ())]),
+            ([((), ())], [((), ())], [((two,), ())], [((), (three,))]),
+            ([((), ())], [((), ())], [((two,), (five,)), ((), (two, five))],
+             [((three,), (seven,))]),
+            ([((two,), (five,)), ((), (two, five))], [((three,), (seven,))],
+             [((), ())], [((), ())]),
         ]:
             with pytest.raises(ValueError, match="linked partition cardinalities must match"):
                 w_part(kern, *args)
 
 
 class TestSymbolicExpansion:
-    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("a,b", [
+        (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (2, 0), (3, 1), (1, 3), (3, 2),
+    ])
     def test_equals_the_sum_of_w_part_over_every_split(self, a, b):
         (uC, uB, vC, vB), q = sample_generic((a, a, b, b), 76)
         got = scalar_product_symbolic(Kernel(q), uC, vC, uB, vB)
