@@ -32,7 +32,8 @@ __all__ = [
     "invert_window",
 ]
 
-# Number of series terms computed when inverting a multi-term unit.
+# Number of terms an exact polynomial of more than one term is inverted to,
+# or its own length where that is longer.
 INVERT_TERMS = 8
 
 # The window `invert` uses; only `invert_window` changes it.
@@ -133,7 +134,10 @@ def _convolve_into(out, xs, ys):
 
 @contextmanager
 def invert_window(terms):
-    """Invert multi-term units to ``terms`` terms inside the block.
+    """Invert exact polynomials of more than one term to ``terms`` terms inside the block.
+
+    A polynomial longer than ``terms`` is inverted to its own length, and a
+    truncated unit to all the terms it knows, whatever the window.
 
     A narrower window makes every product and sum behind it shorter; what it
     cannot decide raises `WindowError`, as at any window.
@@ -334,7 +338,14 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def invert(self):
-        """Multiplicative inverse up to the reliable window."""
+        """Multiplicative inverse, to a number of terms set by the series and the window.
+
+        An exact single term inverts exactly.  An exact polynomial of more
+        terms inverts to ``max(len(coeffs), window)`` terms, the window
+        being `INVERT_TERMS` or that of `invert_window`.  A truncated unit
+        inverts to ``order - valuation`` terms, all it knows, whatever the
+        window.
+        """
         if self.is_zero():
             if self.is_exact():
                 raise PoleError("division by exact zero series")

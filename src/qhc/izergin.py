@@ -16,9 +16,13 @@ K is one integer fraction: the matrix is built in integers from an integer
 pair table, with (q - q^{-1})^k and a scale per row taken out, `det`
 eliminates it fraction-free, and the determinant, (q - q^{-1})^k, the row
 scales and the Cauchy-like prefactor are multiplied into one integer
-numerator and one integer denominator, so each K costs one rational.  A
-point that holds a series keeps rational or series rows, prefactor and
-divisions.  Floats are rejected: every value is exact.
+numerator and one integer denominator, so each K costs one rational.  At
+a point whose series values are all xs, or all ys, only their lines of the
+matrix (rows for xs, columns for ys) are series; the other lines are integer
+lines as at a rational point, and the determinant is expanded along the
+series lines over integer minors.  A point with series on both sides keeps
+rational or series rows, prefactor and divisions, and `det` eliminates
+them.  Floats are rejected: every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, known by its identity alone, so no
@@ -229,45 +233,28 @@ class Kernel:
     def _izergin(self, ixs, iys):
         """K of the values of two index tuples, from the pair tables.
 
-        At a rational point K is one integer fraction.  Row ``i`` reads
-        q x_i - q^-1 y_j = A_j / B_j and x_i - y_j = C_j / E_j from the
-        integer pair table; times prod_j B_j C_j and without the factor
-        q - q^-1 it is N_ij = B_j E_j prod_{j' != j} A_j' C_j'.  `det`
-        eliminates the integer rows, and K is its result times
+        At a rational point K is one integer fraction.  `_int_rows` builds
+        the integer rows, and `det` eliminates them; K is its result times
         (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
         scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
-        factors are C/E from the same table: one ``Rat`` of one integer
-        numerator and one integer denominator.  A point that holds a series
-        reads the pair quantities from the series pair tables, builds
-        rational or series rows and divides by the prefactor as a product
-        of its u - v.  A zero x_i - y_j or prefactor factor raises PoleError
-        either way.
+        factors are C/E from the integer pair table: one ``Rat`` of one integer
+        numerator and one integer denominator.  For k > 1, a point whose
+        series values are all xs, or all ys, is expanded along their lines
+        (`_expand`).  Any other point that holds a series reads the pair
+        quantities from the series pair tables, builds rational or series
+        rows for `det` and divides by the prefactor as a product of its
+        u - v.  A zero x_i - y_j or prefactor factor raises PoleError every
+        way.
         """
         k = len(ixs)
         if k == 0:
             return Rat(1)
         nds = self._nds
         if all(nds[i] is not None for i in (*ixs, *iys)):
-            ips, ip = self._ips, self._ip
-            rows, den = [], 1
-            for i in ixs:
-                prods, outer = [], []
-                for j in iys:
-                    a, b, c, e = ips.get((i, j)) or ip(i, j)
-                    if not c:
-                        raise PoleError("vanishing denominator")
-                    prods.append(a * c)   # A_j C_j
-                    outer.append(b * e)   # B_j E_j
-                    den *= b * c          # B_j C_j
-                row = []
-                for c, entry in enumerate(outer):
-                    for cp, p in enumerate(prods):
-                        if cp != c:
-                            entry *= p
-                    row.append(entry)
-                rows.append(row)
+            rows, den = self._int_rows(ixs, iys)
             num = det(rows).numerator * (self._qn2 - self._qm2) ** k
             den *= self._qnm ** k
+            ips, ip = self._ips, self._ip
             for a in range(k):
                 for b in range(a + 1, k):
                     c1, e1 = (ips.get((ixs[a], ixs[b])) or ip(ixs[a], ixs[b]))[2:]
@@ -277,6 +264,11 @@ class Kernel:
                     num *= e1 * e2
                     den *= c1 * c2
             return Rat(num, den)
+        if k > 1:
+            if all(nds[j] is not None for j in iys):
+                return self._expand(ixs, iys, False)
+            if all(nds[i] is not None for i in ixs):
+                return self._expand(ixs, iys, True)
         sq, sd = self._sq, self._sd
         rows = []
         for i in ixs:
@@ -297,6 +289,121 @@ class Kernel:
             for b in range(a + 1, k):
                 denom = denom * sd(ixs[a], ixs[b]) * sd(iys[b], iys[a])
         return _div(value, denom)
+
+    def _int_rows(self, lines, others, columns=False):
+        """Integer lines of K's matrix from the integer pair table, and their scales' product.
+
+        Line ``l`` reads q x - q^-1 y = A_o / B_o and x - y = C_o / E_o for
+        each ``o`` of ``others``, with x, y the values of l, o, or of o, l
+        for ``columns``; times prod_o B_o C_o and without the factor
+        q - q^-1 it is N_o = B_o E_o prod_{o' != o} A_o' C_o'.  A zero
+        x - y raises PoleError.
+        """
+        ips, ip = self._ips, self._ip
+        rows, scale = [], 1
+        for l in lines:
+            prods, outer = [], []
+            for o in others:
+                key = (o, l) if columns else (l, o)
+                a, b, c, e = ips.get(key) or ip(*key)
+                if not c:
+                    raise PoleError("vanishing denominator")
+                prods.append(a * c)   # A_o C_o
+                outer.append(b * e)   # B_o E_o
+                scale *= b * c        # B_o C_o
+            row = []
+            for c, entry in enumerate(outer):
+                for cp, p in enumerate(prods):
+                    if cp != c:
+                        entry *= p
+                row.append(entry)
+            rows.append(row)
+        return rows, scale
+
+    def _expand(self, ixs, iys, columns):
+        """K at a point whose series values are all xs, or all ys for ``columns``.
+
+        The matrix is taken in row form for xs and in column form for ys:
+        column j carries (q - q^-1) prod_{i' != i} (q x_i' - q^-1 y_j) /
+        (x_i - y_j), which has the row form's determinant.  Only the lines
+        of the series values are series: without the factor q - q^-1, each
+        entry is the product of a prefix and a suffix product of the line's
+        q u - q^-1 v over one u - v.  The other lines are integer lines
+        from `_int_rows`.  The determinant is expanded along the series
+        lines, the highest level outermost, so each entry of an outer line
+        multiplies one sum of the inner lines; the complementary minors are
+        integer determinants, each column set's once.  (q - q^-1)^k, the
+        integer lines' scales and the rational factors of the prefactor
+        make one ``Rat``, and the sum divides once by the product of the
+        prefactor's series factors of each level.
+
+        A repeated value makes a factor of the prefactor an exact zero, so
+        it raises PoleError where elimination raised WindowError (a zero
+        pivot column known only within its window); a rational one raises
+        before the expansion.
+        """
+        nds, values, ips, ip = self._nds, self.values, self._ips, self._ip
+        sq, sd = self._sq, self._sd
+        lines, others = (iys, ixs) if columns else (ixs, iys)
+        k = len(lines)
+        num, den, factors = 1, 1, {}
+        for a in range(k):
+            for b in range(a + 1, k):
+                for i, j in ((ixs[a], ixs[b]), (iys[b], iys[a])):
+                    if nds[i] is None or nds[j] is None:
+                        f = sd(i, j)
+                        factors[f.level] = factors[f.level] * f if f.level in factors else f
+                    else:
+                        c, e = (ips.get((i, j)) or ip(i, j))[2:]
+                        if not c:
+                            raise PoleError("vanishing denominator")
+                        num *= e
+                        den *= c
+        series = sorted((p for p in range(k) if nds[lines[p]] is None),
+                        key=lambda p: -values[lines[p]].level)
+        ints = [p for p in range(k) if nds[lines[p]] is not None]
+        rows, scale = self._int_rows([lines[p] for p in ints], others, columns)
+        n, perm = len(series), series + ints
+        sign = 1
+        for a in range(k):
+            for b in range(a + 1, k):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        entries = []
+        for p in series:
+            pairs = [(o, lines[p]) if columns else (lines[p], o) for o in others]
+            qds = [sq(i, j) for i, j in pairs]
+            pre, suf = [None], [None]  # products of the first and of the last t
+            for qd, qe in zip(qds[:-1], qds[:0:-1]):
+                pre.append(qd if pre[-1] is None else pre[-1] * qd)
+                suf.append(qe if suf[-1] is None else qe * suf[-1])
+            entries.append([_div(u if v is None else v if u is None else u * v, sd(i, j))
+                            for u, v, (i, j) in zip(pre, suf[::-1], pairs)])
+        sums = {}
+
+        def expand(cols):
+            # the minor of the lines from perm[k - len(cols)] on, over the columns cols
+            out = sums.get(cols)
+            if out is None:
+                if len(cols) == k - n:
+                    out = _bareiss([[row[c] for c in cols] for row in rows]) if cols else Rat(1)
+                else:
+                    line = entries[k - len(cols)]
+                    for t, c in enumerate(cols):
+                        sub = expand(cols[:t] + cols[t + 1:])
+                        if not _coeff_is_zero(sub):
+                            term = line[c] * (-sub if t % 2 else sub)
+                            out = term if out is None else out + term
+                    if out is None:
+                        out = Rat(0)
+                sums[cols] = out
+            return out
+
+        value = expand(tuple(range(k)))
+        for level in sorted(factors, reverse=True):
+            value = _div(value, factors[level])
+        num *= sign * (self._qn2 - self._qm2) ** k
+        return value * Rat(num, den * scale * self._qnm ** k)
 
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.

@@ -192,6 +192,31 @@ class TestWindowRetry:
     def test_the_windows_widen_to_the_default(self):
         assert WINDOWS == (2, 4, 8)
 
+    def test_every_residue_case_is_decided_at_the_narrowest_window(self, monkeypatch):
+        # A precision guard: a series evaluation that loses terms makes a
+        # case retry at a wider window, which its verdict alone would hide.
+        windows = []
+        invert_window = qhc.verify.invert_window
+
+        def recording(terms):
+            windows[-1].append(terms)
+            return invert_window(terms)
+
+        run = qhc.verify._run
+
+        def per_case(*args):
+            windows.append([])
+            return run(*args)
+
+        monkeypatch.setattr(qhc.verify, "invert_window", recording)
+        monkeypatch.setattr(qhc.verify, "_run", per_case)
+        report = run_suite("residues", a_max=2, b_max=2, trials=1, seed=42)
+        assert report["summary"] == {"pass": 132, "fail": 0, "error": 0}
+        assert len(windows) == 132
+        retried = [(c["identity_id"], c["shape"], w) for c, w in zip(report["cases"], windows)
+                   if w != [WINDOWS[0]]]
+        assert not retried
+
     def test_a_case_moves_on_from_a_window_error(self):
         seen = []
 
