@@ -13,14 +13,15 @@ so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
 K is one integer fraction: the matrix is built in integers from an integer
-pair table, with (q - q^{-1})^k and a scale per row taken out, `det`
-eliminates it fraction-free, and the determinant, (q - q^{-1})^k, the row
-scales and the Cauchy-like prefactor are multiplied into one integer
-numerator and one integer denominator, so each K costs one rational.  At
-a point whose series values are all xs, or all ys, only their lines of the
-matrix (rows for xs, columns for ys) are series; the other lines are integer
-lines as at a rational point, and the determinant is expanded along the
-series lines over integer minors.  A point with series on both sides keeps
+pair table, with (q - q^{-1})^k and a scale per row taken out, the integer
+kernel `_bareiss` eliminates it fraction-free without passing through
+`det`, and the determinant, (q - q^{-1})^k, the row scales and the
+Cauchy-like prefactor are multiplied into one integer numerator and one
+integer denominator, so each K costs one rational.  At a point whose
+series values are all xs, or all ys, only their lines of the matrix (rows
+for xs, columns for ys) are series; the other lines are integer lines as at
+a rational point, and the determinant is expanded along the series lines
+over integer minors.  A point with series on both sides keeps
 rational or series rows, prefactor and divisions, and `det` eliminates
 them.  Floats are rejected: every value is exact.
 
@@ -234,8 +235,8 @@ class Kernel:
         """K of the values of two index tuples, from the pair tables.
 
         At a rational point K is one integer fraction.  `_int_rows` builds
-        the integer rows, and `det` eliminates them; K is its result times
-        (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
+        the integer rows, and `_bareiss` eliminates them; K is its result
+        times (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
         scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
         factors are C/E from the integer pair table: one ``Rat`` of one integer
         numerator and one integer denominator.  For k > 1, a point whose
@@ -252,7 +253,7 @@ class Kernel:
         nds = self._nds
         if all(nds[i] is not None for i in (*ixs, *iys)):
             rows, den = self._int_rows(ixs, iys)
-            num = det(rows).numerator * (self._qn2 - self._qm2) ** k
+            num = _bareiss(rows) * (self._qn2 - self._qm2) ** k
             den *= self._qnm ** k
             ips, ip = self._ips, self._ip
             for a in range(k):
@@ -296,27 +297,28 @@ class Kernel:
         Line ``l`` reads q x - q^-1 y = A_o / B_o and x - y = C_o / E_o for
         each ``o`` of ``others``, with x, y the values of l, o, or of o, l
         for ``columns``; times prod_o B_o C_o and without the factor
-        q - q^-1 it is N_o = B_o E_o prod_{o' != o} A_o' C_o'.  A zero
-        x - y raises PoleError.
+        q - q^-1 it is N_o = B_o E_o prod_{o' != o} A_o' C_o', formed as
+        B_o E_o times the product of the A C before o and the product of
+        those after it.  A zero x - y raises PoleError.
         """
         ips, ip = self._ips, self._ip
-        rows, scale = [], 1
+        rows, scale, n = [], 1, len(others)
         for l in lines:
-            prods, outer = [], []
+            prods, row, pre = [], [], 1
             for o in others:
                 key = (o, l) if columns else (l, o)
                 a, b, c, e = ips.get(key) or ip(*key)
                 if not c:
                     raise PoleError("vanishing denominator")
-                prods.append(a * c)   # A_o C_o
-                outer.append(b * e)   # B_o E_o
-                scale *= b * c        # B_o C_o
-            row = []
-            for c, entry in enumerate(outer):
-                for cp, p in enumerate(prods):
-                    if cp != c:
-                        entry *= p
-                row.append(entry)
+                ac = a * c
+                prods.append(ac)          # A_o C_o
+                row.append(b * e * pre)   # B_o E_o times the A C before o
+                pre *= ac
+                scale *= b * c            # B_o C_o
+            suf = 1
+            for t in range(n - 1, 0, -1):
+                suf *= prods[t]
+                row[t - 1] *= suf         # times the A C after o
             rows.append(row)
         return rows, scale
 
@@ -386,7 +388,7 @@ class Kernel:
             out = sums.get(cols)
             if out is None:
                 if len(cols) == k - n:
-                    out = _bareiss([[row[c] for c in cols] for row in rows]) if cols else Rat(1)
+                    out = Rat(_bareiss([[row[c] for c in cols] for row in rows]) if cols else 1)
                 else:
                     line = entries[k - len(cols)]
                     for t, c in enumerate(cols):
@@ -422,11 +424,7 @@ class Kernel:
 
     def mq(self, e):
         """(-q)^e for integer e of either sign."""
-        base = -self.q if e >= 0 else -self.qinv
-        out = Rat(1)
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        return (-self.q) ** e
 
     def usign(self, side):
         """The sign taken by this side in (+-)/(-+) exponents: l is upper."""
@@ -444,10 +442,9 @@ class Kernel:
 def det(rows):
     """Determinant of a square matrix, generic over the scalar ring.
 
-    A matrix of ``int`` entries, as `Kernel` builds at a rational point,
-    is eliminated fraction-free (Bareiss): a zero pivot swaps in a lower
-    row, and each step divides exactly by the previous pivot.  The result is
-    one ``Rat``.
+    A matrix of ``int`` entries is eliminated fraction-free by `_bareiss`,
+    the integer kernel that `Kernel` calls directly at a rational point; the
+    result is one ``Rat``.
 
     Any other matrix (``Rat``, mixed or series entries) pivots on the entry
     of minimal valuation (plain nonzero scalars count as valuation 0), which
@@ -465,7 +462,7 @@ def det(rows):
     if n == 0:
         return Rat(1)
     if all(type(x) is int for r in rows for x in r):
-        return _bareiss(rows)
+        return Rat(_bareiss([list(r) for r in rows]))
     for r in rows:
         for x in r:
             _check_exact(x)
@@ -495,16 +492,25 @@ def det(rows):
     return result if sign == 1 else -result
 
 
-def _bareiss(rows):
-    """The determinant of a nonempty square matrix of integers, as a ``Rat``."""
-    m = [list(r) for r in rows]
+def _bareiss(m):
+    """The determinant of a nonempty square matrix of integers, as an ``int``.
+
+    A 1x1 or 2x2 matrix is read off.  A larger one is eliminated in place,
+    fraction-free (Bareiss): a zero pivot swaps in a lower row, and each step
+    divides exactly by the previous pivot.
+    """
     n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return Rat(0)
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot, top = m[k][k], m[k]
@@ -513,7 +519,7 @@ def _bareiss(rows):
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return Rat(sign * m[-1][-1])
+    return sign * m[-1][-1]
 
 
 def izergin(kern, xs, ys):

@@ -78,6 +78,16 @@ class TestKernelFunctions:
         assert kern.mq(-1) == Rat(-1, 2)
         assert kern.mq(0) == Rat(1)
 
+    @pytest.mark.parametrize("q", [Rat(2), Rat(-5, 3), Rat(1, 7)])
+    def test_mq_is_the_product_of_its_factors(self, q):
+        kern = Kernel(q)
+        for e in range(-6, 7):
+            want = Rat(1)
+            for _ in range(abs(e)):
+                want = want * (-q if e > 0 else -1 / q)
+            got = kern.mq(e)
+            assert got == want and type(got) is Rat
+
     def test_degenerate_q_rejected(self):
         for q in (0, 1, -1):
             with pytest.raises(ValueError):
@@ -237,16 +247,20 @@ rational_entries = st.one_of(rats, st.just(Rat(0)), small_ints)
 
 
 @st.composite
-def rational_matrices(draw):
-    """Square matrices of rationals and ints up to 6x6, some singular, some needing swaps."""
+def rational_matrices(draw, entries=rational_entries, scales=st.one_of(rats, small_ints)):
+    """Square matrices of rationals and ints up to 6x6, some singular, some needing swaps.
+
+    ``entries`` and ``scales`` (the factor of a row that is a multiple of
+    another) may be narrowed to ints.
+    """
     n = draw(st.integers(min_value=1, max_value=6))
-    row = st.one_of(st.lists(rational_entries, min_size=n, max_size=n),
+    row = st.one_of(st.lists(entries, min_size=n, max_size=n),
                     st.lists(small_ints, min_size=n, max_size=n))
     rows = draw(st.lists(row, min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):  # one row a multiple of another: singular
         i, j = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
                              min_size=2, max_size=2, unique=True))
-        c = draw(st.one_of(rats, small_ints))
+        c = draw(scales)
         rows[i] = [c * x for x in rows[j]]
     for r in rows[:draw(st.integers(min_value=0, max_value=n))]:
         r[0] = 0  # zero leading entries: a row swap, or a zero column
@@ -537,6 +551,21 @@ class TestSeriesLines:
         assert take_limit(got * (xs[0] - ys[0])) == take_limit(
             rat_row_izergin(q, xs, ys) * (xs[0] - ys[0]))
 
+    def test_a_nested_point_undecided_at_window_2(self):
+        # two level-2 ys with level-1 parts: the expansion knows too few
+        # terms for the limit at window 2, and must say so
+        e, e2 = eps(), eps(level=2)
+        q = Rat(5, 3)
+        xs = (Rat(12, 5), Rat(-17, 2), Rat(8), Rat(2))
+        ys = (Rat(-7) + Rat(5, 2) * e - Rat(16, 3) * e2, Rat(29, 4) * e + Rat(17, 5) * e2,
+              Rat(12, 5) * e2, Rat(-7))
+        with invert_window(2), pytest.raises(WindowError):
+            take_limit(izergin(Kernel(q), xs, ys))
+        for window in (4, 8):
+            with invert_window(window):
+                got = take_limit(izergin(Kernel(q), xs, ys))
+            assert got == Rat(-8179149952167133184, 3249410656700671875)
+
 
 class TestIntegerRows:
     """At a rational point K's rows are integers and K is what `Rat` rows give."""
@@ -549,14 +578,16 @@ class TestIntegerRows:
         for rows in (xs, xs[::-1]):  # the second shares the first's pair table
             assert outcome(kern.k, rows, ys) == outcome(rat_row_izergin, q, rows, ys)
 
-    def test_det_gets_integer_rows_once_per_evaluated_k(self, monkeypatch):
+    def test_the_integer_kernel_gets_integer_rows_once_per_evaluated_k(self, monkeypatch):
         calls = []
+        bareiss = qhc.izergin._bareiss
 
         def counting(rows):
-            calls.append(rows)
-            return det(rows)
+            calls.append([list(r) for r in rows])
+            return bareiss(rows)
 
-        monkeypatch.setattr(qhc.izergin, "det", counting)
+        monkeypatch.setattr(qhc.izergin, "_bareiss", counting)
+        monkeypatch.setattr(qhc.izergin, "det", lambda rows: pytest.fail("det"))
         (t, x, s, y), q = sample_generic((2, 2, 2, 2), 7)
         kern = Kernel(q)
         for rep in REPRESENTATIONS:
@@ -589,17 +620,75 @@ class TestIntegerRows:
 
     def test_a_prefactor_pole_raises_after_the_determinant(self, monkeypatch):
         calls = []
+        bareiss = qhc.izergin._bareiss
 
         def counting(rows):
             calls.append(rows)
-            return det(rows)
+            return bareiss(rows)
 
-        monkeypatch.setattr(qhc.izergin, "det", counting)
+        monkeypatch.setattr(qhc.izergin, "_bareiss", counting)
         kern = Kernel(Rat(3, 2))
         for xs, ys in [((Rat(1, 2), Rat(1, 2)), (2, 3)), ((2, 3), (5, 5))]:
             with pytest.raises(PoleError, match="vanishing denominator"):
                 izergin(kern, xs, ys)
         assert len(calls) == 2
+
+
+def in_order_fprod(q, us, vs):
+    """f(us, vs) as the ``Rat`` product of `Kernel.f` over the pairs, in order."""
+    kern, out = Kernel(q), Rat(1)
+    for u in us:
+        for v in vs:
+            out = out * kern.f(u, v)
+    return out
+
+
+class TestIntegerProducts:
+    """At rational values f-products, K^(l,r) and the integer kernel equal their `Rat` forms."""
+
+    @given(rational_points(), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=300, deadline=None)
+    def test_fprod_is_the_in_order_product_of_f(self, point, m):
+        q, us, vs = point
+        vs = vs[:m]
+        kern = Kernel(q)
+        for a, b in ((us, vs), (vs, us), (us, us[::-1])):
+            got = outcome(kern.fprod, a, b)
+            assert got == outcome(in_order_fprod, q, a, b)
+            assert outcome(kern.fprod, a, b) == got  # the memo keeps it
+
+    @given(rational_points())
+    @settings(max_examples=300, deadline=None)
+    def test_k_side_is_k_times_its_side_values(self, point):
+        q, xs, ys = point
+        kern = Kernel(q)
+        try:
+            k = izergin(kern, xs, ys)
+        except PoleError:
+            return
+        for side, vs in (("l", xs), ("r", ys)):
+            want = k
+            for v in vs:
+                want = want * v
+            got = izergin_side(kern, side, xs, ys)
+            assert got == want and type(got) is Rat
+
+    def test_empty_products_are_one(self):
+        kern = Kernel(Rat(5, 3))
+        us = (Rat(1, 2), Rat(3))
+        for a, b in (((), us), (us, ()), ((), ()), ((), (eps(),)), ((eps(),), ())):
+            got = kern.fprod(a, b)
+            assert got == 1 and type(got) is Rat
+        for side in ("l", "r"):
+            got = izergin_side(kern, side, (), ())
+            assert got == 1 and type(got) is Rat
+
+    @given(rational_matrices(small_ints, small_ints))
+    @settings(max_examples=300, deadline=None)
+    def test_the_integer_kernel_matches_rat_elimination(self, rows):
+        got = qhc.izergin._bareiss([list(r) for r in rows])
+        assert type(got) is int
+        assert (Rat, Rat(got)) == outcome(det, [[Rat(x) for x in r] for r in rows])
 
 
 class TestExactValuesOnly:
