@@ -31,10 +31,12 @@ value is hashed.  K_k, f, f-products, side products and q^{+-2} shifts are
 memoised under tuples of these integers, since the partition sums of Z and of
 the scalar product ask for them many times over.  So are the two pair
 quantities q u - q^{-1} v and u - v, each pair once: the integer pair table
-holds them as integer fractions for every pair of rationals, from which K and
-f at rationals are built, and two series pair tables hold them as values
-where a K or an f holds a series, each quantity only for the pairs that read
-it.  A value shifted and shifted back is the object it came from.
+holds them as integer fractions for every pair of rationals, from which K,
+f and f-products at rationals are built, and two series pair tables hold
+them as values where a K or an f holds a series, each quantity only for the
+pairs that read it.  At rationals an f-product, and a side product
+K^(l,r) = K prod(vs), is one integer fraction as K is.  A value shifted and
+shifted back is the object it came from.
 """
 
 from __future__ import annotations
@@ -209,16 +211,36 @@ class Kernel:
         return _div(self._gq, u - v)
 
     def fprod(self, us, vs):
-        """f over all pairs of the two sets; empty product = 1."""
+        """f over all pairs of the two sets; empty product = 1.
+
+        When every value is rational the product is one integer fraction,
+        prod A E / prod B C over the pairs of the integer pair table; each
+        pair's u - v is tested in turn, so a zero raises PoleError as that
+        pair's f would, and no pair's f is memoised.  A set that holds a
+        series multiplies the pairs' f in order.
+        """
         key = (len(us), self.indices((*us, *vs)))
         out = self._fprods.get(key)
         if out is None:
             ius, ivs = key[1][:key[0]], key[1][key[0]:]
-            for i in ius:
-                for j in ivs:
-                    out = self._f(i, j) if out is None else out * self._f(i, j)
-            if out is None:
-                out = Rat(1)
+            nds = self._nds
+            if all(nds[i] is not None for i in key[1]):
+                ips, ip = self._ips, self._ip
+                num = den = 1
+                for i in ius:
+                    for j in ivs:
+                        a, b, c, e = ips.get((i, j)) or ip(i, j)
+                        if not c:
+                            raise PoleError("vanishing denominator")
+                        num *= a * e
+                        den *= b * c
+                out = Rat(num, den)
+            else:
+                for i in ius:
+                    for j in ivs:
+                        out = self._f(i, j) if out is None else out * self._f(i, j)
+                if out is None:
+                    out = Rat(1)
             self._fprods[key] = out
         return out
 
@@ -410,15 +432,27 @@ class Kernel:
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.
 
-        Each K that `k` memoises is its own object and is held here, so
-        ``id(k)`` names the pair of sets it was computed for.
+        A rational ``k`` with rational side values gives one integer
+        fraction, k's numerator and denominator times those of the values.
+        A series ``k`` or side value multiplies them in order.  Each K that
+        `k` memoises is its own object and is held here, so ``id(k)`` names
+        the pair of sets it was computed for.
         """
         key = (id(k), side)
         out = self._ksides.get(key)
         if out is None:
-            out = k
-            for v in vs:
-                out = out * v
+            nds = self._nds
+            fracs = [nds[i] for i in self.indices(vs)]
+            if type(k) is Rat and None not in fracs:
+                num, den = k.numerator, k.denominator
+                for a, b in fracs:
+                    num *= a
+                    den *= b
+                out = Rat(num, den)
+            else:
+                out = k
+                for v in vs:
+                    out = out * v
             self._ksides[key] = out
         return out
 

@@ -673,6 +673,40 @@ class TestIntegerProducts:
             got = izergin_side(kern, side, xs, ys)
             assert got == want and type(got) is Rat
 
+    def test_a_pole_after_a_zero_f_raises(self):
+        # f(1, 4) = 0 at q = 2, and the second pair is u = v: the zero
+        # numerator must not hide the pole
+        kern = Kernel(Rat(2))
+        assert kern.f(Rat(1), Rat(4)) == 0
+        with pytest.raises(PoleError, match="^vanishing denominator$"):
+            kern.fprod((Rat(1), Rat(4)), (Rat(4),))
+        assert not kern._fprods
+
+    def test_k_side_with_int_and_rat_values(self):
+        kern = Kernel(Rat(5, 3))
+        xs, ys = (3, Rat(5, 2), -4), (Rat(7), 2, Rat(-1, 3))
+        k = izergin(kern, xs, ys)
+        for side, vs in (("l", xs), ("r", ys)):
+            got = izergin_side(kern, side, xs, ys)
+            assert type(got) is Rat and got == k * math.prod(vs)
+
+    def test_a_series_k_side_is_the_in_order_product(self):
+        # one-sided series points: the series K, and a series side value,
+        # keep the product of K and the side values in their order
+        e, e2 = eps(), eps(level=2)
+        rationals = (Rat(5, 2), Rat(-4), Rat(1, 7))
+        for series in ((Rat(3) + e,), (Rat(3) + e2, Rat(9, 5) + e)):
+            xs = series + rationals[len(series):]
+            ys = (Rat(7), Rat(-1, 3), Rat(11))
+            for a, b in ((xs, ys), (ys, xs)):
+                k = izergin(Kernel(Rat(2)), a, b)
+                for side, vs in (("l", a), ("r", b)):
+                    want = k
+                    for v in vs:
+                        want = want * v
+                    got = izergin_side(Kernel(Rat(2)), side, a, b)
+                    assert fields(got) == fields(want)
+
     def test_empty_products_are_one(self):
         kern = Kernel(Rat(5, 3))
         us = (Rat(1, 2), Rat(3))
