@@ -23,8 +23,10 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import izergin_side, nested_primes
+from .izergin import izergin, izergin_side, nested_primes
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -50,13 +52,10 @@ def hc_ws_batch(kern, side, tss, xs, ss, yss):
     `hc` with rep "ws" is the one-cell case.
 
     When every value of the t sets, xs, ss and the y sets is rational, each
-    Z is one integer fraction: the numerators and the denominators of a
-    term's four factors are multiplied as ints, and the term is added to a
-    running numerator and denominator per cell without a gcd (the numerators
-    alone where the denominators are equal), so each Z, with its sign
-    (-q)^(-+b), makes one ``Rat``.  A grid that holds a series sums each
-    cell's terms as values, in the same split order, as
-    (K^(o) K(w_II | ts) f(w_I, w_II)) K(ys | w_I).
+    Z is one ``Rat`` of the integer cell that `_ws_cells` sums.  A grid that
+    holds a series sums each cell's terms as values, in the same split
+    order, as (K^(o) K(w_II | ts) f(w_I, w_II)) K(ys | w_I), with K^(l,r)
+    from `izergin_side`.
     """
     tss = [tuple(ts) for ts in tss]
     xs, ss = tuple(xs), tuple(ss)
@@ -67,48 +66,82 @@ def hc_ws_batch(kern, side, tss, xs, ss, yss):
     u = kern.usign(side)
     if not tss or not yss:
         return [[] for _ in tss]
+    if kern.rational(xs + ss + tuple(v for vs in tss + yss for v in vs)):
+        return [[Rat(n, d) for n, d in row] for row in _ws_cells(kern, side, tss, xs, ss, yss)]
     b = len(ss)
     opp = kern.other(side)
     sign = kern.mq(-u * b)
-    cells = len(tss) * len(yss)
-    splits = enumerate_partitions(ss + xs, b)
-    if kern.rational(xs + ss + tuple(v for vs in tss + yss for v in vs)):
-        nums, dens = [0] * cells, [1] * cells
-        for w1, w2 in splits:
-            k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
-            f12 = kern.fprod(w1, w2)
-            cn = k_o.numerator * f12.numerator
-            cd = k_o.denominator * f12.denominator
-            k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
-            c = 0
-            for ts in tss:
-                k_t = izergin_side(kern, side, w2, ts)
-                tn, td = cn * k_t.numerator, cd * k_t.denominator
-                for k_y in k_ys:
-                    n, d, den = tn * k_y.numerator, td * k_y.denominator, dens[c]
-                    if d == den:
-                        nums[c] += n
-                    else:
-                        nums[c] = nums[c] * d + n * den
-                        dens[c] = den * d
-                    c += 1
-        sn, sd = sign.numerator, sign.denominator
-        totals = [Rat(n * sn, d * sd) for n, d in zip(nums, dens)]
-    else:
-        totals = [Rat(0)] * cells
-        for w1, w2 in splits:
-            k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
-            f12 = kern.fprod(w1, w2)
-            k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
-            c = 0
-            for ts in tss:
-                common = k_o * izergin_side(kern, side, w2, ts) * f12
-                for k_y in k_ys:
-                    totals[c] = totals[c] + common * k_y
-                    c += 1
-        totals = [sign * total for total in totals]
+    totals = [Rat(0)] * (len(tss) * len(yss))
+    for w1, w2 in enumerate_partitions(ss + xs, b):
+        k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
+        f12 = kern.fprod(w1, w2)
+        k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
+        c = 0
+        for ts in tss:
+            common = k_o * izergin_side(kern, side, w2, ts) * f12
+            for k_y in k_ys:
+                totals[c] = totals[c] + common * k_y
+                c += 1
+    totals = [sign * total for total in totals]
     width = len(yss)
     return [totals[i:i + width] for i in range(0, len(totals), width)]
+
+
+def _ws_cells(kern, side, tss, xs, ss, yss):
+    """The cells of a rational `hc_ws_batch` grid, each an unreduced (num, den) of ints.
+
+    The sets are nonempty lists of tuples of rational values, of the sizes
+    `hc_ws_batch` checks.  Since K^(l)(X | Y) = K prod(X) and
+    K^(r)(X | Y) = K prod(Y), the side products of a term are, for side l,
+    q^2b prod(s, x) prod(y), the same for every split, and, for side r,
+    prod(s) prod(t) prod(w_I).  So the sum reads plain K through `izergin`:
+    a term is K(ss | w_I q^2) f(w_I, w_II) K(w_II | ts) K(ys | w_I) in
+    integers, with prod(w_I) for side r, and it is added to its cell's
+    running fraction, the numerators alone where the denominators are equal
+    and over their gcd where not.  Each cell is then multiplied once by
+    (-q)^b, which is the sign (-q)^(-+b) for side r and that sign times
+    q^2b for side l, and by prod(s, x) prod(y) (side l) or prod(s) prod(t)
+    (side r).
+    """
+    b, width = len(ss), len(yss)
+    left = side == "l"
+    nums, dens = [0] * (len(tss) * width), [1] * (len(tss) * width)
+    for w1, w2 in enumerate_partitions(ss + xs, b):
+        k_o = izergin(kern, ss, kern.shift(w1, 2))
+        f12 = kern.fprod(w1, w2)
+        cn = k_o.numerator * f12.numerator
+        cd = k_o.denominator * f12.denominator
+        if not left:
+            cn, cd = _times(cn, cd, w1)
+        k_ys = [izergin(kern, ys, w1) for ys in yss]
+        c = 0
+        for ts in tss:
+            k_t = izergin(kern, w2, ts)
+            tn, td = cn * k_t.numerator, cd * k_t.denominator
+            for k_y in k_ys:
+                n, d, den = tn * k_y.numerator, td * k_y.denominator, dens[c]
+                if d == den:
+                    nums[c] += n
+                else:
+                    g = gcd(den, d)
+                    d //= g
+                    nums[c] = nums[c] * d + n * (den // g)
+                    dens[c] = den * d
+                c += 1
+    sign = kern.mq(b)
+    sn, sd = _times(sign.numerator, sign.denominator, ss + xs if left else ss)
+    rows = [_times(sn, sd, () if left else ts) for ts in tss]
+    cols = [_times(1, 1, ys if left else ()) for ys in yss]
+    return [[(nums[i * width + j] * rn * yn, dens[i * width + j] * rd * yd)
+             for j, (yn, yd) in enumerate(cols)] for i, (rn, rd) in enumerate(rows)]
+
+
+def _times(num, den, values):
+    """num / den times the product of rational ``values``, as two ints."""
+    for v in values:
+        num *= v.numerator
+        den *= v.denominator
+    return num, den
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .exactnum import PoleError, Rat, scalar_format
-from .highest import hc_ws_batch
+from .highest import _ws_cells
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -121,7 +121,8 @@ def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
     """The coefficients of every four-way split of one (k, n) block.
 
     Each split is a pair (part_I, part_II) of tuples; every uC_I and uB_I
-    has one size k, and every vC_I and vB_I one size n.  The result lists
+    has one size k and every uC_II and uB_II one size, and every vC_I and
+    vB_I one size n and every vC_II and vB_II one size.  The result lists
     the coefficient of each split (uC, uB, vC, vB) of
     ``itertools.product(uC_splits, uB_splits, vC_splits, vB_splits)``, in
     that order:
@@ -130,18 +131,22 @@ def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
         f(vC_I, uC_I) f(vB_II, uB_II)
         Z^(l)(uC_II; uB_II | vC_I; vB_I) Z^(r)(uB_I; uC_I | vB_II; vC_II)
 
-    Z^(l) comes from one `hc_ws_batch` grid per (uB, vC) split pair, over
-    every uC_II and vB_I, and Z^(r) from one per (uC, vB) split pair, over
-    every uB_I and vC_II.  Each f-product is formed once, and each
-    coefficient is one ``Rat`` of the integer numerators and denominators
-    of its eight factors, so every value must be rational.
+    Z^(l) comes from one integer grid of the ws sum (`_ws_cells`, the
+    rational branch of `hc_ws_batch`) per (uB, vC) split pair, over every
+    uC_II and vB_I, and Z^(r) from one per (uC, vB) split pair, over every
+    uB_I and vC_II.  Each f-product is formed once, and each coefficient is
+    one ``Rat`` of the integer numerators and denominators of its six
+    f-products and its two grid cells, so every value must be rational.
     """
-    if (len({len(one) for one, _ in uC_splits} | {len(one) for one, _ in uB_splits}) > 1
-            or len({len(one) for one, _ in vC_splits} | {len(one) for one, _ in vB_splits}) > 1):
+    if any(len({len(split[part]) for split in one + two}) > 1
+           for one, two in ((uC_splits, uB_splits), (vC_splits, vB_splits))
+           for part in (0, 1)):
         raise ValueError("linked partition cardinalities must match")
     if not kern.rational([v for splits in (uC_splits, uB_splits, vC_splits, vB_splits)
                           for one, two in splits for v in one + two]):
         raise TypeError("w_part needs rational values")
+    if not (uC_splits and uB_splits and vC_splits and vB_splits):
+        return []
     fprod = kern.fprod
 
     def fractions(values):
@@ -157,9 +162,9 @@ def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
     uB1s = [uB1 for uB1, _ in uB_splits]
     vB1s = [vB1 for vB1, _ in vB_splits]
     vC2s = [vC2 for _, vC2 in vC_splits]
-    zls = [[hc_ws_batch(kern, "l", uC2s, uB2, vC1, vB1s) for vC1, _ in vC_splits]
+    zls = [[_ws_cells(kern, "l", uC2s, uB2, vC1, vB1s) for vC1, _ in vC_splits]
            for _, uB2 in uB_splits]   # zls[j][k][i][l]
-    zrs = [[hc_ws_batch(kern, "r", uB1s, uC1, vB2, vC2s) for _, vB2 in vB_splits]
+    zrs = [[_ws_cells(kern, "r", uB1s, uC1, vB2, vC2s) for _, vB2 in vB_splits]
            for uC1, _ in uC_splits]   # zrs[i][l][j][k]
     out = []
     for i, (uC_n, uC_d) in enumerate(uC_fs):
@@ -173,9 +178,9 @@ def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
                 zl = zl_j[k][i]
                 for l, (vB_n, vB_d) in enumerate(vB_fs):
                     vBuB_n, vBuB_d = vBuB_j[l]
-                    z1, z2 = zl[l], zr_i[l][j][k]
-                    out.append(Rat(cn * vB_n * vBuB_n * z1.numerator * z2.numerator,
-                                   cd * vB_d * vBuB_d * z1.denominator * z2.denominator))
+                    (z1_n, z1_d), (z2_n, z2_d) = zl[l], zr_i[l][j][k]
+                    out.append(Rat(cn * vB_n * vBuB_n * z1_n * z2_n,
+                                   cd * vB_d * vBuB_d * z1_d * z2_d))
     return out
 
 

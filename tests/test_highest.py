@@ -3,6 +3,7 @@
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from qhc.highest import (
     hc_z_scal_pair,
 )
 from qhc.izergin import Kernel, izergin_side
-from qhc.params import sample_generic
+from qhc.params import is_generic, sample_generic
 from qhc.partitions import enumerate_partitions
 
 
@@ -48,6 +49,25 @@ def closed_form_left(q, t, x, s, y):
     g = lambda u, v: (q - 1 / q) / (u - v)
     f = lambda u, v: (q * u - v / q) / (u - v)
     return x * y * g(x, t) * g(y, s) * f(s, x) + x * y * s * g(x, s) * g(s, t) * g(y, x)
+
+
+def ws_term_sum(ref, side, ts, xs, ss, ys):
+    """Z by the ws formula, one Rat term at a time in split order, f written out."""
+    q, a, b = ref.q, len(ts), len(ss)
+    opp = "r" if side == "l" else "l"
+    ws = tuple(ss) + tuple(xs)
+    total = Rat(0)
+    for picked in itertools.combinations(range(a + b), b):
+        w1 = tuple(ws[i] for i in picked)
+        w2 = tuple(w for i, w in enumerate(ws) if i not in picked)
+        term = (izergin_side(ref, opp, ss, tuple(w * q ** 2 for w in w1))
+                * izergin_side(ref, side, w2, ts)
+                * izergin_side(ref, side, ys, w1))
+        for u in w1:
+            for v in w2:
+                term *= (q * u - v / q) / (u - v)
+        total += term
+    return (-q) ** (-b if side == "l" else b) * total
 
 
 class TestSmallestCase:
@@ -140,28 +160,39 @@ class TestWsBatch:
     @pytest.mark.parametrize("a", range(4))
     @pytest.mark.parametrize("b", range(4))
     def test_a_rational_batch_is_the_sum_of_its_terms(self, side, a, b):
-        # The ws formula summed term by term in Rat, with K from a fresh
-        # kernel and f written out, against the batch's integer sums.
-        (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b), 26)
-        (got,) = hc_ws_batch(Kernel(q), side, [ts], xs, ss, yss)
-        ref = Kernel(q)
-        opp = "r" if side == "l" else "l"
-        sign = (-q) ** (-b if side == "l" else b)
-        ws = ss + xs
-        for ys, z in zip(yss, got):
-            assert type(z) is Rat
-            want = Rat(0)
-            for picked in itertools.combinations(range(a + b), b):
-                w1 = tuple(ws[i] for i in picked)
-                w2 = tuple(w for i, w in enumerate(ws) if i not in picked)
-                term = (izergin_side(ref, opp, ss, tuple(w * q ** 2 for w in w1))
-                        * izergin_side(ref, side, w2, ts)
-                        * izergin_side(ref, side, ys, w1))
-                for u in w1:
-                    for v in w2:
-                        term *= (q * u - v / q) / (u - v)
-                want += term
-            assert z == sign * want
+        # Every cell of a grid of two t sets by three y sets against the ws
+        # formula summed term by term with K^(l,r) from a fresh kernel.
+        (t1, t2, xs, ss, *yss), q = sample_generic((a, a, a, b, b, b, b), 26)
+        got = hc_ws_batch(Kernel(q), side, [t1, t2], xs, ss, yss)
+        assert [len(row) for row in got] == [3, 3]
+        for ts, row in zip((t1, t2), got):
+            for ys, z in zip(yss, row):
+                assert type(z) is Rat and z.denominator > 0
+                assert gcd(z.numerator, z.denominator) == 1
+                assert z == ws_term_sum(Kernel(q), side, ts, xs, ss, ys)
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_terms_over_a_shared_denominator(self, side, monkeypatch):
+        # Every value is n/6, so term denominators share factors and cells
+        # add terms over a gcd greater than 1.
+        values = [Rat(n, 6) for n in (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35)]
+        q = Rat(3, 2)
+        assert is_generic(values, q)
+        t1, t2, xs, ss = values[0:2], values[2:4], values[4:6], values[6:8]
+        yss = [values[8:10], values[10:12]]
+        seen = []
+
+        def recorded(m, n):
+            seen.append(gcd(m, n))
+            return seen[-1]
+
+        monkeypatch.setattr(qhc.highest, "gcd", recorded)
+        got = hc_ws_batch(Kernel(q), side, [t1, t2], xs, ss, yss)
+        assert any(g > 1 for g in seen)
+        for ts, row in zip((t1, t2), got):
+            for ys, z in zip(yss, row):
+                assert type(z) is Rat
+                assert z == ws_term_sum(Kernel(q), side, ts, xs, ss, ys)
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("met", ["s", "x"])

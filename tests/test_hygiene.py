@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks.
 
-Every module-level import is used, and every module-level definition of the
-package is used by the package or exported.
+Every module-level import is used, every module-level definition of the
+package is used by the package or exported, and every private method of a
+package class is used by the package.
 """
 
 import ast
@@ -52,15 +53,21 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"unused imports in {path.relative_to(ROOT)}: {unused}"
 
 
-def references(node):
-    """The names ``node`` reads, as a name, an attribute or an imported name."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.ImportFrom):
-            yield from (alias.name for alias in n.names)
+def references(node, skip=None):
+    """The names ``node`` reads, as a name, an attribute or an imported name.
+
+    The subtree ``skip``, if given, is left out.
+    """
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, skip)
 
 
 def definitions(tree):
@@ -86,6 +93,26 @@ def test_every_module_level_definition_is_used():
               and name not in exported(tree)
               and not any(name in names for other, names in reads if other is not stmt)]
     assert not unused, f"module-level definitions nothing in src/qhc uses: {unused}"
+
+
+def private_methods(tree):
+    """Each ``_name`` method (not ``__dunder__``) defined in a class of ``tree``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                    yield stmt
+
+
+def test_every_private_method_is_used():
+    # a method that only its own body calls, as a recursive one can, is unused
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    unused = [f"{path.relative_to(ROOT)}:{method.lineno} {method.name}"
+              for path, tree in trees.items() for method in private_methods(tree)
+              if not any(method.name in references(other, method)
+                         for other in trees.values())]
+    assert not unused, f"private methods nothing in src/qhc uses: {unused}"
 
 
 def test_modules_are_found():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import PoleError, Rat, eps
-from qhc.highest import hc
+from qhc.highest import hc, hc_ws_batch
 from qhc.izergin import Kernel
 from qhc.params import sample_generic
 from qhc.partitions import enumerate_partitions
@@ -136,6 +136,31 @@ class TestWPart:
             assert type(coeff) is Rat
             assert coeff == split_coefficient(kern, *four)
 
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("n", range(3))
+    def test_each_entry_is_its_f_products_times_its_ws_cells(self, k, n):
+        # The product of Rat values, with Z from hc_ws_batch on a fresh kernel.
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 81)
+        splits = [list(enumerate_partitions(uC, k)), list(enumerate_partitions(uB, k)),
+                  list(enumerate_partitions(vC, n)), list(enumerate_partitions(vB, n))]
+        got = w_part(Kernel(q), *splits)
+        assert len(got) == prod(len(s) for s in splits)
+        ref = Kernel(q)
+        f = ref.fprod
+        for ((uC1, uC2), (uB1, uB2), (vC1, vC2), (vB1, vB2)), coeff in zip(product(*splits), got):
+            assert type(coeff) is Rat
+            assert coeff == (
+                f(uB2, uB1) * f(uC1, uC2) * f(vB1, vB2) * f(vC2, vC1) * f(vC1, uC1) * f(vB2, uB2)
+                * hc_ws_batch(ref, "l", [uC2], uB2, vC1, [vB1])[0][0]
+                * hc_ws_batch(ref, "r", [uB1], uC1, vB2, [vC2])[0][0])
+
+    def test_a_uB_value_met_in_vC_is_a_pole(self):
+        (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 82)
+        vC = (vC[0], Rat(uB[1]))  # an equal value, another object
+        splits = [list(enumerate_partitions(vals, 1)) for vals in (uC, uB, vC, vB)]
+        with pytest.raises(PoleError, match="vanishing denominator"):
+            w_part(Kernel(q), *splits)
+
     def test_empty_batches(self):
         (uC, uB, vC, vB), q = sample_generic((1, 1, 2, 2), 79)
         kern = Kernel(q)
@@ -176,6 +201,8 @@ class TestCornerCases:
              [((three,), (seven,))]),
             ([((two,), (five,)), ((), (two, five))], [((three,), (seven,))],
              [((), ())], [((), ())]),
+            ([((), (two,))], [((), ())], [((), ())], [((), ())]),
+            ([((), ())], [((), ())], [((), ())], [((), (three,))]),
         ]:
             with pytest.raises(ValueError, match="linked partition cardinalities must match"):
                 w_part(kern, *args)
