@@ -5,9 +5,13 @@ ground field is the rationals (``fractions.Fraction``).  Limits and residues
 are computed in a truncated Laurent series ring over that field.  Series can
 be nested (a series whose coefficients are themselves series of a lower
 ``level``), which is how sequential multi-variable limits are evaluated one
-infinitesimal at a time.  Level-1 products clear denominators and convolve
-integer numerators; a product at level 2 or above is the ring sum of its
-coefficients' products.  An ``int`` operand is lifted as a ``Rat``.
+infinitesimal at a time.  A level-1 series of ``Rat`` coefficients holds them
+as integer numerators over one positive common denominator, reduced by one
+gcd, so its sums, products, negation and scaling by a ``Rat`` work on
+integers and build a ``Rat`` only when a coefficient is read.  A product at
+level 2 or above is the ring sum of its coefficients' products.  An ``int``
+operand is lifted as a ``Rat``.  A float or complex value raises TypeError
+wherever it meets a series or `scalar_format`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
+from operator import not_
 
 from fractions import Fraction as Rat
 
@@ -74,8 +79,16 @@ def scalar_parse(text):
     return Rat(num, den)
 
 
+def _check_exact(x):
+    """Raise TypeError for a float or complex value: qhc computes exactly."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"inexact value {x!r} ({type(x).__name__}); "
+                        "use an exact rational such as Fraction or int") from None
+
+
 def scalar_format(value):
     """Render an exact rational as ``p`` or ``p/q`` with q > 0."""
+    _check_exact(value)
     r = Rat(value)
     if r.denominator == 1:
         return str(r.numerator)
@@ -93,7 +106,7 @@ def _level(x):
 def _coeff_is_zero(c):
     """True only for an exact zero: a truncated zero is unknown, not zero."""
     if isinstance(c, LaurentSeries):
-        return not c.coeffs and c.order is _INF
+        return c.order is _INF and c.is_zero()
     return c == 0
 
 
@@ -117,7 +130,40 @@ def _shift(v, order):
 def _over_common_denominator(cs):
     """Integer numerators of the scalars ``cs`` over the lcm of their denominators."""
     d = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
+    return tuple([c.numerator * (d // c.denominator) for c in cs]), d
+
+
+def _trimmed(cs, valuation, order, is_zero):
+    """``(valuation, cs)`` cut below ``order`` and stripped of exact zeros at either end.
+
+    Every zero has valuation 0, however it was made.
+    """
+    hi = len(cs)
+    if order is not _INF:
+        hi = min(hi, max(0, int(order) - valuation))
+    lo = 0
+    while lo < hi and is_zero(cs[lo]):
+        lo += 1
+    while hi > lo and is_zero(cs[hi - 1]):
+        hi -= 1
+    if lo == hi:
+        return 0, ()
+    if lo or hi < len(cs):
+        return valuation + lo, tuple(cs[lo:hi])
+    return valuation, tuple(cs)
+
+
+def _ints(valuation, nums, den, order):
+    """The level-1 series of the numerators ``nums`` over ``den > 0``, trimmed and reduced."""
+    s = object.__new__(LaurentSeries)
+    s.level, s.order, s._cs = 1, order, None
+    s.valuation, nums = _trimmed(nums, valuation, order, not_)
+    g = math.gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = tuple([n // g for n in nums])
+    s._nums, s._den = nums, den
+    return s
 
 
 def _convolve_into(out, xs, ys):
@@ -167,37 +213,43 @@ class LaurentSeries:
     lower-level value (including plain rationals, level 0) as a constant
     coefficient.  The higher-level infinitesimal is the one that tends to zero
     first, so sequential limits peel levels from the top down.
+
+    A level-1 series whose coefficients are all ``Rat`` also holds them as
+    the integer numerators ``_nums`` over ``_den > 0``, whose gcd with every
+    numerator is 1; level-1 arithmetic on two such series works on those
+    integers alone, and ``coeffs`` builds the ``Rat``s once, when first read.
+    Any other series (level 2 and above, or an ``int`` coefficient) holds only
+    ``coeffs``.  Coefficients are kept from the valuation on, below the order,
+    with no exact zero at either end.  A float or complex coefficient raises
+    TypeError.
     """
 
-    __slots__ = ("level", "valuation", "coeffs", "order")
+    __slots__ = ("level", "valuation", "order", "_cs", "_nums", "_den")
 
     def __init__(self, valuation, coeffs, order=_INF, level=1):
         if level < 1:
             raise ValueError("series level must be >= 1")
-        self.level = level
-        self.valuation = valuation
-        self.coeffs = tuple(coeffs)
-        self.order = order
-        self._trim()
+        cs = tuple(coeffs)
+        rats = level == 1 and all(type(c) is Rat for c in cs)
+        if not rats:
+            for c in cs:
+                _check_exact(c)
+        self.level, self.order = level, order
+        self.valuation, self._cs = _trimmed(cs, valuation, order, _coeff_is_zero)
+        self._nums, self._den = _over_common_denominator(self._cs) if rats else (None, None)
 
-    def _trim(self):
-        cs, o = self.coeffs, self.order
-        # drop coefficients at or above the reliability bound
-        hi = len(cs)
-        if o is not _INF:
-            hi = min(hi, max(0, int(o) - self.valuation))
-        # then zeros at either end, but only exact ones
-        lo = 0
-        while lo < hi and _coeff_is_zero(cs[lo]):
-            lo += 1
-        while hi > lo and _coeff_is_zero(cs[hi - 1]):
-            hi -= 1
-        if lo == hi:
-            # every zero has valuation 0, however it was made
-            self.valuation, self.coeffs = 0, ()
-        elif lo or hi < len(cs):
-            self.valuation += lo
-            self.coeffs = cs[lo:hi]
+    @property
+    def coeffs(self):
+        """The coefficients from the valuation on, built from the integers once when first read."""
+        cs = self._cs
+        if cs is None:
+            den = self._den
+            cs = self._cs = tuple([Rat(n, den) for n in self._nums])
+        return cs
+
+    def _width(self):
+        """The number of coefficients held, read without building them."""
+        return len(self._nums if self._cs is None else self._cs)
 
     # -- constructors ---------------------------------------------------
 
@@ -212,7 +264,7 @@ class LaurentSeries:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not (self._nums if self._cs is None else self._cs)
 
     def is_exact(self):
         return self.order is _INF
@@ -223,7 +275,7 @@ class LaurentSeries:
         """Coefficient of eps^k; raises WindowError above the retained window."""
         if k >= self.order:
             raise WindowError(f"order {k} not retained (reliable below {self.order})")
-        if k < self.valuation or k >= self.valuation + len(self.coeffs):
+        if k < self.valuation or k >= self.valuation + self._width():
             return Rat(0)
         return self.coeffs[k - self.valuation]
 
@@ -253,10 +305,13 @@ class LaurentSeries:
         gives: a zero ``c`` or an exact zero gives the exact zero, and a
         truncated zero gives the zero of its order.
         """
-        cs, order = self.coeffs, self.order
-        if not c or (not cs and order is _INF):
+        order = self.order
+        if not c or (order is _INF and self.is_zero()):
             return LaurentSeries.zero(self.level)
-        return LaurentSeries(self.valuation, [x * c for x in cs], order, self.level)
+        if self._nums is not None:
+            return _ints(self.valuation, [n * c.numerator for n in self._nums],
+                         self._den * c.denominator, order)
+        return LaurentSeries(self.valuation, [x * c for x in self.coeffs], order, self.level)
 
     def _plus(self, c):
         """``self + c`` for a rational ``c != 0`` whose power 0 lies among the coefficients.
@@ -265,22 +320,46 @@ class LaurentSeries:
         other coefficient.  That changes only an integer (it becomes a
         ``Rat``), so only integers are added to.
         """
-        cs = [x + _ZERO if type(x) is int else x for x in self.coeffs]
         k = -self.valuation
+        if self._nums is not None:
+            # n/den + c = (n s + [power 0] c.numerator den/g) / (den s), s = c.denominator/g
+            den, d = self._den, c.denominator
+            g = math.gcd(den, d)
+            s = d // g
+            nums = [n * s for n in self._nums]
+            nums[k] += c.numerator * (den // g)
+            return _ints(self.valuation, nums, den * s, self.order)
+        cs = [x + _ZERO if type(x) is int else x for x in self.coeffs]
         cs[k] = self.coeffs[k] + c
         return LaurentSeries(self.valuation, cs, self.order, self.level)
+
+    def _sum(self, b, order):
+        """``self + b`` to ``order`` for two level-1 series of integer numerators."""
+        an, bn, da, db = self._nums, b._nums, self._den, b._den
+        va, vb = self.valuation, b.valuation
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        lo = min(va, vb)
+        out = [0] * (max(va + len(an), vb + len(bn)) - lo)
+        for i, n in enumerate(an, va - lo):
+            out[i] = n * sa
+        for i, n in enumerate(bn, vb - lo):
+            out[i] += n * sb
+        return _ints(lo, out, da * sa, order)
 
     def __add__(self, other):
         # a rational acts on the coefficients; anything else is lifted to a
         # series of this level
         if (type(other) is Rat and other
-                and self.valuation <= 0 < self.valuation + len(self.coeffs)):
+                and self.valuation <= 0 < self.valuation + self._width()):
             return self._plus(other)
         b = self._coerce(other)
         if b is None:
             return other + self
         a = self
         order = min(a.order, b.order)
+        if a._nums is not None and b._nums is not None:
+            return a._sum(b, order)
         if a.is_zero():
             return LaurentSeries(b.valuation, b.coeffs, order, b.level)
         if b.is_zero():
@@ -299,6 +378,8 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._nums is not None:
+            return _ints(self.valuation, [-n for n in self._nums], self._den, self.order)
         return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs), self.order, self.level)
 
     def __sub__(self, other):
@@ -321,19 +402,24 @@ class LaurentSeries:
             # a truncated zero times anything is known only up to that order
             return LaurentSeries(0, (), order, self.level)
         v = a.valuation + b.valuation
-        n = len(a.coeffs) + len(b.coeffs) - 1
+        n = a._width() + b._width() - 1
         if order is not _INF:
             n = min(n, int(order) - v)
         if self.level == 1:
-            xs, da = _over_common_denominator(a.coeffs)
-            ys, db = _over_common_denominator(b.coeffs)
+            xs, da = a._int_form()
+            ys, db = b._int_form()
             acc = [0] * n
             _convolve_into(acc, xs, ys)
-            cs = [Rat(c, da * db) for c in acc]
-        else:
-            cs = [Rat(0)] * n
-            _convolve_into(cs, a.coeffs, b.coeffs)
+            return _ints(v, acc, da * db, order)
+        cs = [Rat(0)] * n
+        _convolve_into(cs, a.coeffs, b.coeffs)
         return LaurentSeries(v, cs, order, self.level)
+
+    def _int_form(self):
+        """``(numerators, denominator)`` of a level-1 series, whatever its coefficients' types."""
+        if self._nums is not None:
+            return self._nums, self._den
+        return _over_common_denominator(self.coeffs)
 
     __rmul__ = __mul__
 

@@ -22,8 +22,10 @@ series values are all xs, or all ys, only their lines of the matrix (rows
 for xs, columns for ys) are series; the other lines are integer lines as at
 a rational point, and the determinant is expanded along the series lines
 over integer minors.  A point with series on both sides keeps
-rational or series rows, prefactor and divisions, and `det` eliminates
-them.  Floats are rejected: every value is exact.
+rational or series rows and prefactor, and `det` eliminates them.  Every
+entry that holds a series, and f at a series, multiplies by the reciprocal
+1/(u - v) of its pair instead of dividing.  Floats are rejected: every value
+is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, known by its identity alone, so no
@@ -34,16 +36,18 @@ quantities q u - q^{-1} v and u - v, each pair once: the integer pair table
 holds them as integer fractions for every pair of rationals, from which K,
 f and f-products at rationals are built, and two series pair tables hold
 them as values where a K or an f holds a series, each quantity only for the
-pairs that read it.  At rationals an f-product, and a side product
-K^(l,r) = K prod(vs), is one integer fraction as K is.  A value shifted and
+pairs that read it; a third holds 1/(u - v) for those pairs, so each series
+u - v is inverted once per kernel, not once per entry.  At rationals an
+f-product, and a side product K^(l,r) = K prod(vs), is one integer fraction
+as K is.  A value shifted and
 shifted back is the object it came from.
 """
 
 from __future__ import annotations
 
 from .exactnum import (
-    _INF, PoleError, Rat, WindowError, _coeff_invert, _coeff_is_zero, _is_series, eps,
-    take_limit,
+    _INF, PoleError, Rat, WindowError, _check_exact, _coeff_invert, _coeff_is_zero,
+    _is_series, eps, take_limit,
 )
 from .partitions import enumerate_partitions
 
@@ -65,13 +69,6 @@ def _val(x):
     return _INF if x == 0 else 0
 
 
-def _check_exact(x):
-    """Raise TypeError for a float or complex value: qhc computes exactly."""
-    if isinstance(x, (float, complex)):
-        raise TypeError(f"inexact value {x!r} ({type(x).__name__}); "
-                        "use an exact rational such as Fraction or int") from None
-
-
 def _div(a, b):
     if not _is_series(b) and b == 0:
         raise PoleError("vanishing denominator")
@@ -83,15 +80,17 @@ class Kernel:
 
     Build one instance per sampled point: it memoises K, f and the pair
     quantities u - v and q u - q^-1 v at every argument it is asked for, for
-    as long as it lives.  ``values[i]`` is the value of index ``i``; memo
-    keys are the indices of the argument sets in argument order.  Every value
-    is known by its identity; the kernel holds every object whose ``id`` it
-    records, so an ``id`` names one object while the kernel lives.  Kernels
-    compare and hash by q alone.
+    as long as it lives, and 1/(u - v) of each pair at which a series is met.
+    A reciprocal is a series inverted at the window current when it was
+    first asked for, so a kernel serves one `invert_window`.  ``values[i]``
+    is the value of index ``i``; memo keys are the indices of the argument
+    sets in argument order.  Every value is known by its identity; the kernel
+    holds every object whose ``id`` it records, so an ``id`` names one object
+    while the kernel lives.  Kernels compare and hash by q alone.
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_shifts", "_ips", "_sqs", "_sds", "_fs", "_fprods", "_ks", "_ksides")
+                 "_shifts", "_ips", "_sqs", "_sds", "_rds", "_fs", "_fprods", "_ks", "_ksides")
 
     def __init__(self, q):
         _check_exact(q)
@@ -109,6 +108,7 @@ class Kernel:
         self._ips = {}        # (i, j) -> (A, B, C, E): q u - q^-1 v = A/B, u - v = C/E
         self._sqs = {}        # (i, j) -> q u - q^-1 v, where a series is met
         self._sds = {}        # (i, j) -> u - v, where a series is met
+        self._rds = {}        # (i, j) -> 1/(u - v), where a series is met
         self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
@@ -188,6 +188,18 @@ class Kernel:
             out = self._sds[i, j] = self.values[i] - self.values[j]
         return out
 
+    def _rd(self, i, j):
+        """1/(u - v) of the values, for a pair at which a series is met, inverted once.
+
+        An exact zero raises PoleError and a truncated one WindowError, at
+        each use, as dividing by it would.
+        """
+        out = self._rds.get((i, j))
+        if out is None:
+            d = self._sd(i, j)
+            out = self._rds[i, j] = d.invert() if _is_series(d) else _div(Rat(1), d)
+        return out
+
     def _f(self, i, j):
         """f of two indexed values; at rationals A E / (B C) from the integer pair table."""
         out = self._fs.get((i, j))
@@ -198,7 +210,7 @@ class Kernel:
                     raise PoleError("vanishing denominator")
                 out = Rat(a * e, b * c)
             else:
-                out = _div(self._sq(i, j), self._sd(i, j))
+                out = self._sq(i, j) * self._rd(i, j)
             self._fs[i, j] = out
         return out
 
@@ -292,7 +304,7 @@ class Kernel:
                 return self._expand(ixs, iys, False)
             if all(nds[i] is not None for i in ixs):
                 return self._expand(ixs, iys, True)
-        sq, sd = self._sq, self._sd
+        sq, sd, rd = self._sq, self._sd, self._rd
         rows = []
         for i in ixs:
             qds = [sq(i, j) for j in iys] if k > 1 else ()  # a 1x1 row reads no q u - q^-1 v
@@ -302,7 +314,7 @@ class Kernel:
                 for cp, qd in enumerate(qds):
                     if cp != c:
                         num = num * qd
-                row.append(_div(num, sd(i, j)))
+                row.append(num * rd(i, j))
             rows.append(row)
         value = det(rows)
         if k == 1:  # the prefactor is the empty product
@@ -367,7 +379,7 @@ class Kernel:
         before the expansion.
         """
         nds, values, ips, ip = self._nds, self.values, self._ips, self._ip
-        sq, sd = self._sq, self._sd
+        sq, sd, rd = self._sq, self._sd, self._rd
         lines, others = (iys, ixs) if columns else (ixs, iys)
         k = len(lines)
         num, den, factors = 1, 1, {}
@@ -401,7 +413,7 @@ class Kernel:
             for qd, qe in zip(qds[:-1], qds[:0:-1]):
                 pre.append(qd if pre[-1] is None else pre[-1] * qd)
                 suf.append(qe if suf[-1] is None else qe * suf[-1])
-            entries.append([_div(u if v is None else v if u is None else u * v, sd(i, j))
+            entries.append([(u if v is None else v if u is None else u * v) * rd(i, j)
                             for u, v, (i, j) in zip(pre, suf[::-1], pairs)])
         sums = {}
 

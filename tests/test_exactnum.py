@@ -437,6 +437,157 @@ class TestRationalOperands:
             s / Rat(0)
 
 
+# A plain-Fraction model of the series ring on `fields` tuples: a series is
+# ("series", level, valuation, order, coefficients) and a scalar (Rat, value).
+# It spells out the rules a LaurentSeries keeps, whatever it holds inside.
+
+def model_series(level, valuation, order, cs):
+    """A model series cut below ``order`` and stripped of exact zeros at either end."""
+    cs = list(cs)
+    if order != math.inf:
+        cs = cs[:max(0, int(order) - valuation)]
+    while cs and model_exact_zero(cs[0]):
+        cs.pop(0)
+        valuation += 1
+    while cs and model_exact_zero(cs[-1]):
+        cs.pop()
+    return ("series", level, valuation if cs else 0, order, tuple(cs))
+
+
+def model_exact_zero(x):
+    return x[4] == () and x[3] == math.inf if x[0] == "series" else x[1] == 0
+
+
+def model_lift(x, level):
+    """``x`` as a series of ``level``: a constant series unless it is one already."""
+    return x if x[0] == "series" and x[1] == level else model_series(level, 0, math.inf, [x])
+
+
+def model_coeff(s, k):
+    _, _, v, _, cs = s
+    return cs[k - v] if v <= k < v + len(cs) else (Rat, Fraction(0))
+
+
+def model_add(a, b):
+    level = max(x[1] if x[0] == "series" else 0 for x in (a, b))
+    if not level:
+        return (Rat, a[1] + b[1])
+    a, b = model_lift(a, level), model_lift(b, level)
+    order = min(a[3], b[3])
+    lo = min(a[2], b[2])
+    hi = min(max(a[2] + len(a[4]), b[2] + len(b[4])), order)
+    return model_series(level, lo, order, [model_add(model_coeff(a, k), model_coeff(b, k))
+                                           for k in range(lo, int(hi))])
+
+
+def model_mul(a, b):
+    level = max(x[1] if x[0] == "series" else 0 for x in (a, b))
+    if not level:
+        return (Rat, a[1] * b[1])
+    a, b = model_lift(a, level), model_lift(b, level)
+    if model_exact_zero(a) or model_exact_zero(b):
+        return model_series(level, 0, math.inf, [])
+    low = [s[3] if not s[4] else s[2] for s in (a, b)]
+    order = min(low[0] + b[3], low[1] + a[3])
+    if not a[4] or not b[4]:
+        return model_series(level, 0, order, [])
+    cs = []
+    for k in range(len(a[4]) + len(b[4]) - 1):
+        c = (Rat, Fraction(0))
+        for i, x in enumerate(a[4]):
+            if 0 <= k - i < len(b[4]):
+                c = model_add(c, model_mul(x, b[4][k - i]))
+        cs.append(c)
+    return model_series(level, a[2] + b[2], order, cs)
+
+
+def model_neg(a):
+    if a[0] != "series":
+        return (Rat, -a[1])
+    return model_series(a[1], a[2], a[3], [model_neg(c) for c in a[4]])
+
+
+# Each operation beside its model; ``t`` is a series or a rational.
+MODEL_OPERATIONS = {
+    "s+t": (lambda s, t: s + t, model_add),
+    "t+s": (lambda s, t: t + s, lambda s, t: model_add(t, s)),
+    "s-t": (lambda s, t: s - t, lambda s, t: model_add(s, model_neg(t))),
+    "t-s": (lambda s, t: t - s, lambda s, t: model_add(t, model_neg(s))),
+    "s*t": (lambda s, t: s * t, model_mul),
+    "t*s": (lambda s, t: t * s, lambda s, t: model_mul(t, s)),
+    "-s": (lambda s, t: -s, lambda s, t: model_neg(s)),
+}
+
+rational_coefficients = st.one_of(rationals, st.just(Rat(0)))
+rational_level1 = st.builds(
+    truncated, st.integers(min_value=-3, max_value=3), st.lists(rational_coefficients, max_size=5),
+    windows)
+rational_level2 = st.builds(
+    truncated, st.integers(min_value=-2, max_value=2),
+    st.lists(st.one_of(rational_coefficients, rational_level1), max_size=4), windows, st.just(2))
+rational_series = st.one_of(rational_level1, rational_level2)
+
+
+class TestIntegerForm:
+    """Level-1 series of ``Rat`` coefficients, held as integers, against the plain-Fraction model.
+
+    Scaling and adding a rational (``_scaled``, ``_plus``) are the operations
+    with a rational ``t``; at level 2 every coefficient operation is one of
+    these at level 1.
+    """
+
+    @pytest.mark.parametrize("op", list(MODEL_OPERATIONS))
+    @given(s=rational_series, t=st.one_of(rational_series, rational_coefficients))
+    @example(s=LaurentSeries(-1, (Rat(1, 2), Rat(1, 3))), t=Rat(-1, 2))  # power 0 cancels
+    @example(s=LaurentSeries(0, (Rat(1, 6), Rat(5, 6))), t=LaurentSeries(0, (Rat(-1, 6),)))
+    @example(s=LaurentSeries(0, (Rat(1, 4), Rat(1, 2)), 2), t=Rat(4))  # 4 clears the denominator
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_model(self, op, s, t):
+        fast, model = MODEL_OPERATIONS[op]
+        assert fields(fast(s, t)) == model(fields(s), fields(t)), (op, s, t)
+
+    @given(rational_level1, rational_level1)
+    @settings(max_examples=60)
+    def test_numerators_are_reduced_over_a_positive_denominator(self, s, t):
+        for x in (s * t, s + t, s - t, s * Rat(-6, 4), s + Rat(1, 3)):
+            assert x._den > 0 and math.gcd(x._den, *x._nums) == 1
+            assert fields(x) == fields(LaurentSeries(x.valuation, x.coeffs, x.order))
+
+    def test_coefficients_are_built_once_when_read(self):
+        prod = series(0, [Rat(1, 2), Rat(2, 3)]) * series(-1, [Rat(3), Rat(1, 5)])
+        assert prod._cs is None
+        assert not prod.is_zero() and prod._width() == 3
+        assert LaurentSeries(0, (Rat(0), prod, LaurentSeries.zero()), level=2).valuation == 1
+        assert prod._cs is None  # zero tests and trimming read the integers
+        cs = prod.coeffs
+        assert prod.coeffs is cs and [*cs] == [Rat(3, 2), Rat(21, 10), Rat(2, 15)]
+        assert all(type(c) is Rat for c in cs)
+
+    def test_an_int_coefficient_keeps_the_ring_path(self):
+        s = LaurentSeries(-1, (Rat(2), 7))
+        assert s._nums is None
+        assert fields(Rat(5, 2) + s) == ("series", 1, -1, math.inf,
+                                          ((Rat, Rat(2)), (Rat, Rat(19, 2))))
+        assert fields(s + LaurentSeries(0, (3,))) == (
+            "series", 1, -1, math.inf, ((Rat, Rat(2)), (int, 10)))
+
+
+class TestInexactValuesAreRejected:
+    """A float or complex value raises the same TypeError in a series as in a Kernel."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: eps() + 0.5,
+        lambda: 0.5 + eps(),
+        lambda: eps(level=2) * 0.5,
+        lambda: eps() - 2j,
+        lambda: LaurentSeries(0, (Rat(1), 0.25)),
+        lambda: scalar_format(0.1),
+    ], ids=["s+float", "float+s", "level2*float", "s-complex", "coefficient", "scalar_format"])
+    def test_raises_type_error(self, build):
+        with pytest.raises(TypeError, match=r"^inexact value \S+ \((float|complex)\); use an"):
+            build()
+
+
 def small_poly(lo, hi):
     return st.lists(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=3)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -567,6 +568,61 @@ class TestSeriesLines:
             assert got == Rat(-8179149952167133184, 3249410656700671875)
 
 
+class TestReciprocalTable:
+    """A Kernel inverts each pair's u - v once, for the entries of K and for f alike."""
+
+    q, e, e2 = Rat(5, 3), eps(), eps(level=2)
+    lines = (Rat(2) + e, Rat(-7, 2) + Rat(3) * e, Rat(1, 2)), (Rat(4), Rat(1, 3), Rat(2))
+    mixed = (Rat(2) + e, Rat(1, 2)), (Rat(4), Rat(1, 3) + e2)
+
+    @staticmethod
+    def series_pairs(xs, ys):
+        return [(x, y) for x in xs for y in ys
+                if isinstance(x, LaurentSeries) or isinstance(y, LaurentSeries)]
+
+    @pytest.mark.parametrize("point", [lines, mixed], ids=["series-lines", "mixed"])
+    def test_each_pair_is_inverted_once(self, point, monkeypatch):
+        inverted, invert = [], LaurentSeries.invert
+        monkeypatch.setattr(LaurentSeries, "invert", lambda s: inverted.append(s) or invert(s))
+        xs, ys = point
+        kern = Kernel(self.q)
+        kern.k(xs, ys)
+        pairs = self.series_pairs(xs, ys)
+        for x, y in pairs:
+            kern.f(x, y)
+        counts = Counter(map(id, inverted))
+        diffs = [kern._sd(kern.index(x), kern.index(y)) for x, y in pairs]
+        assert [counts[id(d)] for d in diffs] == [1] * len(pairs)
+        assert max(counts.values()) == 1
+
+    @pytest.mark.parametrize("window, want", [
+        # K at the parent commit, whose entries divided by u - v
+        (2, ("series", 1, -1, 1, ((Rat, Rat(1199428304896, 7368310546875)),
+                                  (Rat, Rat(30043035364573184, 65246389892578125))))),
+        (3, ("series", 1, -1, 2, ((Rat, Rat(1199428304896, 7368310546875)),
+                                  (Rat, Rat(30043035364573184, 65246389892578125)),
+                                  (Rat, Rat(1992479919239733248, 11790954744873046875))))),
+    ])
+    def test_values_are_those_of_dividing(self, window, want):
+        q, (xs, ys) = self.q, self.lines
+        with invert_window(window):
+            kern = Kernel(q)
+            assert fields(kern.k(xs, ys)) == want
+            for x, y in self.series_pairs(xs, ys):
+                assert fields(kern.f(x, y)) == fields((q * x - (1 / q) * y) / (x - y))
+
+    @pytest.mark.parametrize("order, error", [(math.inf, PoleError), (1, WindowError)],
+                             ids=["exact-zero", "truncated-zero"])
+    def test_a_zero_difference_raises_at_each_use(self, order, error):
+        x = LaurentSeries(0, (Rat(2),), order)  # x - 2 is a zero
+        kern = Kernel(self.q)
+        for evaluate in (lambda: kern.f(x, Rat(2)), lambda: kern.k((x, Rat(5)), (Rat(2), Rat(7))),
+                         lambda: kern.k((x, Rat(5)), (Rat(2), Rat(7) + self.e2))):
+            for _ in range(2):
+                with pytest.raises(error):
+                    evaluate()
+
+
 class TestIntegerRows:
     """At a rational point K's rows are integers and K is what `Rat` rows give."""
 
@@ -736,6 +792,7 @@ class TestExactValuesOnly:
         lambda kern: kern.g(Rat(1, 2), 1.5),
         lambda kern: kern.fprod((Rat(1, 2),), (1.5,)),
         lambda kern: kern.shift((0.5,), 2),
+        lambda kern: kern.f(eps() + 0.5, Rat(3)),
     ])
     def test_the_kernel_rejects_them(self, evaluate):
         kern = Kernel(2)
