@@ -7,9 +7,11 @@ be nested (a series whose coefficients are themselves series of a lower
 ``level``), which is how sequential multi-variable limits are evaluated one
 infinitesimal at a time.  A level-1 series of ``Rat`` coefficients holds them
 as integer numerators over one positive common denominator, reduced by one
-gcd, so its sums, products, negation and scaling by a ``Rat`` work on
-integers and build a ``Rat`` only when a coefficient is read.  A product at
-level 2 or above is the ring sum of its coefficients' products.  An ``int``
+gcd, so its sums, products, negation, scaling by a ``Rat`` and inverse work
+on integers and build a ``Rat`` only when a coefficient is read.  A product
+at level 2 or above is the ring sum of its coefficients' products.  Adding
+an exact zero ``Rat(0)`` to a series, at any level, gives the series itself,
+so a sum that starts at ``Rat(0)`` lifts and copies nothing.  An ``int``
 operand is lifted as a ``Rat``.  A float or complex value raises TypeError
 wherever it meets a series or `scalar_format`.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from operator import not_
+from operator import mul, not_
 
 from fractions import Fraction as Rat
 
@@ -170,7 +172,9 @@ def _convolve_into(out, xs, ys):
     """Add the product of ``xs`` and ``ys`` to ``out``, keeping its first ``len(out)`` places.
 
     Every product is added, so a coefficient's type follows the ring
-    whichever factor is on the left.
+    whichever factor is on the left.  A place that starts at ``Rat(0)``
+    takes its first series product as it is (the exact-zero add); an ``int``
+    product added to ``Rat(0)`` becomes a ``Rat``.
     """
     n = len(out)
     for i, x in enumerate(xs[:n]):
@@ -349,10 +353,13 @@ class LaurentSeries:
 
     def __add__(self, other):
         # a rational acts on the coefficients; anything else is lifted to a
-        # series of this level
-        if (type(other) is Rat and other
-                and self.valuation <= 0 < self.valuation + self._width()):
-            return self._plus(other)
+        # series of this level.  An exact zero has order inf and a series is
+        # trimmed, so adding it gives this series field for field.
+        if type(other) is Rat:
+            if not other:
+                return self
+            if self.valuation <= 0 < self.valuation + self._width():
+                return self._plus(other)
         b = self._coerce(other)
         if b is None:
             return other + self
@@ -430,18 +437,24 @@ class LaurentSeries:
         terms inverts to ``max(len(coeffs), window)`` terms, the window
         being `INVERT_TERMS` or that of `invert_window`.  A truncated unit
         inverts to ``order - valuation`` terms, all it knows, whatever the
-        window.
+        window.  A level-1 series held as integer numerators runs the
+        recurrence in integers (`_int_inverse`); any other runs it over its
+        coefficients' ring.
         """
         if self.is_zero():
             if self.is_exact():
                 raise PoleError("division by exact zero series")
             raise WindowError("non-invertible at this truncation (all retained coefficients zero)")
-        v = self.valuation
-        cs = self.coeffs
+        v, width = self.valuation, self._width()
         if self.order is _INF:
-            m = _INF if len(cs) == 1 else max(len(cs), _invert_terms)
+            m = _INF if width == 1 else max(width, _invert_terms)
+            order = _INF if m is _INF else -v + m
         else:
             m = int(self.order) - v
+            order = int(self.order) - 2 * v
+        if self._nums is not None:
+            return self._int_inverse(1 if m is _INF else m, order)
+        cs = self.coeffs
         c0inv = _coeff_invert(cs[0])
         if m is _INF:
             return LaurentSeries(-v, (c0inv,), _INF, self.level)
@@ -451,8 +464,32 @@ class LaurentSeries:
             for i in range(1, min(k, len(cs) - 1) + 1):
                 acc = acc + cs[i] * d[k - i]
             d.append(-(c0inv * acc))
-        order = -v + m if self.order is _INF else int(self.order) - 2 * v
         return LaurentSeries(-v, d, order, self.level)
+
+    def _int_inverse(self, m, order):
+        """The first ``m`` terms of the inverse of a level-1 series of integer numerators.
+
+        With ``n_i`` the numerators, coefficient ``k`` is
+        ``den E_k / n_0^(k+1)``, where ``E_0 = 1`` and
+        ``E_k = -sum_{i>=1} n_i n_0^(i-1) E_(k-i)`` are integers.
+        """
+        nums, den = self._nums, self._den
+        n0 = nums[0]
+        w, p = [], 1  # w[i - 1] = n_i n_0^(i-1)
+        for n in nums[1:m]:
+            w.append(n * p)
+            p *= n0
+        es = [1]
+        for _ in range(1, m):  # E_k pairs w[i - 1] with E_(k-i), newest first
+            es.append(-sum(map(mul, w, reversed(es))))
+        # over the common denominator n_0^m, coefficient k is den E_k n_0^(m-1-k)
+        out, p = [0] * m, 1
+        for k in range(m - 1, -1, -1):
+            out[k] = den * es[k] * p
+            p *= n0
+        if p < 0:
+            out, p = [-n for n in out], -p
+        return _ints(-self.valuation, out, p, order)
 
     def __truediv__(self, other):
         if type(other) is Rat:

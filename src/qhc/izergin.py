@@ -488,18 +488,16 @@ class Kernel:
 def det(rows):
     """Determinant of a square matrix, generic over the scalar ring.
 
-    A matrix of ``int`` entries is eliminated fraction-free by `_bareiss`,
-    the integer kernel that `Kernel` calls directly at a rational point; the
-    result is one ``Rat``.
-
-    Any other matrix (``Rat``, mixed or series entries) pivots on the entry
-    of minimal valuation (plain nonzero scalars count as valuation 0), which
-    keeps series windows as wide as possible.  Only exact zeros are skipped:
-    a pivot column of zeros known only within their windows raises
-    WindowError.  A float or complex entry raises TypeError.  Each pivot,
-    rational or series, is inverted once, at the first row it eliminates,
-    and ``a / b`` is ``a * b.invert()`` for a series and ``a * (1 / b)`` for
-    a rational, so the factors are those of dividing.
+    The elimination pivots on the entry of minimal valuation (plain nonzero
+    scalars count as valuation 0), which keeps series windows as wide as
+    possible.  Only exact zeros are skipped: a pivot column of zeros known
+    only within their windows raises WindowError.  A float or complex entry
+    raises TypeError.  Each pivot, rational or series, is inverted once, at
+    the first row it eliminates, and ``a / b`` is ``a * b.invert()`` for a
+    series and ``a * (1 / b)`` for a rational, so the factors are those of
+    dividing.  The product of the pivots starts at ``Rat(1)``, so a matrix of
+    ``int`` entries gives a ``Rat``; integer rows of `Kernel` go to the
+    fraction-free `_bareiss` without passing through here.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -507,8 +505,6 @@ def det(rows):
                          f"{[len(r) for r in rows]}")
     if n == 0:
         return Rat(1)
-    if all(type(x) is int for r in rows for x in r):
-        return Rat(_bareiss([list(r) for r in rows]))
     for r in rows:
         for x in r:
             _check_exact(x)

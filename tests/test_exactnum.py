@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import (
@@ -285,6 +285,18 @@ level1_series = st.builds(
 level2_series = st.builds(
     truncated, st.integers(min_value=-2, max_value=2),
     st.lists(st.one_of(scalars, level1_series), max_size=4), windows, st.just(2))
+level3_series = st.builds(
+    truncated, st.integers(min_value=-2, max_value=2),
+    st.lists(st.one_of(scalars, level1_series, level2_series), max_size=3), windows, st.just(3))
+
+rational_coefficients = st.one_of(rationals, st.just(Rat(0)))
+rational_level1 = st.builds(
+    truncated, st.integers(min_value=-3, max_value=3), st.lists(rational_coefficients, max_size=5),
+    windows)
+rational_level2 = st.builds(
+    truncated, st.integers(min_value=-2, max_value=2),
+    st.lists(st.one_of(rational_coefficients, rational_level1), max_size=4), windows, st.just(2))
+rational_series = st.one_of(rational_level1, rational_level2)
 
 
 def fraction_convolution(s, t):
@@ -370,6 +382,65 @@ class TestProductReference:
         assert fields(s * t) == fields(t * s)
 
 
+def reference_inverse(s, window):
+    """``s.invert()`` by the recurrence over its coefficients, whatever their ring.
+
+    ``d_0 = 1/c_0`` and ``d_k = -(1/c_0) sum_{i>=1} c_i d_(k-i)``, to as many
+    terms as `invert` keeps at ``window``.
+    """
+    v, cs = s.valuation, s.coeffs
+    if s.order == math.inf:
+        m = math.inf if len(cs) == 1 else max(len(cs), window)
+        order = -v + m
+    else:
+        m = int(s.order) - v
+        order = int(s.order) - 2 * v
+    c0inv = cs[0].invert() if isinstance(cs[0], LaurentSeries) else Rat(1) / cs[0]
+    if m == math.inf:
+        return LaurentSeries(-v, (c0inv,), math.inf, s.level)
+    d = [c0inv]
+    for k in range(1, m):
+        acc = Rat(0)
+        for i in range(1, min(k, len(cs) - 1) + 1):
+            acc = acc + cs[i] * d[k - i]
+        d.append(-(c0inv * acc))
+    return LaurentSeries(-v, d, order, s.level)
+
+
+class TestInverseReference:
+    """`invert` against the recurrence over coefficients, field for field.
+
+    A level-1 series of ``Rat`` coefficients inverts in integers; an ``int``
+    coefficient or a level-2 series keeps the ring recurrence and its types.
+    """
+
+    @pytest.mark.parametrize("window", [None, 2])
+    @given(s=st.one_of(rational_level1, level1_series, level2_series))
+    @example(s=series(0, [-2, Rat(1, 3), 5]))  # odd window, negative n_0: the sign fix
+    @example(s=series(-1, [Rat(-3, 4), Rat(5, 6)]))
+    @example(s=series(2, [Rat(-7, 3)]))  # one exact term inverts exactly
+    @example(s=truncated(1, [Rat(-2, 9), Rat(4, 15), Rat(0), Rat(1, 2)], 3))
+    @example(s=truncated(0, [Rat(3, 2), Rat(0), Rat(0)], 4))  # zeros past the last term
+    @example(s=LaurentSeries(0, (Rat(2), 7)))
+    @example(s=LaurentSeries(-1, (truncated(0, [Rat(-2), Rat(1, 3)], 2), Rat(3, 5)), level=2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_recurrence(self, window, s):
+        assume(not s.is_zero())
+        if window is None:
+            got, want = outcome(LaurentSeries.invert, s), outcome(reference_inverse, s, INVERT_TERMS)
+        else:
+            with invert_window(window):
+                got, want = outcome(LaurentSeries.invert, s), outcome(reference_inverse, s, window)
+        assert got == want, (s, window)
+
+    @given(rational_level1)
+    @settings(max_examples=100)
+    def test_integer_inverse_is_reduced_over_a_positive_denominator(self, s):
+        assume(not s.is_zero())
+        inv = s.invert()
+        assert inv._den > 0 and math.gcd(inv._den, *inv._nums) == 1
+
+
 def fields(x):
     """Everything a value holds: level, valuation, order and each coefficient's type and value."""
     if isinstance(x, LaurentSeries):
@@ -429,6 +500,17 @@ class TestRationalOperands:
         fast, lifted = RATIONAL_OPERATIONS[op]
         want = outcome(lifted, s, LaurentSeries.constant(c, s.level))
         assert outcome(fast, s, c) == want, (op, s, c)
+
+    @given(st.one_of(level1_series, level2_series, level3_series))
+    @example(LaurentSeries(0, (), order=3))
+    @example(LaurentSeries(0, (), order=-1, level=2))
+    @example(LaurentSeries(-1, (Rat(2), 7), order=1))
+    @example(LaurentSeries(1, (Rat(1), LaurentSeries(0, (), order=2), 4), level=3))
+    @settings(max_examples=150, deadline=None)
+    def test_an_exact_zero_adds_as_the_zero_series(self, s):
+        want = fields(s + LaurentSeries.zero(s.level))
+        assert fields(s + Rat(0)) == want and fields(Rat(0) + s) == want
+        assert s + Rat(0) is s and Rat(0) + s is s  # nothing is lifted or copied
 
     @given(st.one_of(level1_series, level2_series))
     @settings(max_examples=60, deadline=None)
@@ -517,15 +599,6 @@ MODEL_OPERATIONS = {
     "t*s": (lambda s, t: t * s, lambda s, t: model_mul(t, s)),
     "-s": (lambda s, t: -s, lambda s, t: model_neg(s)),
 }
-
-rational_coefficients = st.one_of(rationals, st.just(Rat(0)))
-rational_level1 = st.builds(
-    truncated, st.integers(min_value=-3, max_value=3), st.lists(rational_coefficients, max_size=5),
-    windows)
-rational_level2 = st.builds(
-    truncated, st.integers(min_value=-2, max_value=2),
-    st.lists(st.one_of(rational_coefficients, rational_level1), max_size=4), windows, st.just(2))
-rational_series = st.one_of(rational_level1, rational_level2)
 
 
 class TestIntegerForm:
