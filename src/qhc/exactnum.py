@@ -12,8 +12,10 @@ on integers and build a ``Rat`` only when a coefficient is read.  A product
 at level 2 or above is the ring sum of its coefficients' products.  Adding
 an exact zero ``Rat(0)`` to a series, at any level, gives the series itself,
 so a sum that starts at ``Rat(0)`` lifts and copies nothing.  An ``int``
-operand is lifted as a ``Rat``.  A float or complex value raises TypeError
-wherever it meets a series or `scalar_format`.
+operand is taken as a ``Rat``: a product scales the coefficients by it.  A
+series has the number protocol of ``int`` and ``Rat``: its ``numerator`` is
+itself and its ``denominator`` is 1.  A float or complex value raises
+TypeError wherever it meets a series or `scalar_format`.
 """
 
 from __future__ import annotations
@@ -251,6 +253,15 @@ class LaurentSeries:
             cs = self._cs = tuple([Rat(n, den) for n in self._nums])
         return cs
 
+    @property
+    def numerator(self):
+        """The series itself, so ``x.numerator / x.denominator`` is ``x`` for a series as for a ``Rat``."""
+        return self
+
+    @property
+    def denominator(self):
+        return 1
+
     def _width(self):
         """The number of coefficients held, read without building them."""
         return len(self._nums if self._cs is None else self._cs)
@@ -398,6 +409,8 @@ class LaurentSeries:
     def __mul__(self, other):
         if type(other) is Rat:
             return self._scaled(other)
+        if type(other) is int:
+            return self._scaled(Rat(other))
         b = self._coerce(other)
         if b is None:
             return other * self

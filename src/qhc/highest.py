@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 
 from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import izergin, izergin_side, nested_primes
+from .izergin import _ratio, _times, izergin, izergin_side, nested_primes
 from .partitions import enumerate_partitions
 
 __all__ = [
@@ -49,13 +49,9 @@ def hc_ws_batch(kern, side, tss, xs, ss, yss):
     Per split of {s, x} into {w_I, w_II}, K^(o)(ss | w_I q^2) and
     f(w_I, w_II) are formed once for the whole grid, K(ys | w_I) once per y
     set and K(w_II | ts) once per t set; each cell's term is their product.
-    `hc` with rep "ws" is the one-cell case.
-
-    When every value of the t sets, xs, ss and the y sets is rational, each
-    Z is one ``Rat`` of the integer cell that `_ws_cells` sums.  A grid that
-    holds a series sums each cell's terms as values, in the same split
-    order, as (K^(o) K(w_II | ts) f(w_I, w_II)) K(ys | w_I), with K^(l,r)
-    from `izergin_side`.
+    `hc` with rep "ws" is the one-cell case.  Each Z is the numerator of
+    its cell in `_ws_cells` over its integer denominator: one ``Rat`` at a
+    rational point, and a series scaled once where a value is a series.
     """
     tss = [tuple(ts) for ts in tss]
     xs, ss = tuple(xs), tuple(ss)
@@ -63,45 +59,29 @@ def hc_ws_batch(kern, side, tss, xs, ss, yss):
     if (any(len(ts) != len(xs) for ts in tss)
             or any(len(ys) != len(ss) for ys in yss)):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
-    u = kern.usign(side)
+    kern.usign(side)
     if not tss or not yss:
         return [[] for _ in tss]
-    if kern.rational(xs + ss + tuple(v for vs in tss + yss for v in vs)):
-        return [[Rat(n, d) for n, d in row] for row in _ws_cells(kern, side, tss, xs, ss, yss)]
-    b = len(ss)
-    opp = kern.other(side)
-    sign = kern.mq(-u * b)
-    totals = [Rat(0)] * (len(tss) * len(yss))
-    for w1, w2 in enumerate_partitions(ss + xs, b):
-        k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
-        f12 = kern.fprod(w1, w2)
-        k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
-        c = 0
-        for ts in tss:
-            common = k_o * izergin_side(kern, side, w2, ts) * f12
-            for k_y in k_ys:
-                totals[c] = totals[c] + common * k_y
-                c += 1
-    totals = [sign * total for total in totals]
-    width = len(yss)
-    return [totals[i:i + width] for i in range(0, len(totals), width)]
+    return [[_ratio(n, d) for n, d in row] for row in _ws_cells(kern, side, tss, xs, ss, yss)]
 
 
 def _ws_cells(kern, side, tss, xs, ss, yss):
-    """The cells of a rational `hc_ws_batch` grid, each an unreduced (num, den) of ints.
+    """The cells of an `hc_ws_batch` grid, each an unreduced (numerator, denominator).
 
-    The sets are nonempty lists of tuples of rational values, of the sizes
-    `hc_ws_batch` checks.  Since K^(l)(X | Y) = K prod(X) and
+    The sets are nonempty lists of tuples of values, of the sizes
+    `hc_ws_batch` checks.  Every value is read through its numerator and
+    denominator (a series is its own numerator over 1), so a denominator is
+    an ``int`` and a numerator is an ``int`` at a rational point and a series
+    where a value is one.  Since K^(l)(X | Y) = K prod(X) and
     K^(r)(X | Y) = K prod(Y), the side products of a term are, for side l,
     q^2b prod(s, x) prod(y), the same for every split, and, for side r,
     prod(s) prod(t) prod(w_I).  So the sum reads plain K through `izergin`:
-    a term is K(ss | w_I q^2) f(w_I, w_II) K(w_II | ts) K(ys | w_I) in
-    integers, with prod(w_I) for side r, and it is added to its cell's
-    running fraction, the numerators alone where the denominators are equal
-    and over their gcd where not.  Each cell is then multiplied once by
-    (-q)^b, which is the sign (-q)^(-+b) for side r and that sign times
-    q^2b for side l, and by prod(s, x) prod(y) (side l) or prod(s) prod(t)
-    (side r).
+    a term is K(ss | w_I q^2) f(w_I, w_II) K(w_II | ts) K(ys | w_I), with
+    prod(w_I) for side r, and it is added to its cell's running fraction,
+    the numerators alone where the denominators are equal and over their
+    gcd where not.  Each cell is then multiplied once by (-q)^b, which is
+    the sign (-q)^(-+b) for side r and that sign times q^2b for side l, and
+    by prod(s, x) prod(y) (side l) or prod(s) prod(t) (side r).
     """
     b, width = len(ss), len(yss)
     left = side == "l"
@@ -134,14 +114,6 @@ def _ws_cells(kern, side, tss, xs, ss, yss):
     cols = [_times(1, 1, ys if left else ()) for ys in yss]
     return [[(nums[i * width + j] * rn * yn, dens[i * width + j] * rd * yd)
              for j, (yn, yd) in enumerate(cols)] for i, (rn, rd) in enumerate(rows)]
-
-
-def _times(num, den, values):
-    """num / den times the product of rational ``values``, as two ints."""
-    for v in values:
-        num *= v.numerator
-        den *= v.denominator
-    return num, den
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):

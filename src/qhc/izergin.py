@@ -37,9 +37,9 @@ holds them as integer fractions for every pair of rationals, from which K,
 f and f-products at rationals are built, and two series pair tables hold
 them as values where a K or an f holds a series, each quantity only for the
 pairs that read it; a third holds 1/(u - v) for those pairs, so each series
-u - v is inverted once per kernel, not once per entry.  At rationals an
-f-product, and a side product K^(l,r) = K prod(vs), is one integer fraction
-as K is.  A value shifted and
+u - v is inverted once per kernel, not once per entry.  An f-product and a
+side product K^(l,r) = K prod(vs) multiply their rational parts as integers
+and their series parts as series, and divide once.  A value shifted and
 shifted back is the object it came from.
 """
 
@@ -225,35 +225,32 @@ class Kernel:
     def fprod(self, us, vs):
         """f over all pairs of the two sets; empty product = 1.
 
-        When every value is rational the product is one integer fraction,
-        prod A E / prod B C over the pairs of the integer pair table; each
-        pair's u - v is tested in turn, so a zero raises PoleError as that
-        pair's f would, and no pair's f is memoised.  A set that holds a
-        series multiplies the pairs' f in order.
+        The pairs are read in order.  A pair of rationals multiplies A E
+        and B C from the integer pair table into one integer numerator and
+        denominator; its u - v is tested in turn, so a zero raises PoleError
+        as that pair's f would, and its f is not memoised.  A pair at which
+        a series is met multiplies its f into one series product, which is
+        scaled once by the integer fraction where that is not 1.
         """
         key = (len(us), self.indices((*us, *vs)))
         out = self._fprods.get(key)
         if out is None:
             ius, ivs = key[1][:key[0]], key[1][key[0]:]
-            nds = self._nds
-            if all(nds[i] is not None for i in key[1]):
-                ips, ip = self._ips, self._ip
-                num = den = 1
-                for i in ius:
-                    for j in ivs:
-                        a, b, c, e = ips.get((i, j)) or ip(i, j)
-                        if not c:
-                            raise PoleError("vanishing denominator")
-                        num *= a * e
-                        den *= b * c
-                out = Rat(num, den)
-            else:
-                for i in ius:
-                    for j in ivs:
-                        out = self._f(i, j) if out is None else out * self._f(i, j)
-                if out is None:
-                    out = Rat(1)
-            self._fprods[key] = out
+            nds, ips, ip = self._nds, self._ips, self._ip
+            num = den = 1
+            for i in ius:
+                for j in ivs:
+                    if nds[i] is None or nds[j] is None:
+                        f = self._f(i, j)
+                        out = f if out is None else out * f
+                        continue
+                    a, b, c, e = ips.get((i, j)) or ip(i, j)
+                    if not c:
+                        raise PoleError("vanishing denominator")
+                    num *= a * e
+                    den *= b * c
+            r = Rat(num, den)
+            out = self._fprods[key] = r if out is None else out if r == 1 else out * r
         return out
 
     def k(self, xs, ys):
@@ -444,28 +441,16 @@ class Kernel:
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.
 
-        A rational ``k`` with rational side values gives one integer
-        fraction, k's numerator and denominator times those of the values.
-        A series ``k`` or side value multiplies them in order.  Each K that
-        `k` memoises is its own object and is held here, so ``id(k)`` names
-        the pair of sets it was computed for.
+        The numerators of k and of the values multiply into one numerator,
+        their denominators into one integer, and `_ratio` divides them once,
+        so a rational point gives one integer fraction.  Each K that `k`
+        memoises is its own object and is held here, so ``id(k)`` names the
+        pair of sets it was computed for.
         """
         key = (id(k), side)
         out = self._ksides.get(key)
         if out is None:
-            nds = self._nds
-            fracs = [nds[i] for i in self.indices(vs)]
-            if type(k) is Rat and None not in fracs:
-                num, den = k.numerator, k.denominator
-                for a, b in fracs:
-                    num *= a
-                    den *= b
-                out = Rat(num, den)
-            else:
-                out = k
-                for v in vs:
-                    out = out * v
-            self._ksides[key] = out
+            out = self._ksides[key] = _ratio(*_times(k.numerator, k.denominator, vs))
         return out
 
     def mq(self, e):
@@ -483,6 +468,28 @@ class Kernel:
 
     def inverted(self):
         return Kernel(self.qinv)
+
+
+def _times(num, den, values):
+    """num / den times the product of ``values``, as a numerator and an integer denominator.
+
+    A numerator is an ``int``, or a series once a series is met (a series is
+    its own numerator over 1).
+    """
+    for v in values:
+        num *= v.numerator
+        den *= v.denominator
+    return num, den
+
+
+def _ratio(num, den):
+    """num / den for an ``int`` or series ``num`` and an ``int`` ``den``.
+
+    Two ints make one ``Rat``; a series is scaled by 1/den where den is not 1.
+    """
+    if type(num) is int:
+        return Rat(num, den)
+    return num if den == 1 else num / Rat(den)
 
 
 def det(rows):

@@ -131,8 +131,8 @@ def w_part(kern, uC_splits, uB_splits, vC_splits, vB_splits):
         f(vC_I, uC_I) f(vB_II, uB_II)
         Z^(l)(uC_II; uB_II | vC_I; vB_I) Z^(r)(uB_I; uC_I | vB_II; vC_II)
 
-    Z^(l) comes from one integer grid of the ws sum (`_ws_cells`, the
-    rational branch of `hc_ws_batch`) per (uB, vC) split pair, over every
+    Z^(l) comes from one integer grid of the ws sum (`_ws_cells`, whose
+    cells `hc_ws_batch` divides out) per (uB, vC) split pair, over every
     uC_II and vB_I, and Z^(r) from one per (uC, vB) split pair, over every
     uB_I and vC_II.  Each f-product is formed once, and each coefficient is
     one ``Rat`` of the integer numerators and denominators of its six

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhc.highest
-from qhc.exactnum import LaurentSeries, PoleError, Rat, eps
+from qhc.exactnum import INVERT_TERMS, LaurentSeries, PoleError, Rat, eps, invert_window
 from qhc.highest import (
     REPRESENTATIONS,
     hc,
@@ -130,6 +130,47 @@ class TestRepresentationAgreement:
         assert all(v == vals[0] for v in vals)
 
 
+def ws_series_reference(kern, side, tss, xs, ss, yss):
+    """The ws grid summed as values, in split order, with K^(l,r) from `izergin_side`.
+
+    Each cell is the sign times the sum of (K^(o) K(w_II | ts) f(w_I, w_II))
+    K(ys | w_I), added one term at a time from ``Rat(0)``.
+    """
+    u = 1 if side == "l" else -1
+    opp = "r" if side == "l" else "l"
+    b = len(ss)
+    totals = [Rat(0)] * (len(tss) * len(yss))
+    for w1, w2 in enumerate_partitions(ss + xs, b):
+        k_o = izergin_side(kern, opp, ss, kern.shift(w1, 2))
+        f12 = kern.fprod(w1, w2)
+        k_ys = [izergin_side(kern, side, ys, w1) for ys in yss]
+        c = 0
+        for ts in tss:
+            common = k_o * izergin_side(kern, side, w2, ts) * f12
+            for k_y in k_ys:
+                totals[c] = totals[c] + common * k_y
+                c += 1
+    sign = kern.mq(-u * b)
+    width = len(yss)
+    return [[sign * total for total in totals[i:i + width]]
+            for i in range(0, len(totals), width)]
+
+
+def fields(x):
+    """Level, valuation, order and each coefficient's fields, or a scalar's type and value."""
+    if isinstance(x, LaurentSeries):
+        return ("series", x.level, x.valuation, x.order, tuple(fields(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def grid_outcome(fn, *args):
+    """``fields`` of every cell of a grid, or the type and message of what it raises."""
+    try:
+        return [[fields(z) for z in row] for row in fn(*args)]
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
 class TestWsBatch:
     """`hc_ws_batch` at one t set gives, per y set, what `hc` gives with each rep."""
 
@@ -235,16 +276,36 @@ class TestWsGrid:
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_a_t_set_holding_a_series(self, side, a, b):
-        # One series t value sends the whole grid down the series branch.
+        # One series t value makes its row of cells series; the other row
+        # stays one Rat per cell.
         (t1, xs, ss, y1, y2), q = sample_generic((a, a, b, b, b), 29)
         kern = Kernel(q)
         moved = (t1[0] + eps(),) + t1[1:]
         got = hc_ws_batch(kern, side, [t1, moved], xs, ss, [y1, y2])
+        assert all(type(z) is Rat for z in got[0])
         assert all(isinstance(z, LaurentSeries) for z in got[1])
         for ts, row in zip((t1, moved), got):
             for ys, z in zip((y1, y2), row):
                 for rep in REPRESENTATIONS:
                     assert z == hc(kern, side, ts, xs, ss, ys, rep), rep
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(1, 4)])
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_residue_grids_match_the_series_reference(self, side, a, b, window):
+        # Grids at the residue points s_b = y_b + eps and s_b = t_a + eps,
+        # level-1 and nested (+ eps_2), against the grid summed as values:
+        # every cell keeps the reference's fields, so no window narrows.
+        (t1, t2, xs, ss, y1, y2), q = sample_generic((a, a, a, b, b, b), 31 + a + 4 * b)
+        meets = [y1[-1]] + ([t1[-1]] if a else [])
+        with invert_window(INVERT_TERMS if window is None else window):
+            for met in meets:
+                for sb in (met + eps(), met + eps() + eps(level=2)):
+                    moved = ss[:-1] + (sb,)
+                    args = (side, [t1, t2], xs, moved, [y1, y2])
+                    got = grid_outcome(hc_ws_batch, Kernel(q), *args)
+                    assert got == grid_outcome(ws_series_reference, Kernel(q), *args)
+                    assert all(cell[0] == "series" for cell in got[0])  # decided, and series
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_no_t_sets_or_no_y_sets(self, side):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qhc.izergin
 from qhc.exactnum import (
-    LaurentSeries, PoleError, Rat, WindowError, eps, invert_window, take_limit,
+    INVERT_TERMS, LaurentSeries, PoleError, Rat, WindowError, eps, invert_window, take_limit,
 )
 from qhc.highest import REPRESENTATIONS, hc
 from qhc.izergin import (
@@ -699,35 +699,52 @@ def in_order_fprod(q, us, vs):
     return out
 
 
-class TestIntegerProducts:
-    """At rational values f-products, K^(l,r) and the integer kernel equal their `Rat` forms."""
+def in_order_side(k, vs):
+    """K^(l,r): ``k`` times the side values ``vs``, in order."""
+    out = k
+    for v in vs:
+        out = out * v
+    return out
 
-    @given(rational_points(), st.integers(min_value=0, max_value=4))
+
+# Rational points at the default window, and series points (all series on one
+# side, or on both) at the window they draw.
+product_points = st.one_of(rational_points().map(lambda point: (*point, INVERT_TERMS)),
+                           series_points(), series_points(mixed=True))
+
+
+class TestIntegerProducts:
+    """f-products, K^(l,r) and the integer kernel equal their in-order or `Rat` forms.
+
+    At rational points the products are one integer fraction; where a value
+    is a series they hold the fields of the product taken in order.
+    """
+
+    @given(product_points, st.integers(min_value=0, max_value=4))
     @settings(max_examples=300, deadline=None)
     def test_fprod_is_the_in_order_product_of_f(self, point, m):
-        q, us, vs = point
+        q, us, vs, window = point
         vs = vs[:m]
-        kern = Kernel(q)
-        for a, b in ((us, vs), (vs, us), (us, us[::-1])):
-            got = outcome(kern.fprod, a, b)
-            assert got == outcome(in_order_fprod, q, a, b)
-            assert outcome(kern.fprod, a, b) == got  # the memo keeps it
+        with invert_window(window):
+            kern = Kernel(q)
+            for a, b in ((us, vs), (vs, us), (us, us[::-1])):
+                got = outcome(kern.fprod, a, b)
+                assert got == outcome(in_order_fprod, q, a, b)
+                assert outcome(kern.fprod, a, b) == got  # the memo keeps it
 
-    @given(rational_points())
+    @given(product_points)
     @settings(max_examples=300, deadline=None)
     def test_k_side_is_k_times_its_side_values(self, point):
-        q, xs, ys = point
-        kern = Kernel(q)
-        try:
-            k = izergin(kern, xs, ys)
-        except PoleError:
-            return
-        for side, vs in (("l", xs), ("r", ys)):
-            want = k
-            for v in vs:
-                want = want * v
-            got = izergin_side(kern, side, xs, ys)
-            assert got == want and type(got) is Rat
+        q, xs, ys, window = point
+        with invert_window(window):
+            kern = Kernel(q)
+            try:
+                k = izergin(kern, xs, ys)
+            except (PoleError, WindowError):
+                return
+            for side, vs in (("l", xs), ("r", ys)):
+                got = outcome(izergin_side, kern, side, xs, ys)
+                assert got == outcome(in_order_side, k, vs)
 
     def test_a_pole_after_a_zero_f_raises(self):
         # f(1, 4) = 0 at q = 2, and the second pair is u = v: the zero
