@@ -363,9 +363,12 @@ class LaurentSeries:
         return _ints(lo, out, da * sa, order)
 
     def __add__(self, other):
-        # a rational acts on the coefficients; anything else is lifted to a
-        # series of this level.  An exact zero has order inf and a series is
-        # trimmed, so adding it gives this series field for field.
+        # a rational, or an int as the Rat it equals, acts on the coefficients;
+        # anything else is lifted to a series of this level.  An exact zero has
+        # order inf and a series is trimmed, so adding it gives this series
+        # field for field.
+        if type(other) is int:
+            other = Rat(other)
         if type(other) is Rat:
             if not other:
                 return self

@@ -77,36 +77,31 @@ def _ws_cells(kern, side, tss, xs, ss, yss):
     q^2b prod(s, x) prod(y), the same for every split, and, for side r,
     prod(s) prod(t) prod(w_I).  So the sum reads plain K through `izergin`:
     a term is K(ss | w_I q^2) f(w_I, w_II) K(w_II | ts) K(ys | w_I), with
-    prod(w_I) for side r, and it is added to its cell's running fraction,
-    the numerators alone where the denominators are equal and over their
-    gcd where not.  Each cell is then multiplied once by (-q)^b, which is
-    the sign (-q)^(-+b) for side r and that sign times q^2b for side l, and
-    by prod(s, x) prod(y) (side l) or prod(s) prod(t) (side r).
+    prod(w_I) for side r, and it is added to its cell's running fraction
+    (`_plus`).  Every K(ss | w_I q^2) shares ss and every K(ys | w_I) its
+    ys, so those name their xs as the fixed set (``columns``); every
+    K(w_II | ts) shares ts, the default.  Each cell is then multiplied once
+    by (-q)^b, which is the sign (-q)^(-+b) for side r and that sign times
+    q^2b for side l, and by prod(s, x) prod(y) (side l) or prod(s) prod(t)
+    (side r).
     """
     b, width = len(ss), len(yss)
     left = side == "l"
     nums, dens = [0] * (len(tss) * width), [1] * (len(tss) * width)
     for w1, w2 in enumerate_partitions(ss + xs, b):
-        k_o = izergin(kern, ss, kern.shift(w1, 2))
+        k_o = izergin(kern, ss, kern.shift(w1, 2), columns=True)
         f12 = kern.fprod(w1, w2)
         cn = k_o.numerator * f12.numerator
         cd = k_o.denominator * f12.denominator
         if not left:
             cn, cd = _times(cn, cd, w1)
-        k_ys = [izergin(kern, ys, w1) for ys in yss]
+        k_ys = [izergin(kern, ys, w1, columns=True) for ys in yss]
         c = 0
         for ts in tss:
             k_t = izergin(kern, w2, ts)
             tn, td = cn * k_t.numerator, cd * k_t.denominator
             for k_y in k_ys:
-                n, d, den = tn * k_y.numerator, td * k_y.denominator, dens[c]
-                if d == den:
-                    nums[c] += n
-                else:
-                    g = gcd(den, d)
-                    d //= g
-                    nums[c] = nums[c] * d + n * (den // g)
-                    dens[c] = den * d
+                nums[c], dens[c] = _plus(nums[c], dens[c], tn * k_y.numerator, td * k_y.denominator)
                 c += 1
     sign = kern.mq(b)
     sn, sd = _times(sign.numerator, sign.denominator, ss + xs if left else ss)
@@ -114,6 +109,18 @@ def _ws_cells(kern, side, tss, xs, ss, yss):
     cols = [_times(1, 1, ys if left else ()) for ys in yss]
     return [[(nums[i * width + j] * rn * yn, dens[i * width + j] * rd * yd)
              for j, (yn, yd) in enumerate(cols)] for i, (rn, rd) in enumerate(rows)]
+
+
+def _plus(num, den, n, d):
+    """num/den + n/d, unreduced, for int or series numerators over int denominators.
+
+    Equal denominators add the numerators alone; others meet over their gcd.
+    """
+    if d == den:
+        return num + n, den
+    g = gcd(den, d)
+    d //= g
+    return num * d + n * (den // g), den * d
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):
@@ -543,32 +550,39 @@ def hc_prop51_pair(kern, side, ts, xs, ss, ys, ws, zs):
     """Both sides of the double-partition summation identity.
 
     Cardinalities: #t = #x = a, #s = b, #y = p <= b, #w = b - p, #z = n.
-    On the right, the Z of every split of xi comes from one `hc_ws_batch`
-    per split of s, and the factors of s_I alone are formed once per split.
+    On the right, the Z of every split of xi comes from one ws grid per
+    split of s, as the unreduced cells of `_ws_cells`, and the factors of
+    s_I alone, with the side product of K^(o) common to the grid, are formed
+    once per split.  The inner and outer sums run as one numerator over one
+    integer denominator (`_plus`), which `_ratio` divides once.
     """
     ts, xs, ss, ys, ws, zs = map(tuple, (ts, xs, ss, ys, ws, zs))
     b, p = len(ss), len(ys)
     if len(ws) != b - p:
         raise ValueError("cardinality mismatch: #w must equal #s - #y")
     u = kern.usign(side)
-    opp = kern.other(side)
+    left_o = kern.other(side) == "l"
     fprod = kern.fprod
     xi = kern.shift(xs, -2) + kern.shift(zs, -2)
     lhs = fprod(xi, ys) * hc(kern, side, ts, xs, ss, ys + ws)
-    total = Rat(0)
+    tn, td = 0, 1
     for k in range(max(0, p - len(xi)), min(p, b) + 1):
         sign = kern.mq(-u * k)
         splits = list(enumerate_partitions(xi, p - k))
         for s1, s2 in enumerate_partitions(ss, k):
             s1q = kern.shift(s1, -2)
-            zvals = hc_ws_batch(kern, side, [ts], xs, s2, [ws + x1 for x1, _ in splits])[0]
-            inner = Rat(0)
-            for (x1, x2), z in zip(splits, zvals):
-                inner = inner + izergin_side(kern, opp, s1q + x1, ys) * z * fprod(x2, x1)
-            total = total + (
-                sign * fprod(s1, s2) * fprod(ys, s1) * fprod(ws, s1) / fprod(s1, zs) * inner
-            )
-    return lhs, total
+            cells = _ws_cells(kern, side, [ts], xs, s2, [ws + x1 for x1, _ in splits])[0]
+            num, den = 0, 1
+            for (x1, x2), (zn, zd) in zip(splits, cells):
+                k_o = izergin(kern, s1q + x1, ys)
+                f = fprod(x2, x1)
+                num, den = _plus(num, den, *_times(k_o.numerator * zn * f.numerator,
+                                                   k_o.denominator * zd * f.denominator,
+                                                   x1 if left_o else ()))
+            c = sign * fprod(s1, s2) * fprod(ys, s1) * fprod(ws, s1) / fprod(s1, zs)
+            tn, td = _plus(tn, td, *_times(c.numerator * num, c.denominator * den,
+                                           s1q if left_o else ys))
+    return lhs, _ratio(tn, td)
 
 
 def decay_valuation(value):

@@ -13,34 +13,36 @@ so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
 points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
 K is one integer fraction: the matrix is built in integers from an integer
-pair table, with (q - q^{-1})^k and a scale per row taken out, the integer
-kernel `_bareiss` eliminates it fraction-free without passing through
-`det`, and the determinant, (q - q^{-1})^k, the row scales and the
-Cauchy-like prefactor are multiplied into one integer numerator and one
-integer denominator, so each K costs one rational.  At a point whose
-series values are all xs, or all ys, only their lines of the matrix (rows
-for xs, columns for ys) are series; the other lines are integer lines as at
-a rational point, and the determinant is expanded along the series lines
-over integer minors.  A point with series on both sides keeps
-rational or series rows and prefactor, and `det` eliminates them.  Every
-entry that holds a series, and f at a series, multiplies by the reciprocal
-1/(u - v) of its pair instead of dividing.  Floats are rejected: every value
-is exact.
+pair table, with (q - q^{-1})^k and a scale per line taken out, and the
+determinant, (q - q^{-1})^k, the line scales and the Cauchy-like prefactor
+are multiplied into one integer numerator and one integer denominator, so
+each K costs one rational and none passes through `det`.  A line (row or
+column) depends only on its own value and the whole opposite set, so the K
+of three or more lines that share a fixed set, named by the caller, share a
+table of lines and minors, and each is one Laplace step along its last
+column.  At a point whose series values are all xs, or all ys, only their
+lines of the matrix (rows for xs, columns for ys) are series; the other
+lines are integer lines as at a rational point, and the determinant is
+expanded along the series lines over integer minors.  A point with series on
+both sides keeps rational or series rows and prefactor, and `det` eliminates
+them.  Every entry that holds a series, and f at a series, multiplies by the
+reciprocal 1/(u - v) of its pair instead of dividing.  Floats are rejected:
+every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, known by its identity alone, so no
 value is hashed.  K_k, f, f-products, side products and q^{+-2} shifts are
-memoised under tuples of these integers, since the partition sums of Z and of
-the scalar product ask for them many times over.  So are the two pair
-quantities q u - q^{-1} v and u - v, each pair once: the integer pair table
-holds them as integer fractions for every pair of rationals, from which K,
-f and f-products at rationals are built, and two series pair tables hold
-them as values where a K or an f holds a series, each quantity only for the
-pairs that read it; a third holds 1/(u - v) for those pairs, so each series
-u - v is inverted once per kernel, not once per entry.  An f-product and a
-side product K^(l,r) = K prod(vs) multiply their rational parts as integers
-and their series parts as series, and divide once.  A value shifted and
-shifted back is the object it came from.
+memoised under tuples of these integers, since the partition sums of Z and
+of the scalar product ask for them many times over.  So are the minor tables,
+and the two pair quantities q u - q^{-1} v and u - v, each pair once: the
+integer pair table holds them as integer fractions for every pair of
+rationals, from which K, f and f-products at rationals are built, and two
+series pair tables hold them as values where a K or an f holds a series,
+each quantity only for the pairs that read it; a third holds 1/(u - v) for
+those pairs, so each series u - v is inverted once per kernel, not once per
+entry.  An f-product and a side product K^(l,r) = K prod(vs) multiply their
+rational parts as integers and their series parts as series, and divide
+once.  A value shifted and shifted back is the object it came from.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class Kernel:
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_shifts", "_ips", "_sqs", "_sds", "_rds", "_fs", "_fprods", "_ks", "_ksides")
+                 "_shifts", "_ips", "_sqs", "_sds", "_rds", "_fs", "_fprods", "_ks", "_ksides",
+                 "_tables")
 
     def __init__(self, q):
         _check_exact(q)
@@ -113,6 +116,7 @@ class Kernel:
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
         self._ksides = {}     # (id(K), side) -> K^(side)
+        self._tables = {}     # (fixed indices, columns) -> minor table, see `_laplace`
 
     def __eq__(self, other):
         return self.q == other.q if isinstance(other, Kernel) else NotImplemented
@@ -253,21 +257,27 @@ class Kernel:
             out = self._fprods[key] = r if out is None else out if r == 1 else out * r
         return out
 
-    def k(self, xs, ys):
-        """K_k(xs|ys) for two sets of equal size; K_0 = 1."""
+    def k(self, xs, ys, columns=False):
+        """K_k(xs|ys) for two sets of equal size; K_0 = 1.
+
+        ``columns`` names xs, not ys, as the set shared by the K asked for:
+        the minor table `_laplace` reads.  It changes no value.
+        """
         key = self.indices((*xs, *ys))
         out = self._ks.get(key)
         if out is None:
             n = len(xs)
-            out = self._ks[key] = self._izergin(key[:n], key[n:])
+            out = self._ks[key] = self._izergin(key[:n], key[n:], columns)
         return out
 
-    def _izergin(self, ixs, iys):
+    def _izergin(self, ixs, iys, columns=False):
         """K of the values of two index tuples, from the pair tables.
 
-        At a rational point K is one integer fraction.  `_int_rows` builds
-        the integer rows, and `_bareiss` eliminates them; K is its result
-        times (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
+        At a rational point K is one integer fraction.  For k > 2 it is one
+        Laplace step over the minor table of ys, or of xs for ``columns``
+        (`_laplace`).  For k <= 2 `_int_rows` builds the integer rows and
+        `_bareiss` reads their determinant off; K is it times
+        (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
         scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
         factors are C/E from the integer pair table: one ``Rat`` of one integer
         numerator and one integer denominator.  For k > 1, a point whose
@@ -283,18 +293,13 @@ class Kernel:
             return Rat(1)
         nds = self._nds
         if all(nds[i] is not None for i in (*ixs, *iys)):
+            if k > 2:
+                return self._laplace(ixs, iys, columns)
             rows, den = self._int_rows(ixs, iys)
             num = _bareiss(rows) * (self._qn2 - self._qm2) ** k
             den *= self._qnm ** k
-            ips, ip = self._ips, self._ip
-            for a in range(k):
-                for b in range(a + 1, k):
-                    c1, e1 = (ips.get((ixs[a], ixs[b])) or ip(ixs[a], ixs[b]))[2:]
-                    c2, e2 = (ips.get((iys[b], iys[a])) or ip(iys[b], iys[a]))[2:]
-                    if not (c1 and c2):
-                        raise PoleError("vanishing denominator")
-                    num *= e1 * e2
-                    den *= c1 * c2
+            if k == 2:
+                num, den = self._over_gaps(iys, True, *self._over_gaps(ixs, False, num, den))
             return Rat(num, den)
         if k > 1:
             if all(nds[j] is not None for j in iys):
@@ -321,6 +326,50 @@ class Kernel:
             for b in range(a + 1, k):
                 denom = denom * sd(ixs[a], ixs[b]) * sd(iys[b], iys[a])
         return _div(value, denom)
+
+    def _laplace(self, ixs, iys, columns):
+        """K at a rational point of k > 2, one Laplace step over the minor table of a fixed set.
+
+        The lines are the xs (rows) over the fixed ys, or for ``columns`` the
+        ys (columns, as in `_expand`) over the fixed xs.  A table holds each
+        line's integer entries and scale from `_int_rows`, the fixed set's
+        prefactor factors times (q - q^-1)^k / (n m)^k, and the minors of
+        line subsets, all built once.  A zero x - y or prefactor factor
+        raises PoleError, as elimination does.
+        """
+        fixed, lines = (ixs, iys) if columns else (iys, ixs)
+        table = self._tables.get((fixed, columns))
+        if table is None:
+            k = len(fixed)
+            table = self._tables[fixed, columns] = ({}, {}, *self._over_gaps(
+                fixed, not columns, (self._qn2 - self._qm2) ** k, self._qnm ** k))
+        rows, minors, num, den = table
+        for l in lines:
+            line = rows.get(l)
+            if line is None:
+                (entries,), scale = self._int_rows((l,), fixed, columns)
+                line = rows[l] = (entries, scale)
+            den *= line[1]
+        num, den = self._over_gaps(lines, columns, num, den)
+        return Rat(_last_column(rows, minors, lines) * num, den)
+
+    def _over_gaps(self, iws, rising, num, den):
+        """num/den over prod_{a<b} (w_a - w_b), or (w_b - w_a) for ``rising``, of rationals.
+
+        The factors of K's prefactor from one set: each is C/E from the
+        integer pair table, so num gains E and den gains C.  A zero factor
+        raises PoleError.
+        """
+        ips, ip = self._ips, self._ip
+        for b in range(1, len(iws)):
+            for a in range(b):
+                key = (iws[b], iws[a]) if rising else (iws[a], iws[b])
+                c, e = (ips.get(key) or ip(*key))[2:]
+                if not c:
+                    raise PoleError("vanishing denominator")
+                num *= e
+                den *= c
+        return num, den
 
     def _int_rows(self, lines, others, columns=False):
         """Integer lines of K's matrix from the integer pair table, and their scales' product.
@@ -503,8 +552,8 @@ def det(rows):
     the first row it eliminates, and ``a / b`` is ``a * b.invert()`` for a
     series and ``a * (1 / b)`` for a rational, so the factors are those of
     dividing.  The product of the pivots starts at ``Rat(1)``, so a matrix of
-    ``int`` entries gives a ``Rat``; integer rows of `Kernel` go to the
-    fraction-free `_bareiss` without passing through here.
+    ``int`` entries gives a ``Rat``; the integer lines of `Kernel` never
+    pass through here.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -541,6 +590,28 @@ def det(rows):
     return result if sign == 1 else -result
 
 
+def _last_column(rows, minors, lines):
+    """The determinant of table ``lines`` over their leading columns, along the last one.
+
+    ``rows`` maps a line to its integer entries and scale; the minors it
+    expands over are memoised in ``minors`` under their lines.
+    """
+    j = len(lines) - 1
+    if j == 1:
+        (a, b), (c, d) = rows[lines[0]][0][:2], rows[lines[1]][0][:2]
+        return a * d - b * c
+    out = 0
+    for t, l in enumerate(lines):
+        e = rows[l][0][j]
+        if e:
+            sub = lines[:t] + lines[t + 1:]
+            m = minors.get(sub)
+            if m is None:
+                m = minors[sub] = _last_column(rows, minors, sub)
+            out = out + e * m if (j - t) % 2 == 0 else out - e * m
+    return out
+
+
 def _bareiss(m):
     """The determinant of a nonempty square matrix of integers, as an ``int``.
 
@@ -571,11 +642,11 @@ def _bareiss(m):
     return sign * m[-1][-1]
 
 
-def izergin(kern, xs, ys):
-    """K_k(xs|ys); K_0 = 1."""
+def izergin(kern, xs, ys, *, columns=False):
+    """K_k(xs|ys); K_0 = 1.  ``columns`` changes no value (see `Kernel.k`)."""
     if len(xs) != len(ys):
         raise ValueError(f"cardinality mismatch: {len(xs)} vs {len(ys)}")
-    return kern.k(xs, ys)
+    return kern.k(xs, ys, columns)
 
 
 def izergin_side(kern, side, xs, ys):

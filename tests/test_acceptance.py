@@ -138,6 +138,22 @@ def test_criterion_09_double_partition_sum_suite():
         _assert_suite_green(report)
 
 
+def test_criterion_09b_double_partition_sum_suite_at_3_3():
+    # PROP_5_1 one size up, 240 cases, where rational K of three lines meet
+    # both sides of the identity; a K error shared by both sides would pass
+    # criterion 09 but change this digest.  Hashed as criterion 06b hashes
+    # its report; the digest was computed with the fractions backend.
+    with budget("criterion-09b double-partition summation suite up to a=b=3", 60):
+        report = run_suite("prop51", a_max=3, b_max=3, trials=1, seed=42)
+    assert len(report["cases"]) == 240
+    _assert_suite_green(report)
+    cases = [{k: v for k, v in c.items() if k != "elapsed_ms"} for c in report["cases"]]
+    body = json.dumps(dict(report, cases=cases), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "b0a7d2616325ff3871bcbb0e068b1c932828b7235510710a3171df97168a18e8"
+    )
+
+
 def test_criterion_10_scalar_product_suite():
     with budget("criterion-10 scalar-product corner and residue suite", 30):
         report = run_suite("scalar", a_max=2, b_max=2, trials=2, seed=107)

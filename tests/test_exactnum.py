@@ -541,6 +541,20 @@ class TestNumberProtocol:
         assert fields(s * LaurentSeries.constant(Rat(n), s.level)) == want
         assert fields(s * n) == want and fields(n * s) == want
 
+    @given(s=st.one_of(level1_series, level2_series, level3_series),
+           n=st.integers(min_value=-9, max_value=9))
+    @example(s=LaurentSeries(1, (), order=4), n=3)  # a truncated zero
+    @example(s=LaurentSeries.zero(2), n=5)  # an exact zero
+    @example(s=LaurentSeries(-1, (Rat(2), 7), order=1), n=-1)  # an int coefficient
+    @example(s=LaurentSeries(-1, (4, Rat(1, 3)), level=2), n=2)
+    @example(s=LaurentSeries(1, (Rat(1), LaurentSeries(0, (), order=2), 4), level=3), n=-2)
+    @settings(max_examples=150, deadline=None)
+    def test_an_int_operand_adds_as_its_rat(self, s, n):
+        want = fields(s + Rat(n))
+        assert fields(s + LaurentSeries.constant(Rat(n), s.level)) == want
+        assert fields(s + n) == want and fields(n + s) == want
+        assert s + 0 is s and 0 + s is s  # an int zero is not lifted either
+
 
 # A plain-Fraction model of the series ring on `fields` tuples: a series is
 # ("series", level, valuation, order, coefficients) and a scalar (Rat, value).

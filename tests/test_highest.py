@@ -452,6 +452,31 @@ def prop51_rhs_per_split(kern, side, ts, xs, ss, ys, ws, zs):
     return total
 
 
+def prop51_rhs_value_sums(kern, side, ts, xs, ss, ys, ws, zs):
+    """The right side of PROP_5_1 summed as values from ``Rat(0)``, one `hc_ws_batch` per split of s.
+
+    Each inner term is K^(o) Z f from `izergin_side` and the batch, each
+    outer term the s factors times the inner sum.
+    """
+    b, p = len(ss), len(ys)
+    u, opp, fprod = kern.usign(side), kern.other(side), kern.fprod
+    xi = kern.shift(xs, -2) + kern.shift(zs, -2)
+    total = Rat(0)
+    for k in range(max(0, p - len(xi)), min(p, b) + 1):
+        sign = kern.mq(-u * k)
+        splits = list(enumerate_partitions(xi, p - k))
+        for s1, s2 in enumerate_partitions(ss, k):
+            s1q = kern.shift(s1, -2)
+            zvals = hc_ws_batch(kern, side, [ts], xs, s2, [ws + x1 for x1, _ in splits])[0]
+            inner = Rat(0)
+            for (x1, x2), z in zip(splits, zvals):
+                inner = inner + izergin_side(kern, opp, s1q + x1, ys) * z * fprod(x2, x1)
+            total = total + (
+                sign * fprod(s1, s2) * fprod(ys, s1) * fprod(ws, s1) / fprod(s1, zs) * inner
+            )
+    return total
+
+
 class TestSummationIdentity:
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_double_partition_sum(self, side):
@@ -469,6 +494,28 @@ class TestSummationIdentity:
         _, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
         want = prop51_rhs_per_split(Kernel(q), side, ts, xs, ss, ys, ws, zs)
         assert rhs == want != 0
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("a", range(4))
+    @pytest.mark.parametrize("b", range(4))
+    def test_integer_sums_match_the_value_sums(self, side, a, b):
+        for p in range(b + 1):
+            for n in range(3):
+                (ts, xs, ss, ys, ws, zs), q = sample_generic((a, a, b, p, b - p, n), 55)
+                _, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+                want = prop51_rhs_value_sums(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+                assert type(rhs) is Rat and rhs == want, (p, n)
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_integer_sums_match_the_value_sums_at_a_series_point(self, side):
+        # s_1 and t_1 near poles of Z: a level-1 series right side, ended by
+        # `_ratio` and compared field for field
+        (ts, xs, ss, ys, ws, zs), q = sample_generic((2, 2, 2, 1, 1, 1), 56)
+        ss = (ts[0] + eps(),) + ss[1:]
+        _, rhs = hc_prop51_pair(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+        want = prop51_rhs_value_sums(Kernel(q), side, ts, xs, ss, ys, ws, zs)
+        assert isinstance(rhs, LaurentSeries) and rhs.valuation < 0
+        assert fields(rhs) == fields(want)
 
 
 class TestAsymptotics:

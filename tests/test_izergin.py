@@ -395,10 +395,10 @@ def rat_row_izergin(q, xs, ys):
 
 
 @st.composite
-def rational_points(draw):
-    """q and two sets of k <= 4 rationals or ints, with benign zeros, poles and repeats."""
+def rational_points(draw, min_k=0, max_k=4):
+    """q and two sets of min_k <= k <= max_k rationals or ints, with benign zeros, poles and repeats."""
     q = draw(st.sampled_from([Rat(2), Rat(-3), Rat(1, 2), Rat(5, 3), Rat(-2, 7)]))
-    k = draw(st.integers(min_value=0, max_value=4))
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
     value = st.one_of(small_ints, rats)
     xs = draw(st.lists(value, min_size=k, max_size=k))
     ys = draw(st.lists(value, min_size=k, max_size=k))
@@ -635,16 +635,22 @@ class TestIntegerRows:
             assert outcome(kern.k, rows, ys) == outcome(rat_row_izergin, q, rows, ys)
 
     def test_the_integer_kernel_gets_integer_rows_once_per_evaluated_k(self, monkeypatch):
-        calls = []
-        bareiss = qhc.izergin._bareiss
+        # At a rational point no K reaches `det`, every line is of ints, each
+        # K is what `Rat` rows give, and each line of a minor table is built
+        # once per kernel (only a table reads lines of more than two entries).
+        lines, table_lines = [], Counter()
+        int_rows = Kernel._int_rows
 
-        def counting(rows):
-            calls.append([list(r) for r in rows])
-            return bareiss(rows)
+        def recording(kern, ls, others, columns=False):
+            rows, scale = int_rows(kern, ls, others, columns)
+            lines.extend(rows)
+            if len(others) > 2:
+                table_lines[ls, others, columns] += 1
+            return rows, scale
 
-        monkeypatch.setattr(qhc.izergin, "_bareiss", counting)
+        monkeypatch.setattr(Kernel, "_int_rows", recording)
         monkeypatch.setattr(qhc.izergin, "det", lambda rows: pytest.fail("det"))
-        (t, x, s, y), q = sample_generic((2, 2, 2, 2), 7)
+        (t, x, s, y), q = sample_generic((3, 3, 3, 3), 7)
         kern = Kernel(q)
         for rep in REPRESENTATIONS:
             for side in ("l", "r"):
@@ -652,10 +658,15 @@ class TestIntegerRows:
         for _ in range(2):  # the second pass only hits the memo
             assert izergin(kern, t[:1], y[:1]) == kern.g(t[0], y[0])
             izergin(kern, (*t, *x), (*s, *y))
-        evaluated = [key for key in kern._ks if key]
-        assert len(calls) == len(evaluated) > 20
-        assert {1, 2, 4} <= {len(rows) for rows in calls}
-        assert all(type(e) is int for rows in calls for row in rows for e in row)
+        assert {1, 2, 3, 6} <= {len(key) // 2 for key in kern._ks}
+        for key, value in kern._ks.items():
+            vs = [kern.values[i] for i in key]
+            assert value == rat_row_izergin(q, vs[:len(vs) // 2], vs[len(vs) // 2:])
+        assert lines and all(type(e) is int for row in lines for e in row)
+        assert {(fixed, columns) for _, fixed, columns in table_lines} == set(kern._tables)
+        assert {columns for _, columns in kern._tables} == {False, True}
+        assert sum(table_lines.values()) == sum(len(rows) for rows, *_ in kern._tables.values())
+        assert set(table_lines.values()) == {1}
 
 
     @given(rational_points())
@@ -688,6 +699,69 @@ class TestIntegerRows:
             with pytest.raises(PoleError, match="vanishing denominator"):
                 izergin(kern, xs, ys)
         assert len(calls) == 2
+
+
+@st.composite
+def shared_fixed_sets(draw):
+    """q, a fixed set of 3 <= k <= 5 values and line sets of k values drawn from one pool.
+
+    The pool holds the point's other set and up to three more values, so
+    lines and subsets of lines recur from one line set to the next.
+    """
+    q, xs, ys = draw(rational_points(min_k=3, max_k=5))
+    pool = list(xs) + draw(st.lists(st.one_of(small_ints, rats), max_size=3))
+    line_sets = st.permutations(pool).map(lambda p: tuple(p[:len(ys)]))
+    return q, ys, draw(st.lists(line_sets, min_size=2, max_size=6))
+
+
+class TestMinorTables:
+    """A rational K of three or more lines is one Laplace step over its fixed set's minor table.
+
+    Either orientation gives the `Rat`, or the PoleError, that elimination
+    of the `Rat` rows gives.
+    """
+
+    @given(rational_points(max_k=5))
+    @settings(max_examples=200, deadline=None)
+    def test_fresh_kernels_in_both_orientations(self, point):
+        q, xs, ys = point
+        want = outcome(rat_row_izergin, q, xs, ys)
+        assert [outcome(Kernel(q).k, xs, ys, columns) for columns in (False, True)] == [want] * 2
+
+    @given(shared_fixed_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_one_kernel_reuses_the_table_of_a_fixed_set(self, case):
+        q, fixed, line_sets = case
+        kern = Kernel(q)
+        for lines in line_sets:
+            assert outcome(kern.k, lines, fixed) == outcome(rat_row_izergin, q, lines, fixed)
+            assert outcome(kern.k, fixed, lines, True) == outcome(rat_row_izergin, q, fixed, lines)
+        assert len(kern._tables) <= 2  # one per orientation: every K read the same tables
+
+    def test_both_orientations_give_equal_rats(self):
+        (t, x, s, y), q = sample_generic((5, 5, 5, 5), 3)
+        for xs, ys in ((t, y), (x, s), (t[:3], s[2:])):
+            got = [Kernel(q).k(xs, ys, columns) for columns in (False, True)]
+            assert type(got[0]) is type(got[1]) is Rat
+            assert got[0] == got[1] == rat_row_izergin(q, xs, ys) != 0
+
+    def test_a_repeated_value_raises_as_elimination_does(self):
+        # in the fixed set before its table is built, and in a line subset of
+        # a table already built, each raising again when asked again
+        q, a, b, c, d, e = Rat(5, 3), Rat(2), Rat(-1, 2), Rat(7), Rat(3, 4), Rat(9)
+        pole, fixed_set = (PoleError, "vanishing denominator"), (d, e, Rat(1))
+        for columns in (False, True):
+            kern = Kernel(q)
+            for lines, fixed, raises in (((a, b, c), (d, d, e), True),
+                                         ((a, b, c), fixed_set, False),
+                                         ((a, a, c), fixed_set, True),
+                                         ((b, Rat(-1, 2), c), fixed_set, True)):
+                xs, ys = (fixed, lines) if columns else (lines, fixed)
+                want = outcome(rat_row_izergin, q, xs, ys)
+                assert (want == pole) == raises
+                for _ in range(2):
+                    assert outcome(kern.k, xs, ys, columns) == want
+            assert len(kern._tables) == 1  # (d, d, e) built none
 
 
 def in_order_fprod(q, us, vs):
