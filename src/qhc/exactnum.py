@@ -5,17 +5,19 @@ ground field is the rationals (``fractions.Fraction``).  Limits and residues
 are computed in a truncated Laurent series ring over that field.  Series can
 be nested (a series whose coefficients are themselves series of a lower
 ``level``), which is how sequential multi-variable limits are evaluated one
-infinitesimal at a time.  A level-1 series of ``Rat`` coefficients holds them
-as integer numerators over one positive common denominator, reduced by one
-gcd, so its sums, products, negation, scaling by a ``Rat`` and inverse work
-on integers and build a ``Rat`` only when a coefficient is read.  A product
-at level 2 or above is the ring sum of its coefficients' products.  Adding
-an exact zero ``Rat(0)`` to a series, at any level, gives the series itself,
-so a sum that starts at ``Rat(0)`` lifts and copies nothing.  An ``int``
-operand is taken as a ``Rat``: a product scales the coefficients by it.  A
-series has the number protocol of ``int`` and ``Rat``: its ``numerator`` is
-itself and its ``denominator`` is 1.  A float or complex value raises
-TypeError wherever it meets a series or `scalar_format`.
+infinitesimal at a time.  A series of ``Rat`` coefficients, at any level,
+holds them as integer numerators over one positive common denominator,
+reduced by one gcd, so its sums, products, negation, scaling by a ``Rat``
+and inverse work on integers and build a ``Rat`` only when a coefficient is
+read.  A product with a factor whose coefficients are not all ``Rat`` (a
+series of series, or an ``int`` coefficient) is the ring sum of its
+coefficients' products.  Adding an exact zero ``Rat(0)`` to a series, at any
+level, gives the series itself, so a sum that starts at ``Rat(0)`` lifts and
+copies nothing.  An ``int`` operand is taken as a ``Rat``: a product scales
+the coefficients by it.  A series has the number protocol of ``int`` and
+``Rat``: its ``numerator`` is itself and its ``denominator`` is 1.  A float
+or complex value raises TypeError wherever it meets a series or
+`scalar_format`.
 """
 
 from __future__ import annotations
@@ -157,10 +159,10 @@ def _trimmed(cs, valuation, order, is_zero):
     return valuation, tuple(cs)
 
 
-def _ints(valuation, nums, den, order):
-    """The level-1 series of the numerators ``nums`` over ``den > 0``, trimmed and reduced."""
+def _ints(valuation, nums, den, order, level):
+    """The series of ``level`` of the numerators ``nums`` over ``den > 0``, trimmed and reduced."""
     s = object.__new__(LaurentSeries)
-    s.level, s.order, s._cs = 1, order, None
+    s.level, s.order, s._cs = level, order, None
     s.valuation, nums = _trimmed(nums, valuation, order, not_)
     g = math.gcd(den, *nums)
     if g > 1:
@@ -220,14 +222,14 @@ class LaurentSeries:
     coefficient.  The higher-level infinitesimal is the one that tends to zero
     first, so sequential limits peel levels from the top down.
 
-    A level-1 series whose coefficients are all ``Rat`` also holds them as
-    the integer numerators ``_nums`` over ``_den > 0``, whose gcd with every
-    numerator is 1; level-1 arithmetic on two such series works on those
-    integers alone, and ``coeffs`` builds the ``Rat``s once, when first read.
-    Any other series (level 2 and above, or an ``int`` coefficient) holds only
-    ``coeffs``.  Coefficients are kept from the valuation on, below the order,
-    with no exact zero at either end.  A float or complex coefficient raises
-    TypeError.
+    A series whose coefficients are all ``Rat``, at any level, also holds
+    them as the integer numerators ``_nums`` over ``_den > 0``, whose gcd with
+    every numerator is 1; arithmetic on two such series of one level works on
+    those integers alone, and ``coeffs`` builds the ``Rat``s once, when first
+    read.  Any other series (a coefficient that is a series or an ``int``)
+    holds only ``coeffs``.  Coefficients are kept from the valuation on, below
+    the order, with no exact zero at either end.  A float or complex
+    coefficient raises TypeError.
     """
 
     __slots__ = ("level", "valuation", "order", "_cs", "_nums", "_den")
@@ -236,7 +238,7 @@ class LaurentSeries:
         if level < 1:
             raise ValueError("series level must be >= 1")
         cs = tuple(coeffs)
-        rats = level == 1 and all(type(c) is Rat for c in cs)
+        rats = all(type(c) is Rat for c in cs)
         if not rats:
             for c in cs:
                 _check_exact(c)
@@ -325,7 +327,7 @@ class LaurentSeries:
             return LaurentSeries.zero(self.level)
         if self._nums is not None:
             return _ints(self.valuation, [n * c.numerator for n in self._nums],
-                         self._den * c.denominator, order)
+                         self._den * c.denominator, order, self.level)
         return LaurentSeries(self.valuation, [x * c for x in self.coeffs], order, self.level)
 
     def _plus(self, c):
@@ -343,13 +345,13 @@ class LaurentSeries:
             s = d // g
             nums = [n * s for n in self._nums]
             nums[k] += c.numerator * (den // g)
-            return _ints(self.valuation, nums, den * s, self.order)
+            return _ints(self.valuation, nums, den * s, self.order, self.level)
         cs = [x + _ZERO if type(x) is int else x for x in self.coeffs]
         cs[k] = self.coeffs[k] + c
         return LaurentSeries(self.valuation, cs, self.order, self.level)
 
     def _sum(self, b, order):
-        """``self + b`` to ``order`` for two level-1 series of integer numerators."""
+        """``self + b`` to ``order`` for two series of one level that hold integer numerators."""
         an, bn, da, db = self._nums, b._nums, self._den, b._den
         va, vb = self.valuation, b.valuation
         g = math.gcd(da, db)
@@ -360,7 +362,7 @@ class LaurentSeries:
             out[i] = n * sa
         for i, n in enumerate(bn, vb - lo):
             out[i] += n * sb
-        return _ints(lo, out, da * sa, order)
+        return _ints(lo, out, da * sa, order, self.level)
 
     def __add__(self, other):
         # a rational, or an int as the Rat it equals, acts on the coefficients;
@@ -400,7 +402,8 @@ class LaurentSeries:
 
     def __neg__(self):
         if self._nums is not None:
-            return _ints(self.valuation, [-n for n in self._nums], self._den, self.order)
+            return _ints(self.valuation, [-n for n in self._nums], self._den, self.order,
+                         self.level)
         return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs), self.order, self.level)
 
     def __sub__(self, other):
@@ -428,21 +431,13 @@ class LaurentSeries:
         n = a._width() + b._width() - 1
         if order is not _INF:
             n = min(n, int(order) - v)
-        if self.level == 1:
-            xs, da = a._int_form()
-            ys, db = b._int_form()
+        if a._nums is not None and b._nums is not None:
             acc = [0] * n
-            _convolve_into(acc, xs, ys)
-            return _ints(v, acc, da * db, order)
+            _convolve_into(acc, a._nums, b._nums)
+            return _ints(v, acc, a._den * b._den, order, self.level)
         cs = [Rat(0)] * n
         _convolve_into(cs, a.coeffs, b.coeffs)
         return LaurentSeries(v, cs, order, self.level)
-
-    def _int_form(self):
-        """``(numerators, denominator)`` of a level-1 series, whatever its coefficients' types."""
-        if self._nums is not None:
-            return self._nums, self._den
-        return _over_common_denominator(self.coeffs)
 
     __rmul__ = __mul__
 
@@ -453,7 +448,7 @@ class LaurentSeries:
         terms inverts to ``max(len(coeffs), window)`` terms, the window
         being `INVERT_TERMS` or that of `invert_window`.  A truncated unit
         inverts to ``order - valuation`` terms, all it knows, whatever the
-        window.  A level-1 series held as integer numerators runs the
+        window.  A series held as integer numerators, at any level, runs the
         recurrence in integers (`_int_inverse`); any other runs it over its
         coefficients' ring.
         """
@@ -483,7 +478,7 @@ class LaurentSeries:
         return LaurentSeries(-v, d, order, self.level)
 
     def _int_inverse(self, m, order):
-        """The first ``m`` terms of the inverse of a level-1 series of integer numerators.
+        """The first ``m`` terms of the inverse of a series of integer numerators, at its level.
 
         With ``n_i`` the numerators, coefficient ``k`` is
         ``den E_k / n_0^(k+1)``, where ``E_0 = 1`` and
@@ -505,7 +500,7 @@ class LaurentSeries:
             p *= n0
         if p < 0:
             out, p = [-n for n in out], -p
-        return _ints(-self.valuation, out, p, order)
+        return _ints(-self.valuation, out, p, order, self.level)
 
     def __truediv__(self, other):
         if type(other) is Rat:

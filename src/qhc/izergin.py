@@ -23,7 +23,9 @@ table of lines and minors, and each is one Laplace step along its last
 column.  At a point whose series values are all xs, or all ys, only their
 lines of the matrix (rows for xs, columns for ys) are series; the other
 lines are integer lines as at a rational point, and the determinant is
-expanded along the series lines over integer minors.  A point with series on
+expanded along the series lines over integer minors.  Such a K reads every
+line, integer or series, from the table of its fixed set (the rational
+side), so each line is built once per kernel.  A point with series on
 both sides keeps rational or series rows and prefactor, and `det` eliminates
 them.  Every entry that holds a series, and f at a series, multiplies by the
 reciprocal 1/(u - v) of its pair instead of dividing.  Floats are rejected:
@@ -83,10 +85,10 @@ class Kernel:
     Build one instance per sampled point: it memoises K, f and the pair
     quantities u - v and q u - q^-1 v at every argument it is asked for, for
     as long as it lives, and 1/(u - v) of each pair at which a series is met.
-    A reciprocal is a series inverted at the window current when it was
-    first asked for, so a kernel serves one `invert_window`.  ``values[i]``
-    is the value of index ``i``; memo keys are the indices of the argument
-    sets in argument order.  Every value is known by its identity; the kernel
+    A reciprocal, and a series line of a table, is built at the window
+    current when it was first asked for, so a kernel serves one
+    `invert_window`.  ``values[i]`` is the value of index ``i``; memo keys
+    are the indices of the argument sets in argument order.  Every value is known by its identity; the kernel
     holds every object whose ``id`` it records, so an ``id`` names one object
     while the kernel lives.  Kernels compare and hash by q alone.
     """
@@ -116,7 +118,7 @@ class Kernel:
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
         self._ksides = {}     # (id(K), side) -> K^(side)
-        self._tables = {}     # (fixed indices, columns) -> minor table, see `_laplace`
+        self._tables = {}     # (fixed indices, columns) -> table of lines and minors, see `_table`
 
     def __eq__(self, other):
         return self.q == other.q if isinstance(other, Kernel) else NotImplemented
@@ -331,27 +333,47 @@ class Kernel:
         """K at a rational point of k > 2, one Laplace step over the minor table of a fixed set.
 
         The lines are the xs (rows) over the fixed ys, or for ``columns`` the
-        ys (columns, as in `_expand`) over the fixed xs.  A table holds each
-        line's integer entries and scale from `_int_rows`, the fixed set's
-        prefactor factors times (q - q^-1)^k / (n m)^k, and the minors of
-        line subsets, all built once.  A zero x - y or prefactor factor
-        raises PoleError, as elimination does.
+        ys (columns, as in `_expand`) over the fixed xs.  The table
+        (`_table`) holds each line's integer entries and scale from
+        `_int_rows`, the fixed set's prefactor factors times
+        (q - q^-1)^k / (n m)^k, and the minors of line subsets, all built
+        once.  It may also hold the series lines `_expand` reads; a rational
+        K reads only integer lines.  A zero x - y or prefactor factor raises
+        PoleError, as elimination does.
         """
         fixed, lines = (ixs, iys) if columns else (iys, ixs)
-        table = self._tables.get((fixed, columns))
-        if table is None:
-            k = len(fixed)
-            table = self._tables[fixed, columns] = ({}, {}, *self._over_gaps(
-                fixed, not columns, (self._qn2 - self._qm2) ** k, self._qnm ** k))
-        rows, minors, num, den = table
+        rows, minors, num, den = self._tables.get((fixed, columns)) or self._table(fixed, columns)
         for l in lines:
-            line = rows.get(l)
-            if line is None:
-                (entries,), scale = self._int_rows((l,), fixed, columns)
-                line = rows[l] = (entries, scale)
-            den *= line[1]
+            den *= (rows.get(l) or self._line(rows, l, fixed, columns))[1]
         num, den = self._over_gaps(lines, columns, num, den)
         return Rat(_last_column(rows, minors, lines) * num, den)
+
+    def _table(self, fixed, columns):
+        """The table of a fixed set in one orientation: lines, minors and a prefactor part.
+
+        The lines and the minors of line subsets start empty and fill as
+        `_line` and `_last_column` build them.  The fixed set's factors of
+        K's prefactor times (q - q^-1)^k / (n m)^k are an integer numerator
+        and denominator; a zero factor raises PoleError and stores no table.
+        """
+        k = len(fixed)
+        table = self._tables[fixed, columns] = ({}, {}, *self._over_gaps(
+            fixed, not columns, (self._qn2 - self._qm2) ** k, self._qnm ** k))
+        return table
+
+    def _line(self, rows, l, fixed, columns):
+        """Line ``l`` over the fixed set, as its entries and scale, stored in ``rows``.
+
+        A rational value makes an integer line from `_int_rows`; a series
+        makes a series line (`_series_line`) of scale 1.
+        """
+        if self._nds[l] is None:
+            line = self._series_line(l, fixed, columns), 1
+        else:
+            (entries,), scale = self._int_rows((l,), fixed, columns)
+            line = entries, scale
+        rows[l] = line
+        return line
 
     def _over_gaps(self, iws, rising, num, den):
         """num/den over prod_{a<b} (w_a - w_b), or (w_b - w_a) for ``rising``, of rationals.
@@ -402,22 +424,40 @@ class Kernel:
             rows.append(row)
         return rows, scale
 
+    def _series_line(self, l, others, columns):
+        """The entries of the series line ``l`` over ``others``, without the factor q - q^-1.
+
+        Each entry is the product of a prefix and a suffix product of the
+        line's q u - q^-1 v (u, v the values of l, o, or of o, l for
+        ``columns``) times the reciprocal 1/(u - v) of its own pair.
+        """
+        sq, rd = self._sq, self._rd
+        pairs = [(o, l) if columns else (l, o) for o in others]
+        qds = [sq(i, j) for i, j in pairs]
+        pre, suf = [None], [None]  # products of the first and of the last t
+        for qd, qe in zip(qds[:-1], qds[:0:-1]):
+            pre.append(qd if pre[-1] is None else pre[-1] * qd)
+            suf.append(qe if suf[-1] is None else qe * suf[-1])
+        return [(u if v is None else v if u is None else u * v) * rd(i, j)
+                for u, v, (i, j) in zip(pre, suf[::-1], pairs)]
+
     def _expand(self, ixs, iys, columns):
         """K at a point whose series values are all xs, or all ys for ``columns``.
 
         The matrix is taken in row form for xs and in column form for ys:
         column j carries (q - q^-1) prod_{i' != i} (q x_i' - q^-1 y_j) /
-        (x_i - y_j), which has the row form's determinant.  Only the lines
-        of the series values are series: without the factor q - q^-1, each
-        entry is the product of a prefix and a suffix product of the line's
-        q u - q^-1 v over one u - v.  The other lines are integer lines
-        from `_int_rows`.  The determinant is expanded along the series
-        lines, the highest level outermost, so each entry of an outer line
-        multiplies one sum of the inner lines; the complementary minors are
-        integer determinants, each column set's once.  (q - q^-1)^k, the
-        integer lines' scales and the rational factors of the prefactor
-        make one ``Rat``, and the sum divides once by the product of the
-        prefactor's series factors of each level.
+        (x_i - y_j), which has the row form's determinant.  The opposite set
+        is rational, and every line is read from its table (`_table`, as
+        `_laplace` keys it), so each line is built once per kernel: the
+        integer lines of the rational values from `_int_rows`, the series
+        lines of the series values from `_series_line`.  The determinant is
+        expanded along the series lines, the highest level outermost, so
+        each entry of an outer line multiplies one sum of the inner lines;
+        the complementary minors are integer determinants, each column
+        set's once.  (q - q^-1)^k, the integer lines' scales and the
+        rational factors of the prefactor make one ``Rat``, and the sum
+        divides once by the product of the prefactor's series factors of
+        each level.
 
         A repeated value makes a factor of the prefactor an exact zero, so
         it raises PoleError where elimination raised WindowError (a zero
@@ -425,42 +465,38 @@ class Kernel:
         before the expansion.
         """
         nds, values, ips, ip = self._nds, self.values, self._ips, self._ip
-        sq, sd, rd = self._sq, self._sd, self._rd
-        lines, others = (iys, ixs) if columns else (ixs, iys)
+        lines, fixed = (iys, ixs) if columns else (ixs, iys)
         k = len(lines)
-        num, den, factors = 1, 1, {}
+        table, _, num, den = self._tables.get((fixed, columns)) or self._table(fixed, columns)
+        factors = {}
         for a in range(k):
             for b in range(a + 1, k):
-                for i, j in ((ixs[a], ixs[b]), (iys[b], iys[a])):
-                    if nds[i] is None or nds[j] is None:
-                        f = sd(i, j)
-                        factors[f.level] = factors[f.level] * f if f.level in factors else f
-                    else:
-                        c, e = (ips.get((i, j)) or ip(i, j))[2:]
-                        if not c:
-                            raise PoleError("vanishing denominator")
-                        num *= e
-                        den *= c
+                i, j = (lines[b], lines[a]) if columns else (lines[a], lines[b])
+                if nds[i] is None or nds[j] is None:
+                    f = self._sd(i, j)
+                    factors[f.level] = factors[f.level] * f if f.level in factors else f
+                else:
+                    c, e = (ips.get((i, j)) or ip(i, j))[2:]
+                    if not c:
+                        raise PoleError("vanishing denominator")
+                    num *= e
+                    den *= c
         series = sorted((p for p in range(k) if nds[lines[p]] is None),
                         key=lambda p: -values[lines[p]].level)
         ints = [p for p in range(k) if nds[lines[p]] is not None]
-        rows, scale = self._int_rows([lines[p] for p in ints], others, columns)
+        rows = []
+        for p in ints:  # before the series lines: an integer line's PoleError comes first
+            entries, scale = table.get(lines[p]) or self._line(table, lines[p], fixed, columns)
+            rows.append(entries)
+            den *= scale
+        entries = [(table.get(lines[p]) or self._line(table, lines[p], fixed, columns))[0]
+                   for p in series]
         n, perm = len(series), series + ints
         sign = 1
         for a in range(k):
             for b in range(a + 1, k):
                 if perm[a] > perm[b]:
                     sign = -sign
-        entries = []
-        for p in series:
-            pairs = [(o, lines[p]) if columns else (lines[p], o) for o in others]
-            qds = [sq(i, j) for i, j in pairs]
-            pre, suf = [None], [None]  # products of the first and of the last t
-            for qd, qe in zip(qds[:-1], qds[:0:-1]):
-                pre.append(qd if pre[-1] is None else pre[-1] * qd)
-                suf.append(qe if suf[-1] is None else qe * suf[-1])
-            entries.append([(u if v is None else v if u is None else u * v) * rd(i, j)
-                            for u, v, (i, j) in zip(pre, suf[::-1], pairs)])
         sums = {}
 
         def expand(cols):
@@ -484,8 +520,7 @@ class Kernel:
         value = expand(tuple(range(k)))
         for level in sorted(factors, reverse=True):
             value = _div(value, factors[level])
-        num *= sign * (self._qn2 - self._qm2) ** k
-        return value * Rat(num, den * scale * self._qnm ** k)
+        return value * Rat(sign * num, den)
 
     def k_side(self, k, side, vs):
         """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.

@@ -1,6 +1,7 @@
 """Exact scalars and truncated Laurent series."""
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -410,8 +411,9 @@ def reference_inverse(s, window):
 class TestInverseReference:
     """`invert` against the recurrence over coefficients, field for field.
 
-    A level-1 series of ``Rat`` coefficients inverts in integers; an ``int``
-    coefficient or a level-2 series keeps the ring recurrence and its types.
+    A series of ``Rat`` coefficients inverts in integers at any level; an
+    ``int`` coefficient or a series coefficient keeps the ring recurrence and
+    its types.
     """
 
     @pytest.mark.parametrize("window", [None, 2])
@@ -638,12 +640,46 @@ MODEL_OPERATIONS = {
 }
 
 
+@st.composite
+def all_rat_pairs(draw):
+    """A series of level 2 or 3 whose coefficients are all ``Rat``, and an operand ``t``.
+
+    ``t`` is such a series of the same level, or of the other one, or a
+    rational.
+    """
+    level = draw(st.sampled_from([2, 3]))
+    flat = lambda level: st.builds(  # noqa: E731
+        truncated, st.integers(min_value=-3, max_value=3),
+        st.lists(rational_coefficients, max_size=5), windows, st.just(level))
+    t = st.one_of(flat(level), flat(level), flat(5 - level), rational_coefficients)
+    return draw(flat(level)), draw(t)
+
+
+def window_context(window):
+    """The default inverse window for None, else `invert_window` of ``window``."""
+    return nullcontext() if window is None else invert_window(window)
+
+
+# Each operation with a series ``s`` of ``Rat`` coefficients, at any level,
+# that holds its integer form and gives a series in integer form.
+INTEGER_FORM_OPERATIONS = {
+    "s+t": lambda s, t: s + t,
+    "s-t": lambda s, t: s - t,
+    "s*t": lambda s, t: s * t,
+    "-s": lambda s, t: -s,
+    "s*Rat": lambda s, t: s * Rat(-6, 4),
+    "s+Rat": lambda s, t: s + Rat(1, 3),
+    "invert": lambda s, t: s.invert(),
+}
+
+
 class TestIntegerForm:
-    """Level-1 series of ``Rat`` coefficients, held as integers, against the plain-Fraction model.
+    """Series of ``Rat`` coefficients, held as integers at every level, against a Fraction model.
 
     Scaling and adding a rational (``_scaled``, ``_plus``) are the operations
-    with a rational ``t``; at level 2 every coefficient operation is one of
-    these at level 1.
+    with a rational ``t``; a coefficient that is a series, or an ``int``,
+    keeps the ring path, whose coefficient operations are these one level
+    down.
     """
 
     @pytest.mark.parametrize("op", list(MODEL_OPERATIONS))
@@ -672,6 +708,61 @@ class TestIntegerForm:
         cs = prod.coeffs
         assert prod.coeffs is cs and [*cs] == [Rat(3, 2), Rat(21, 10), Rat(2, 15)]
         assert all(type(c) is Rat for c in cs)
+
+    @pytest.mark.parametrize("window", [None, 2])
+    @pytest.mark.parametrize("op", ["s+t", "t+s", "s-t", "s*t", "-s"])
+    @given(pair=all_rat_pairs())
+    @example(pair=(LaurentSeries(0, (Rat(1, 6), Rat(5, 6)), level=2),
+                   LaurentSeries(0, (Rat(-1, 6),), level=2)))  # power 0 cancels
+    @example(pair=(LaurentSeries(-1, (Rat(1, 2), Rat(1, 3)), level=3), Rat(-1, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_level_matches_the_fraction_model(self, window, op, pair):
+        s, t = pair
+        fast, model = MODEL_OPERATIONS[op]
+        with window_context(window):
+            assert fields(fast(s, t)) == model(fields(s), fields(t)), (op, s, t)
+
+    @pytest.mark.parametrize("window", [None, 2])
+    @given(pair=all_rat_pairs())
+    @example(pair=(LaurentSeries(0, (Rat(-2), Rat(1, 3), Rat(5)), level=2), Rat(0)))
+    @example(pair=(truncated(1, [Rat(-2, 9), Rat(4, 15), Rat(0), Rat(1, 2)], 3, 3), Rat(0)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_level_inverts_as_the_recurrence(self, window, pair):
+        s, _ = pair
+        assume(not s.is_zero())
+        with window_context(window):
+            want = outcome(reference_inverse, s, INVERT_TERMS if window is None else window)
+            assert outcome(LaurentSeries.invert, s) == want, s
+
+    @pytest.mark.parametrize("op", list(INTEGER_FORM_OPERATIONS))
+    @given(pair=all_rat_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_level_holds_reduced_numerators_over_a_positive_denominator(self, op, pair):
+        s, t = pair
+        assume(not isinstance(t, LaurentSeries) or t.level == s.level)
+        assume(op != "invert" or not s.is_zero())
+        assert s._nums is not None
+        for window in (None, 2):
+            with window_context(window):
+                x = INTEGER_FORM_OPERATIONS[op](s, t)
+            assert x.level == s.level and x._nums is not None
+            assert x._den > 0 and math.gcd(x._den, *x._nums) == 1
+            assert fields(x) == fields(LaurentSeries(x.valuation, x.coeffs, x.order, x.level))
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_a_series_or_int_coefficient_keeps_the_ring_path(self, level):
+        flat = LaurentSeries(0, (Rat(2), Rat(1, 3)), level=level)
+        inner = LaurentSeries(0, (Rat(1, 2), Rat(3)), level=level - 1)
+        assert flat._nums is not None
+        for s in (LaurentSeries(0, (inner, Rat(5)), level=level),
+                  LaurentSeries(-1, (Rat(2), 7), level=level)):
+            assert s._nums is None
+            for op in ("s+t", "t+s", "s*t", "t*s"):
+                fast, model = MODEL_OPERATIONS[op]
+                assert fields(fast(s, flat)) == model(fields(s), fields(flat)), (op, s)
+        s = LaurentSeries(-1, (Rat(2), 7), level=level)
+        assert fields(s + LaurentSeries(0, (3,), level=level)) == (
+            "series", level, -1, math.inf, ((Rat, Rat(2)), (int, 10)))
 
     def test_an_int_coefficient_keeps_the_ring_path(self):
         s = LaurentSeries(-1, (Rat(2), 7))

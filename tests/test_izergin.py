@@ -14,7 +14,7 @@ import qhc.izergin
 from qhc.exactnum import (
     INVERT_TERMS, LaurentSeries, PoleError, Rat, WindowError, eps, invert_window, take_limit,
 )
-from qhc.highest import REPRESENTATIONS, hc
+from qhc.highest import REPRESENTATIONS, hc, hc_red1_pair
 from qhc.izergin import (
     Kernel,
     det,
@@ -762,6 +762,55 @@ class TestMinorTables:
                 for _ in range(2):
                     assert outcome(kern.k, xs, ys, columns) == want
             assert len(kern._tables) == 1  # (d, d, e) built none
+
+
+class TestSeriesLineTables:
+    """A K whose series values lie on one side reads every line from its fixed set's table.
+
+    The point is RED1's at a = b = 2 with two nested z: z' holds a level-1
+    and a level-2 series, so K meets series lines of both levels.
+    """
+
+    point = sample_generic((2, 2, 2, 2, 2), 7)
+
+    def evaluate(self, kern):
+        (t, x, s, y, z), _ = self.point
+        for side in ("l", "r"):
+            outcome(hc_red1_pair, kern, side, t, x, s, y, z)
+
+    def test_each_series_line_is_built_once_per_kernel(self, monkeypatch):
+        builds = Counter()
+        series_line = Kernel._series_line
+
+        def recording(kern, line, fixed, columns):
+            builds[line, fixed, columns] += 1
+            return series_line(kern, line, fixed, columns)
+
+        monkeypatch.setattr(Kernel, "_series_line", recording)
+        kern = Kernel(self.point[1])
+        self.evaluate(kern)
+        nds, reads = kern._nds, 0
+        for key in kern._ks:  # the series lines that the one-sided series K read
+            n = len(key) // 2
+            series = [sum(nds[i] is None for i in half) for half in (key[:n], key[n:])]
+            if n > 1 and series.count(0) == 1:
+                reads += sum(series)
+        assert builds and set(builds.values()) == {1}
+        assert reads > 2 * len(builds)
+        held = {(line, fixed, columns) for (fixed, columns), (rows, *_) in kern._tables.items()
+                for line in rows if nds[line] is None}
+        assert held == set(builds)
+
+    @pytest.mark.parametrize("window", [2, 4, 8])
+    def test_every_memoised_k_is_a_fresh_kernels(self, window):
+        q = self.point[1]
+        with invert_window(window):
+            kern = Kernel(q)
+            self.evaluate(kern)
+            assert any(not kern.rational(kern.values[i] for i in key) for key in kern._ks)
+            for key, value in kern._ks.items():
+                vs = [kern.values[i] for i in key]
+                assert fields(value) == fields(Kernel(q).k(vs[:len(vs) // 2], vs[len(vs) // 2:]))
 
 
 def in_order_fprod(q, us, vs):
