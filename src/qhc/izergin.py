@@ -11,33 +11,37 @@ product of (q x_i - q^{-1} y_j) into the matrix rows gives entries
 
 so only the genuinely singular denominators x_i - y_j and the Cauchy-like
 prefactor survive.  This matters because the partition sums evaluate K at
-points where some q x_i - q^{-1} y_j vanishes benignly.  At a rational point
-K is one integer fraction: the matrix is built in integers from an integer
-pair table, with (q - q^{-1})^k and a scale per line taken out, and the
-determinant, (q - q^{-1})^k, the line scales and the Cauchy-like prefactor
-are multiplied into one integer numerator and one integer denominator, so
-each K costs one rational and none passes through `det`.  A line (row or
-column) depends only on its own value and the whole opposite set, so the K
-of three or more lines that share a fixed set, named by the caller, share a
-table of lines and minors, and each is one Laplace step along its last
-column.  At a point whose series values are all xs, or all ys, only their
-lines of the matrix (rows for xs, columns for ys) are series; the other
-lines are integer lines as at a rational point, and the determinant is
-expanded along the series lines over integer minors.  Such a K reads every
-line, integer or series, from the table of its fixed set (the rational
-side), so each line is built once per kernel.  A point with series on
-both sides keeps rational or series rows and prefactor, and `det` eliminates
-them.  Every entry that holds a series, and f at a series, multiplies by the
-reciprocal 1/(u - v) of its pair instead of dividing.  Floats are rejected:
-every value is exact.
+points where some q x_i - q^{-1} y_j vanishes benignly.  A line (row or
+column) of the matrix depends only on its own value and the whole opposite
+set, the fixed set, so every K reads its lines from the kernel's table of
+its fixed set, which builds each line once.  K has two routes:
+
+- At a rational point K is one integer fraction.  Its lines are integer
+  lines, built from an integer pair table with (q - q^{-1})^k and a scale
+  per line taken out, and K is one Laplace step along the last column over
+  the table's memoised minors of line subsets.  The determinant,
+  (q - q^{-1})^k, the line scales and the Cauchy-like prefactor are
+  multiplied into one integer numerator and one integer denominator.
+- At a point that holds a series K is expanded along its series lines,
+  then its integer lines, each column set's sum formed once.  Where every
+  series is a y the matrix is taken in column form over the table of the
+  xs; otherwise in row form over the table of the ys.  A line is a series
+  line where it or the fixed set holds a series.  The prefactor's rational
+  factors join the integer fraction, and its series factors divide once
+  per level.
+
+No K passes through `det`, the elimination over any exact ring that the
+tests take as their reference.  Every entry that holds a series, and f at a
+series, multiplies by the reciprocal 1/(u - v) of its pair instead of
+dividing.  Floats are rejected: every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, known by its identity alone, so no
 value is hashed.  K_k, f, f-products, side products and q^{+-2} shifts are
 memoised under tuples of these integers, since the partition sums of Z and
-of the scalar product ask for them many times over.  So are the minor tables,
-and the two pair quantities q u - q^{-1} v and u - v, each pair once: the
-integer pair table holds them as integer fractions for every pair of
+of the scalar product ask for them many times over.  So are the tables of
+lines, and the two pair quantities q u - q^{-1} v and u - v, each pair once:
+the integer pair table holds them as integer fractions for every pair of
 rationals, from which K, f and f-products at rationals are built, and two
 series pair tables hold them as values where a K or an f holds a series,
 each quantity only for the pairs that read it; a third holds 1/(u - v) for
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from .exactnum import (
     _INF, PoleError, Rat, WindowError, _check_exact, _coeff_invert, _coeff_is_zero,
-    _is_series, eps, take_limit,
+    _is_series, _level, eps, take_limit,
 )
 from .partitions import enumerate_partitions
 
@@ -272,167 +276,129 @@ class Kernel:
             out = self._ks[key] = self._izergin(key[:n], key[n:], columns)
         return out
 
-    def _izergin(self, ixs, iys, columns=False):
-        """K of the values of two index tuples, from the pair tables.
+    def _izergin(self, ixs, iys, columns):
+        """K of the values of two index tuples, from the pair tables and a table of lines.
 
-        At a rational point K is one integer fraction.  For k > 2 it is one
-        Laplace step over the minor table of ys, or of xs for ``columns``
-        (`_laplace`).  For k <= 2 `_int_rows` builds the integer rows and
-        `_bareiss` reads their determinant off; K is it times
-        (q - q^-1)^k = (n^2 - m^2)^k / (n m)^k (q = n/m), over the row
-        scales and the prefactor prod_{a<b} (x_a - x_b)(y_b - y_a), whose
-        factors are C/E from the integer pair table: one ``Rat`` of one integer
-        numerator and one integer denominator.  For k > 1, a point whose
-        series values are all xs, or all ys, is expanded along their lines
-        (`_expand`).  Any other point that holds a series reads the pair
-        quantities from the series pair tables, builds rational or series
-        rows for `det` and divides by the prefactor as a product of its
-        u - v.  A zero x_i - y_j or prefactor factor raises PoleError every
-        way.
+        At a rational point K is one integer fraction, one Laplace step over
+        the minor table of ys, or of xs for ``columns`` (`_laplace`).  At a
+        point that holds a series K is expanded along its series lines
+        (`_expand`): in column form, over the table of xs, when every series
+        is a y, and in row form, over the table of ys, otherwise.  A zero
+        x_i - y_j or prefactor factor raises PoleError either way.
         """
-        k = len(ixs)
-        if k == 0:
+        if not ixs:
             return Rat(1)
         nds = self._nds
         if all(nds[i] is not None for i in (*ixs, *iys)):
-            if k > 2:
-                return self._laplace(ixs, iys, columns)
-            rows, den = self._int_rows(ixs, iys)
-            num = _bareiss(rows) * (self._qn2 - self._qm2) ** k
-            den *= self._qnm ** k
-            if k == 2:
-                num, den = self._over_gaps(iys, True, *self._over_gaps(ixs, False, num, den))
-            return Rat(num, den)
-        if k > 1:
-            if all(nds[j] is not None for j in iys):
-                return self._expand(ixs, iys, False)
-            if all(nds[i] is not None for i in ixs):
-                return self._expand(ixs, iys, True)
-        sq, sd, rd = self._sq, self._sd, self._rd
-        rows = []
-        for i in ixs:
-            qds = [sq(i, j) for j in iys] if k > 1 else ()  # a 1x1 row reads no q u - q^-1 v
-            row = []
-            for c, j in enumerate(iys):
-                num = self._gq
-                for cp, qd in enumerate(qds):
-                    if cp != c:
-                        num = num * qd
-                row.append(num * rd(i, j))
-            rows.append(row)
-        value = det(rows)
-        if k == 1:  # the prefactor is the empty product
-            return value
-        denom = Rat(1)
-        for a in range(k):
-            for b in range(a + 1, k):
-                denom = denom * sd(ixs[a], ixs[b]) * sd(iys[b], iys[a])
-        return _div(value, denom)
+            return self._laplace(ixs, iys, columns)
+        return self._expand(ixs, iys, all(nds[i] is not None for i in ixs))
 
     def _laplace(self, ixs, iys, columns):
-        """K at a rational point of k > 2, one Laplace step over the minor table of a fixed set.
+        """K at a rational point, one Laplace step over the minor table of a fixed set.
 
         The lines are the xs (rows) over the fixed ys, or for ``columns`` the
         ys (columns, as in `_expand`) over the fixed xs.  The table
         (`_table`) holds each line's integer entries and scale from
-        `_int_rows`, the fixed set's prefactor factors times
+        `_int_line`, the fixed set's prefactor factors times
         (q - q^-1)^k / (n m)^k, and the minors of line subsets, all built
-        once.  It may also hold the series lines `_expand` reads; a rational
-        K reads only integer lines.  A zero x - y or prefactor factor raises
-        PoleError, as elimination does.
+        once.  K is the determinant times the line scales and the lines'
+        prefactor factors: one ``Rat`` of one integer numerator and one
+        integer denominator.  A zero x - y or prefactor factor raises
+        PoleError, a factor of the lines after their determinant.
         """
         fixed, lines = (ixs, iys) if columns else (iys, ixs)
-        rows, minors, num, den = self._tables.get((fixed, columns)) or self._table(fixed, columns)
+        rows, minors, num, den, _ = (self._tables.get((fixed, columns))
+                                     or self._table(fixed, columns))
         for l in lines:
-            den *= (rows.get(l) or self._line(rows, l, fixed, columns))[1]
-        num, den = self._over_gaps(lines, columns, num, den)
-        return Rat(_last_column(rows, minors, lines) * num, den)
+            line = rows.get(l)
+            if line is None:
+                line = rows[l] = self._int_line(l, fixed, columns)
+            den *= line[1]
+        d = _last_column(rows, minors, lines)
+        num, den = self._gaps(lines, columns, num, den, None)
+        return Rat(d * num, den)
 
     def _table(self, fixed, columns):
         """The table of a fixed set in one orientation: lines, minors and a prefactor part.
 
-        The lines and the minors of line subsets start empty and fill as
-        `_line` and `_last_column` build them.  The fixed set's factors of
-        K's prefactor times (q - q^-1)^k / (n m)^k are an integer numerator
-        and denominator; a zero factor raises PoleError and stores no table.
+        The lines and the minors of line subsets start empty and fill as K
+        reads them: a line of rationals over rationals is an integer line
+        (`_int_line`), and a line where it or the fixed set holds a series
+        is a series line (`_series_line`) of scale 1.  The fixed set's
+        factors of K's prefactor (`_gaps`) are an integer numerator and
+        denominator, which start at (q - q^-1)^k / (n m)^k, and a product
+        of the series factors per level; a zero rational factor raises
+        PoleError and stores no table.
         """
-        k = len(fixed)
-        table = self._tables[fixed, columns] = ({}, {}, *self._over_gaps(
-            fixed, not columns, (self._qn2 - self._qm2) ** k, self._qnm ** k))
+        k, factors = len(fixed), {}
+        num, den = self._gaps(fixed, not columns, (self._qn2 - self._qm2) ** k, self._qnm ** k,
+                              factors)
+        table = self._tables[fixed, columns] = ({}, {}, num, den, factors)
         return table
 
-    def _line(self, rows, l, fixed, columns):
-        """Line ``l`` over the fixed set, as its entries and scale, stored in ``rows``.
+    def _gaps(self, iws, rising, num, den, factors):
+        """num/den over prod_{a<b} (w_a - w_b), or (w_b - w_a) for ``rising``.
 
-        A rational value makes an integer line from `_int_rows`; a series
-        makes a series line (`_series_line`) of scale 1.
+        The factors of K's prefactor from one set.  A factor of two
+        rationals is C/E from the integer pair table, so num gains E and den
+        gains C, and a zero raises PoleError.  A factor that holds a series
+        multiplies into the product of its level in ``factors``.
         """
-        if self._nds[l] is None:
-            line = self._series_line(l, fixed, columns), 1
-        else:
-            (entries,), scale = self._int_rows((l,), fixed, columns)
-            line = entries, scale
-        rows[l] = line
-        return line
-
-    def _over_gaps(self, iws, rising, num, den):
-        """num/den over prod_{a<b} (w_a - w_b), or (w_b - w_a) for ``rising``, of rationals.
-
-        The factors of K's prefactor from one set: each is C/E from the
-        integer pair table, so num gains E and den gains C.  A zero factor
-        raises PoleError.
-        """
-        ips, ip = self._ips, self._ip
-        for b in range(1, len(iws)):
-            for a in range(b):
-                key = (iws[b], iws[a]) if rising else (iws[a], iws[b])
-                c, e = (ips.get(key) or ip(*key))[2:]
+        nds, ips, ip = self._nds, self._ips, self._ip
+        for a in range(len(iws)):
+            for b in range(a + 1, len(iws)):
+                i, j = (iws[b], iws[a]) if rising else (iws[a], iws[b])
+                if nds[i] is None or nds[j] is None:
+                    f = self._sd(i, j)
+                    factors[f.level] = factors[f.level] * f if f.level in factors else f
+                    continue
+                c, e = (ips.get((i, j)) or ip(i, j))[2:]
                 if not c:
                     raise PoleError("vanishing denominator")
                 num *= e
                 den *= c
         return num, den
 
-    def _int_rows(self, lines, others, columns=False):
-        """Integer lines of K's matrix from the integer pair table, and their scales' product.
+    def _int_line(self, l, others, columns):
+        """The integer line ``l`` of K's matrix from the integer pair table, and its scale.
 
-        Line ``l`` reads q x - q^-1 y = A_o / B_o and x - y = C_o / E_o for
+        The line reads q x - q^-1 y = A_o / B_o and x - y = C_o / E_o for
         each ``o`` of ``others``, with x, y the values of l, o, or of o, l
-        for ``columns``; times prod_o B_o C_o and without the factor
-        q - q^-1 it is N_o = B_o E_o prod_{o' != o} A_o' C_o', formed as
-        B_o E_o times the product of the A C before o and the product of
-        those after it.  A zero x - y raises PoleError.
+        for ``columns``; times its scale prod_o B_o C_o and without the
+        factor q - q^-1 it is N_o = B_o E_o prod_{o' != o} A_o' C_o',
+        formed as B_o E_o times the product of the A C before o and the
+        product of those after it.  A zero x - y raises PoleError.
         """
         ips, ip = self._ips, self._ip
-        rows, scale, n = [], 1, len(others)
-        for l in lines:
-            prods, row, pre = [], [], 1
-            for o in others:
-                key = (o, l) if columns else (l, o)
-                a, b, c, e = ips.get(key) or ip(*key)
-                if not c:
-                    raise PoleError("vanishing denominator")
-                ac = a * c
-                prods.append(ac)          # A_o C_o
-                row.append(b * e * pre)   # B_o E_o times the A C before o
-                pre *= ac
-                scale *= b * c            # B_o C_o
-            suf = 1
-            for t in range(n - 1, 0, -1):
-                suf *= prods[t]
-                row[t - 1] *= suf         # times the A C after o
-            rows.append(row)
-        return rows, scale
+        prods, row, pre, scale = [], [], 1, 1
+        for o in others:
+            key = (o, l) if columns else (l, o)
+            a, b, c, e = ips.get(key) or ip(*key)
+            if not c:
+                raise PoleError("vanishing denominator")
+            ac = a * c
+            prods.append(ac)          # A_o C_o
+            row.append(b * e * pre)   # B_o E_o times the A C before o
+            pre *= ac
+            scale *= b * c            # B_o C_o
+        suf = 1
+        for t in range(len(others) - 1, 0, -1):
+            suf *= prods[t]
+            row[t - 1] *= suf         # times the A C after o
+        return row, scale
 
     def _series_line(self, l, others, columns):
         """The entries of the series line ``l`` over ``others``, without the factor q - q^-1.
 
         Each entry is the product of a prefix and a suffix product of the
         line's q u - q^-1 v (u, v the values of l, o, or of o, l for
-        ``columns``) times the reciprocal 1/(u - v) of its own pair.
+        ``columns``) times the reciprocal 1/(u - v) of its own pair; a line
+        of one entry is that reciprocal.
         """
         sq, rd = self._sq, self._rd
         pairs = [(o, l) if columns else (l, o) for o in others]
+        if len(pairs) == 1:
+            return [rd(*pairs[0])]
         qds = [sq(i, j) for i, j in pairs]
         pre, suf = [None], [None]  # products of the first and of the last t
         for qd, qe in zip(qds[:-1], qds[:0:-1]):
@@ -442,82 +408,57 @@ class Kernel:
                 for u, v, (i, j) in zip(pre, suf[::-1], pairs)]
 
     def _expand(self, ixs, iys, columns):
-        """K at a point whose series values are all xs, or all ys for ``columns``.
+        """K at a point that holds a series, expanded along its series lines.
 
-        The matrix is taken in row form for xs and in column form for ys:
-        column j carries (q - q^-1) prod_{i' != i} (q x_i' - q^-1 y_j) /
-        (x_i - y_j), which has the row form's determinant.  The opposite set
-        is rational, and every line is read from its table (`_table`, as
-        `_laplace` keys it), so each line is built once per kernel: the
-        integer lines of the rational values from `_int_rows`, the series
-        lines of the series values from `_series_line`.  The determinant is
-        expanded along the series lines, the highest level outermost, so
-        each entry of an outer line multiplies one sum of the inner lines;
-        the complementary minors are integer determinants, each column
-        set's once.  (q - q^-1)^k, the integer lines' scales and the
+        The matrix is taken in row form, over the table of ys, or for
+        ``columns`` in column form, over the table of xs, which `_izergin`
+        asks for when every series is a y: column j carries (q - q^-1)
+        prod_{i' != i} (q x_i' - q^-1 y_j) / (x_i - y_j), which has the row
+        form's determinant.  Every line is read from the table of the fixed
+        set (`_table`, as `_laplace` keys it), so each line is built once
+        per kernel: integer lines where line and fixed set are rational,
+        series lines where either holds a series.  The determinant is
+        expanded along the series lines, the highest level outermost, then
+        along the integer lines (`_expansion`), so each entry of an outer
+        line multiplies one sum of the inner lines, each column set's sum
+        formed once.  (q - q^-1)^k, the integer lines' scales and the
         rational factors of the prefactor make one ``Rat``, and the sum
         divides once by the product of the prefactor's series factors of
-        each level.
+        each level, those of the lines and of the fixed set together.
 
         A repeated value makes a factor of the prefactor an exact zero, so
-        it raises PoleError where elimination raised WindowError (a zero
-        pivot column known only within its window); a rational one raises
-        before the expansion.
+        it raises PoleError where `det`'s elimination may raise WindowError
+        (a zero pivot column known only within its window); a rational one
+        raises before the expansion, and an integer line's PoleError before
+        a series line's.
         """
-        nds, values, ips, ip = self._nds, self.values, self._ips, self._ip
+        values = self.values
         lines, fixed = (iys, ixs) if columns else (ixs, iys)
         k = len(lines)
-        table, _, num, den = self._tables.get((fixed, columns)) or self._table(fixed, columns)
-        factors = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                i, j = (lines[b], lines[a]) if columns else (lines[a], lines[b])
-                if nds[i] is None or nds[j] is None:
-                    f = self._sd(i, j)
-                    factors[f.level] = factors[f.level] * f if f.level in factors else f
-                else:
-                    c, e = (ips.get((i, j)) or ip(i, j))[2:]
-                    if not c:
-                        raise PoleError("vanishing denominator")
-                    num *= e
-                    den *= c
-        series = sorted((p for p in range(k) if nds[lines[p]] is None),
-                        key=lambda p: -values[lines[p]].level)
-        ints = [p for p in range(k) if nds[lines[p]] is not None]
-        rows = []
-        for p in ints:  # before the series lines: an integer line's PoleError comes first
-            entries, scale = table.get(lines[p]) or self._line(table, lines[p], fixed, columns)
-            rows.append(entries)
+        table, _, num, den, factors = (self._tables.get((fixed, columns))
+                                       or self._table(fixed, columns))
+        factors = dict(factors)
+        num, den = self._gaps(lines, columns, num, den, factors)
+        # a line's level is that of its entries, 0 for an integer line
+        top = max(map(_level, (values[o] for o in fixed)))
+        levels = [max(top, _level(values[l])) for l in lines]
+        perm = sorted(range(k), key=lambda p: -levels[p])  # series lines first, highest first
+        n = k - levels.count(0)
+        rows = [None] * k
+        for t in (*range(n, k), *range(n)):  # an integer line's PoleError comes first
+            l = lines[perm[t]]
+            line = table.get(l)
+            if line is None:
+                line = table[l] = ((self._series_line(l, fixed, columns), 1) if t < n
+                                   else self._int_line(l, fixed, columns))
+            rows[t], scale = line
             den *= scale
-        entries = [(table.get(lines[p]) or self._line(table, lines[p], fixed, columns))[0]
-                   for p in series]
-        n, perm = len(series), series + ints
         sign = 1
         for a in range(k):
             for b in range(a + 1, k):
                 if perm[a] > perm[b]:
                     sign = -sign
-        sums = {}
-
-        def expand(cols):
-            # the minor of the lines from perm[k - len(cols)] on, over the columns cols
-            out = sums.get(cols)
-            if out is None:
-                if len(cols) == k - n:
-                    out = Rat(_bareiss([[row[c] for c in cols] for row in rows]) if cols else 1)
-                else:
-                    line = entries[k - len(cols)]
-                    for t, c in enumerate(cols):
-                        sub = expand(cols[:t] + cols[t + 1:])
-                        if not _coeff_is_zero(sub):
-                            term = line[c] * (-sub if t % 2 else sub)
-                            out = term if out is None else out + term
-                    if out is None:
-                        out = Rat(0)
-                sums[cols] = out
-            return out
-
-        value = expand(tuple(range(k)))
+        value = _expansion(rows, {}, tuple(range(k)))
         for level in sorted(factors, reverse=True):
             value = _div(value, factors[level])
         return value * Rat(sign * num, den)
@@ -587,8 +528,8 @@ def det(rows):
     the first row it eliminates, and ``a / b`` is ``a * b.invert()`` for a
     series and ``a * (1 / b)`` for a rational, so the factors are those of
     dividing.  The product of the pivots starts at ``Rat(1)``, so a matrix of
-    ``int`` entries gives a ``Rat``; the integer lines of `Kernel` never
-    pass through here.
+    ``int`` entries gives a ``Rat``.  No K of `Kernel` passes through here:
+    the tests take this elimination as the reference K is compared with.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -628,10 +569,13 @@ def det(rows):
 def _last_column(rows, minors, lines):
     """The determinant of table ``lines`` over their leading columns, along the last one.
 
-    ``rows`` maps a line to its integer entries and scale; the minors it
-    expands over are memoised in ``minors`` under their lines.
+    ``rows`` maps a line to its integer entries and scale; a 1x1 or 2x2
+    determinant is read off, and the minors a larger one expands over are
+    memoised in ``minors`` under their lines.
     """
     j = len(lines) - 1
+    if j == 0:
+        return rows[lines[0]][0][0]
     if j == 1:
         (a, b), (c, d) = rows[lines[0]][0][:2], rows[lines[1]][0][:2]
         return a * d - b * c
@@ -647,34 +591,28 @@ def _last_column(rows, minors, lines):
     return out
 
 
-def _bareiss(m):
-    """The determinant of a nonempty square matrix of integers, as an ``int``.
+def _expansion(rows, sums, cols):
+    """The minor of the last ``len(cols)`` rows over the columns ``cols``, along its first row.
 
-    A 1x1 or 2x2 matrix is read off.  A larger one is eliminated in place,
-    fraction-free (Bareiss): a zero pivot swaps in a lower row, and each step
-    divides exactly by the previous pivot.
+    Each column set's sum is memoised in ``sums``, and the empty one is 1.
+    A term whose minor is an exact zero is skipped, and a sum with no term
+    is ``Rat(0)``.
     """
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
+    out = sums.get(cols)
+    if out is None:
+        if not cols:
+            out = 1
+        else:
+            row = rows[len(rows) - len(cols)]
+            for t, c in enumerate(cols):
+                sub = _expansion(rows, sums, cols[:t] + cols[t + 1:])
+                if not _coeff_is_zero(sub):
+                    term = row[c] * (-sub if t % 2 else sub)
+                    out = term if out is None else out + term
+            if out is None:
+                out = Rat(0)
+        sums[cols] = out
+    return out
 
 
 def izergin(kern, xs, ys, *, columns=False):

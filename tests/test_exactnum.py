@@ -640,6 +640,20 @@ MODEL_OPERATIONS = {
 }
 
 
+def flat_rat_series(level):
+    """Series of ``level`` whose coefficients are ``Rat`` or zero, none of them a series."""
+    return st.builds(truncated, st.integers(min_value=-3, max_value=3),
+                     st.lists(rational_coefficients, max_size=5), windows, st.just(level))
+
+
+# per level: the series s, and its operand t, which is a series of the same
+# level (two branches), of the other level, or a rational
+rat_pair_levels = st.sampled_from([2, 3])
+rat_pair_parts = {level: (flat_rat_series(level), st.one_of(
+    flat_rat_series(level), flat_rat_series(level), flat_rat_series(5 - level),
+    rational_coefficients)) for level in (2, 3)}
+
+
 @st.composite
 def all_rat_pairs(draw):
     """A series of level 2 or 3 whose coefficients are all ``Rat``, and an operand ``t``.
@@ -647,12 +661,8 @@ def all_rat_pairs(draw):
     ``t`` is such a series of the same level, or of the other one, or a
     rational.
     """
-    level = draw(st.sampled_from([2, 3]))
-    flat = lambda level: st.builds(  # noqa: E731
-        truncated, st.integers(min_value=-3, max_value=3),
-        st.lists(rational_coefficients, max_size=5), windows, st.just(level))
-    t = st.one_of(flat(level), flat(level), flat(5 - level), rational_coefficients)
-    return draw(flat(level)), draw(t)
+    s, t = rat_pair_parts[draw(rat_pair_levels)]
+    return draw(s), draw(t)
 
 
 def window_context(window):
