@@ -557,6 +557,36 @@ class LaurentSeries:
         return f"<L{self.level} {body}{tail}>"
 
 
+# Fractions over an integer denominator, whose numerator is an ``int``, or a
+# series once a series is met (a series is its own numerator over 1).
+
+def _times(num, den, values):
+    """num / den times the product of ``values``, as a numerator and an integer denominator."""
+    for v in values:
+        num *= v.numerator
+        den *= v.denominator
+    return num, den
+
+
+def _plus(num, den, n, d):
+    """num/den + n/d, unreduced.
+
+    Equal denominators add the numerators alone; others meet over their gcd.
+    """
+    if d == den:
+        return num + n, den
+    g = math.gcd(den, d)
+    d //= g
+    return num * d + n * (den // g), den * d
+
+
+def _ratio(num, den):
+    """num / den: two ints make one ``Rat``; a series is scaled by 1/den where den is not 1."""
+    if type(num) is int:
+        return Rat(num, den)
+    return num if den == 1 else num / Rat(den)
+
+
 def eps(level=1):
     """The infinitesimal of the given nesting level (exactly known)."""
     return LaurentSeries(1, (Rat(1),), _INF, level)

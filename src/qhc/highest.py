@@ -5,8 +5,8 @@ representations over different set unions (their shifted sets come from
 the kernel, which computes each shift once per value):
 
     ws       -- partitions of {s, x}            (the defining formula;
-                `hc_ws_batch` sums it over a grid of t sets by y sets at
-                one (x, s), one integer fraction per Z at a rational point)
+                one integer fraction per Z at a rational point, summed
+                by `_ws_cells` over a grid of t sets by y sets)
     ws-twin  -- same union, twin rewriting
     ty       -- partitions of {y, t q^-2}
     ty-twin  -- same union, twin rewriting
@@ -23,14 +23,12 @@ taken sequentially with one nested infinitesimal per collapsing variable.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .exactnum import LaurentSeries, Rat, eps, take_limit
-from .izergin import _ratio, _times, izergin, izergin_side, nested_primes
+from .exactnum import LaurentSeries, Rat, _plus, _ratio, _times, eps, take_limit
+from .izergin import izergin, izergin_side, nested_primes
 from .partitions import enumerate_partitions
 
 __all__ = [
-    "REPRESENTATIONS", "hc", "hc_ws_batch", "hc_closed_11", "hc_difference_11",
+    "REPRESENTATIONS", "hc", "hc_closed_11", "hc_difference_11",
     "hc_z_scal_pair", "hc_z_invers_pair", "hc_z_invers1_pair",
     "hc_rec_z_triv1_pair", "hc_rec_z_triv2_pair", "hc_rec_z_nontriv_pair",
     "hc_rec_z_nontriv_d_pair",
@@ -43,47 +41,30 @@ __all__ = [
 REPRESENTATIONS = ("ws", "ws-twin", "ty", "ty-twin", "tx", "sy")
 
 
-def hc_ws_batch(kern, side, tss, xs, ss, yss):
+def _ws_cells(kern, side, tss, xs, ss, yss):
     """[[Z^(side)_{a,b}(ts; xs | ss; ys) for ys in yss] for ts in tss] by the ws sum.
 
-    Per split of {s, x} into {w_I, w_II}, K^(o)(ss | w_I q^2) and
-    f(w_I, w_II) are formed once for the whole grid, K(ys | w_I) once per y
-    set and K(w_II | ts) once per t set; each cell's term is their product.
-    `hc` with rep "ws" is the one-cell case.  Each Z is the numerator of
-    its cell in `_ws_cells` over its integer denominator: one ``Rat`` at a
-    rational point, and a series scaled once where a value is a series.
-    """
-    tss = [tuple(ts) for ts in tss]
-    xs, ss = tuple(xs), tuple(ss)
-    yss = [tuple(ys) for ys in yss]
-    if (any(len(ts) != len(xs) for ts in tss)
-            or any(len(ys) != len(ss) for ys in yss)):
-        raise ValueError("cardinality mismatch: #t != #x or #s != #y")
-    kern.usign(side)
-    if not tss or not yss:
-        return [[] for _ in tss]
-    return [[_ratio(n, d) for n, d in row] for row in _ws_cells(kern, side, tss, xs, ss, yss)]
-
-
-def _ws_cells(kern, side, tss, xs, ss, yss):
-    """The cells of an `hc_ws_batch` grid, each an unreduced (numerator, denominator).
-
-    The sets are nonempty lists of tuples of values, of the sizes
-    `hc_ws_batch` checks.  Every value is read through its numerator and
-    denominator (a series is its own numerator over 1), so a denominator is
-    an ``int`` and a numerator is an ``int`` at a rational point and a series
-    where a value is one.  Since K^(l)(X | Y) = K prod(X) and
-    K^(r)(X | Y) = K prod(Y), the side products of a term are, for side l,
-    q^2b prod(s, x) prod(y), the same for every split, and, for side r,
-    prod(s) prod(t) prod(w_I).  So the sum reads plain K through `izergin`:
-    a term is K(ss | w_I q^2) f(w_I, w_II) K(w_II | ts) K(ys | w_I), with
-    prod(w_I) for side r, and it is added to its cell's running fraction
-    (`_plus`).  Every K(ss | w_I q^2) shares ss and every K(ys | w_I) its
-    ys, so those name their xs as the fixed set (``columns``); every
-    K(w_II | ts) shares ts, the default.  Each cell is then multiplied once
-    by (-q)^b, which is the sign (-q)^(-+b) for side r and that sign times
-    q^2b for side l, and by prod(s, x) prod(y) (side l) or prod(s) prod(t)
-    (side r).
+    Each cell is an unreduced (numerator, denominator), which `_ratio`
+    divides: one ``Rat`` at a rational point, and a series scaled once where
+    a value is a series.  ``tss`` and ``yss`` are nonempty lists of tuples,
+    each t set of the size of ``xs`` and each y set of that of ``ss``; `hc`
+    with rep "ws" is the one-cell grid.  Every value is read through its
+    numerator and denominator (a series is its own numerator over 1), so a
+    denominator is an ``int`` and a numerator is an ``int`` at a rational
+    point and a series where a value is one.  Since K^(l)(X | Y) =
+    K prod(X) and K^(r)(X | Y) = K prod(Y), the side products of a term
+    are, for side l, q^2b prod(s, x) prod(y), the same for every split, and,
+    for side r, prod(s) prod(t) prod(w_I).  So the sum reads plain K through
+    `izergin`: per split of {s, x} into {w_I, w_II}, K(ss | w_I q^2) and
+    f(w_I, w_II) are formed once for the whole grid (with prod(w_I) for
+    side r), K(ys | w_I) once per y set and K(w_II | ts) once per t set, and
+    each cell's term, their product, is added to its cell's running
+    fraction (`_plus`).  Every K(ss | w_I q^2) shares ss and every
+    K(ys | w_I) its ys, so those name their xs as the fixed set
+    (``columns``); every K(w_II | ts) shares ts, the default.  Each cell is
+    then multiplied once by (-q)^b, which is the sign (-q)^(-+b) for side r
+    and that sign times q^2b for side l, and by prod(s, x) prod(y) (side l)
+    or prod(s) prod(t) (side r).
     """
     b, width = len(ss), len(yss)
     left = side == "l"
@@ -109,18 +90,6 @@ def _ws_cells(kern, side, tss, xs, ss, yss):
     cols = [_times(1, 1, ys if left else ()) for ys in yss]
     return [[(nums[i * width + j] * rn * yn, dens[i * width + j] * rd * yd)
              for j, (yn, yd) in enumerate(cols)] for i, (rn, rd) in enumerate(rows)]
-
-
-def _plus(num, den, n, d):
-    """num/den + n/d, unreduced, for int or series numerators over int denominators.
-
-    Equal denominators add the numerators alone; others meet over their gcd.
-    """
-    if d == den:
-        return num + n, den
-    g = gcd(den, d)
-    d //= g
-    return num * d + n * (den // g), den * d
 
 
 def _hc_ws_twin(kern, side, ts, xs, ss, ys):
@@ -221,7 +190,8 @@ def _hc_sy(kern, side, ts, xs, ss, ys):
 
 
 _REP_FUNCS = {
-    "ws": lambda kern, side, ts, xs, ss, ys: hc_ws_batch(kern, side, [ts], xs, ss, [ys])[0][0],
+    "ws": lambda kern, side, ts, xs, ss, ys: _ratio(
+        *_ws_cells(kern, side, [ts], xs, ss, [ys])[0][0]),
     "ws-twin": _hc_ws_twin,
     "ty": _hc_ty,
     "ty-twin": _hc_ty_twin,
@@ -236,6 +206,7 @@ def hc(kern, side, ts, xs, ss, ys, rep="ws"):
         raise ValueError("cardinality mismatch: #t != #x or #s != #y")
     if rep not in _REP_FUNCS:
         raise ValueError(f"rep must be one of {', '.join(REPRESENTATIONS)}, got {rep!r}")
+    kern.usign(side)
     return _REP_FUNCS[rep](kern, side, tuple(ts), tuple(xs), tuple(ss), tuple(ys))
 
 

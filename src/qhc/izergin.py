@@ -37,13 +37,13 @@ dividing.  Floats are rejected: every value is exact.
 
 A `Kernel` stands for one sampled point and is its index space: every value
 the point meets gets a small integer, known by its identity alone, so no
-value is hashed.  K_k, f, f-products, side products and q^{+-2} shifts are
-memoised under tuples of these integers, since the partition sums of Z and
-of the scalar product ask for them many times over.  So are the tables of
-lines, and the two pair quantities q u - q^{-1} v and u - v, each pair once:
-the integer pair table holds them as integer fractions for every pair of
-rationals, from which K, f and f-products at rationals are built, and two
-series pair tables hold them as values where a K or an f holds a series,
+value is hashed.  K_k, f-products (f is the product of one pair) and q^{+-2}
+shifts are memoised under tuples of these integers, since the partition sums
+of Z and of the scalar product ask for them many times over.  So are the
+tables of lines, and the two pair quantities q u - q^{-1} v and u - v, each
+pair once: the integer pair table holds them as integer fractions for every
+pair of rationals, from which K and f-products at rationals are built, and
+two series pair tables hold them as values where a K or an f holds a series,
 each quantity only for the pairs that read it; a third holds 1/(u - v) for
 those pairs, so each series u - v is inverted once per kernel, not once per
 entry.  An f-product and a side product K^(l,r) = K prod(vs) multiply their
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from .exactnum import (
     _INF, PoleError, Rat, WindowError, _check_exact, _coeff_invert, _coeff_is_zero,
-    _is_series, _level, eps, take_limit,
+    _is_series, _level, _ratio, _times, eps, take_limit,
 )
 from .partitions import enumerate_partitions
 
@@ -86,20 +86,20 @@ def _div(a, b):
 class Kernel:
     """The deformation parameter q, the kernel functions and the index space of one point.
 
-    Build one instance per sampled point: it memoises K, f and the pair
-    quantities u - v and q u - q^-1 v at every argument it is asked for, for
-    as long as it lives, and 1/(u - v) of each pair at which a series is met.
-    A reciprocal, and a series line of a table, is built at the window
-    current when it was first asked for, so a kernel serves one
+    Build one instance per sampled point: it memoises K, f-products and the
+    pair quantities u - v and q u - q^-1 v at every argument it is asked
+    for, for as long as it lives, and 1/(u - v) of each pair at which a
+    series is met.  A reciprocal, and a series line of a table, is built at
+    the window current when it was first asked for, so a kernel serves one
     `invert_window`.  ``values[i]`` is the value of index ``i``; memo keys
-    are the indices of the argument sets in argument order.  Every value is known by its identity; the kernel
-    holds every object whose ``id`` it records, so an ``id`` names one object
-    while the kernel lives.  Kernels compare and hash by q alone.
+    are the indices of the argument sets in argument order.  Every value is
+    known by its identity; the kernel holds every object whose ``id`` it
+    records, so an ``id`` names one object while the kernel lives.  Kernels
+    compare and hash by q alone.
     """
 
     __slots__ = ("q", "qinv", "_gq", "_qn2", "_qm2", "_qnm", "values", "_nds", "_ids",
-                 "_shifts", "_ips", "_sqs", "_sds", "_rds", "_fs", "_fprods", "_ks", "_ksides",
-                 "_tables")
+                 "_shifts", "_ips", "_sqs", "_sds", "_rds", "_fprods", "_ks", "_tables")
 
     def __init__(self, q):
         _check_exact(q)
@@ -118,10 +118,8 @@ class Kernel:
         self._sqs = {}        # (i, j) -> q u - q^-1 v, where a series is met
         self._sds = {}        # (i, j) -> u - v, where a series is met
         self._rds = {}        # (i, j) -> 1/(u - v), where a series is met
-        self._fs = {}         # (i, j) -> f(values[i], values[j])
         self._fprods = {}     # (#us, indices of us + vs) -> f(us, vs)
         self._ks = {}         # indices of xs + ys -> K(xs|ys)
-        self._ksides = {}     # (id(K), side) -> K^(side)
         self._tables = {}     # (fixed indices, columns) -> table of lines and minors, see `_table`
 
     def __eq__(self, other):
@@ -210,22 +208,8 @@ class Kernel:
             out = self._rds[i, j] = d.invert() if _is_series(d) else _div(Rat(1), d)
         return out
 
-    def _f(self, i, j):
-        """f of two indexed values; at rationals A E / (B C) from the integer pair table."""
-        out = self._fs.get((i, j))
-        if out is None:
-            if self._nds[i] is not None and self._nds[j] is not None:
-                a, b, c, e = self._ips.get((i, j)) or self._ip(i, j)
-                if not c:
-                    raise PoleError("vanishing denominator")
-                out = Rat(a * e, b * c)
-            else:
-                out = self._sq(i, j) * self._rd(i, j)
-            self._fs[i, j] = out
-        return out
-
     def f(self, u, v):
-        return self._f(self.index(u), self.index(v))
+        return self.fprod((u,), (v,))
 
     def g(self, u, v):
         _check_exact(u)
@@ -238,12 +222,15 @@ class Kernel:
         The pairs are read in order.  A pair of rationals multiplies A E
         and B C from the integer pair table into one integer numerator and
         denominator; its u - v is tested in turn, so a zero raises PoleError
-        as that pair's f would, and its f is not memoised.  A pair at which
-        a series is met multiplies its f into one series product, which is
-        scaled once by the integer fraction where that is not 1.
+        as that pair's f would.  A pair at which a series is met multiplies
+        its f, (q u - q^-1 v) / (u - v) from the series pair tables, into one
+        series product, which is scaled once by the integer fraction where
+        that is not 1; that f is memoised as the one-pair product, which is
+        what `f` asks for.
         """
+        fprods = self._fprods
         key = (len(us), self.indices((*us, *vs)))
-        out = self._fprods.get(key)
+        out = fprods.get(key)
         if out is None:
             ius, ivs = key[1][:key[0]], key[1][key[0]:]
             nds, ips, ip = self._nds, self._ips, self._ip
@@ -251,7 +238,9 @@ class Kernel:
             for i in ius:
                 for j in ivs:
                     if nds[i] is None or nds[j] is None:
-                        f = self._f(i, j)
+                        f = fprods.get((1, (i, j)))
+                        if f is None:
+                            f = fprods[1, (i, j)] = self._sq(i, j) * self._rd(i, j)
                         out = f if out is None else out * f
                         continue
                     a, b, c, e = ips.get((i, j)) or ip(i, j)
@@ -260,7 +249,7 @@ class Kernel:
                     num *= a * e
                     den *= b * c
             r = Rat(num, den)
-            out = self._fprods[key] = r if out is None else out if r == 1 else out * r
+            out = fprods[key] = r if out is None else out if r == 1 else out * r
         return out
 
     def k(self, xs, ys, columns=False):
@@ -463,21 +452,6 @@ class Kernel:
             value = _div(value, factors[level])
         return value * Rat(sign * num, den)
 
-    def k_side(self, k, side, vs):
-        """K^(side) = k prod(vs), for ``k`` a K from `k` and ``vs`` its side's set.
-
-        The numerators of k and of the values multiply into one numerator,
-        their denominators into one integer, and `_ratio` divides them once,
-        so a rational point gives one integer fraction.  Each K that `k`
-        memoises is its own object and is held here, so ``id(k)`` names the
-        pair of sets it was computed for.
-        """
-        key = (id(k), side)
-        out = self._ksides.get(key)
-        if out is None:
-            out = self._ksides[key] = _ratio(*_times(k.numerator, k.denominator, vs))
-        return out
-
     def mq(self, e):
         """(-q)^e for integer e of either sign."""
         return (-self.q) ** e
@@ -493,28 +467,6 @@ class Kernel:
 
     def inverted(self):
         return Kernel(self.qinv)
-
-
-def _times(num, den, values):
-    """num / den times the product of ``values``, as a numerator and an integer denominator.
-
-    A numerator is an ``int``, or a series once a series is met (a series is
-    its own numerator over 1).
-    """
-    for v in values:
-        num *= v.numerator
-        den *= v.denominator
-    return num, den
-
-
-def _ratio(num, den):
-    """num / den for an ``int`` or series ``num`` and an ``int`` ``den``.
-
-    Two ints make one ``Rat``; a series is scaled by 1/den where den is not 1.
-    """
-    if type(num) is int:
-        return Rat(num, den)
-    return num if den == 1 else num / Rat(den)
 
 
 def det(rows):
@@ -623,10 +575,15 @@ def izergin(kern, xs, ys, *, columns=False):
 
 
 def izergin_side(kern, side, xs, ys):
-    """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side."""
+    """K^(l) = K prod(xs) or K^(r) = K prod(ys), selected by side.
+
+    The numerators of K and of the side values multiply into one numerator
+    and their denominators into one integer, divided once, so a rational
+    point gives one integer fraction.
+    """
     kern.usign(side)
     k = izergin(kern, xs, ys)
-    return kern.k_side(k, side, xs if side == "l" else ys)
+    return _ratio(*_times(k.numerator, k.denominator, xs if side == "l" else ys))
 
 
 def lemma_partition_sum(kern, side, gamma, alpha, beta):

@@ -1,5 +1,6 @@
 """Exact scalars and truncated Laurent series."""
 
+import functools
 import math
 from contextlib import nullcontext
 from fractions import Fraction
@@ -15,6 +16,9 @@ from qhc.exactnum import (
     Rat,
     SingularPartError,
     WindowError,
+    _plus,
+    _ratio,
+    _times,
     eps,
     invert_window,
     scalar_format,
@@ -22,9 +26,16 @@ from qhc.exactnum import (
     take_limit,
 )
 
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
-).map(lambda f: Rat(f.numerator, f.denominator))
+
+@functools.cache
+def over(d):
+    """Rat(n, d) for -50 d <= n <= 50 d, one strategy per denominator."""
+    return st.builds(Rat, st.integers(-50 * d, 50 * d), st.just(d))
+
+
+# The values of st.fractions(-50, 50, max_denominator=12), which builds a new
+# numerator strategy on every draw: a denominator, then a numerator over it.
+rationals = st.integers(1, 12).flatmap(over)
 
 
 def series(valuation, coeffs, order=math.inf, level=1):
@@ -556,6 +567,29 @@ class TestNumberProtocol:
         assert fields(s + LaurentSeries.constant(Rat(n), s.level)) == want
         assert fields(s + n) == want and fields(n + s) == want
         assert s + 0 is s and 0 + s is s  # an int zero is not lifted either
+
+
+class TestFractionHelpers:
+    """`_times`, `_plus` and `_ratio` keep a numerator over an ``int`` denominator."""
+
+    s = LaurentSeries(-1, (Rat(1, 2), Rat(3)))
+
+    def test_times_multiplies_numerators_and_denominators(self):
+        assert _times(3, 4, (Rat(1, 2), 5)) == (15, 8)
+        num, den = _times(3, 4, (Rat(1, 2), self.s))
+        assert den == 8 and fields(num) == fields(self.s * 3)
+
+    def test_plus_adds_unreduced(self):
+        assert _plus(1, 6, 1, 6) == (2, 6)  # equal denominators: the numerators alone
+        assert _plus(1, 6, 1, 4) == (5, 12)  # over gcd(6, 4) = 2
+        num, den = _plus(self.s, 6, 1, 4)
+        assert den == 12 and fields(num) == fields(self.s * 2 + 3)
+
+    def test_ratio_divides_once(self):
+        got = _ratio(2, 6)
+        assert type(got) is Rat and got == Rat(1, 3)
+        assert _ratio(self.s, 1) is self.s
+        assert fields(_ratio(self.s, 4)) == fields(self.s * Rat(1, 4))
 
 
 # A plain-Fraction model of the series ring on `fields` tuples: a series is

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhc.highest
-from qhc.exactnum import INVERT_TERMS, LaurentSeries, PoleError, Rat, eps, invert_window
+from qhc.exactnum import INVERT_TERMS, LaurentSeries, PoleError, Rat, _ratio, eps, invert_window
 from qhc.highest import (
     REPRESENTATIONS,
+    _ws_cells,
     hc,
     hc_closed_11,
     hc_dec1_pair,
@@ -33,7 +34,6 @@ from qhc.highest import (
     hc_twin_2_pair,
     hc_twin_3_pair,
     hc_twin_4_pair,
-    hc_ws_batch,
     hc_z_invers1_pair,
     hc_z_invers_pair,
     hc_z_scal_pair,
@@ -51,12 +51,12 @@ def closed_form_left(q, t, x, s, y):
     return x * y * g(x, t) * g(y, s) * f(s, x) + x * y * s * g(x, s) * g(s, t) * g(y, x)
 
 
-def ws_term_sum(ref, side, ts, xs, ss, ys):
-    """Z by the ws formula, one Rat term at a time in split order, f written out."""
+def ws_terms(ref, side, ts, xs, ss, ys):
+    """The terms of the ws formula in split order, each a Rat, f written out, without the sign."""
     q, a, b = ref.q, len(ts), len(ss)
     opp = "r" if side == "l" else "l"
     ws = tuple(ss) + tuple(xs)
-    total = Rat(0)
+    terms = []
     for picked in itertools.combinations(range(a + b), b):
         w1 = tuple(ws[i] for i in picked)
         w2 = tuple(w for i, w in enumerate(ws) if i not in picked)
@@ -66,8 +66,23 @@ def ws_term_sum(ref, side, ts, xs, ss, ys):
         for u in w1:
             for v in w2:
                 term *= (q * u - v / q) / (u - v)
+        terms.append(term)
+    return terms
+
+
+def ws_term_sum(ref, side, ts, xs, ss, ys):
+    """Z by the ws formula, one Rat term at a time in split order, f written out."""
+    total = Rat(0)
+    for term in ws_terms(ref, side, ts, xs, ss, ys):
         total += term
-    return (-q) ** (-b if side == "l" else b) * total
+    return (-ref.q) ** (-len(ss) if side == "l" else len(ss)) * total
+
+
+def ws_grid(kern, side, tss, xs, ss, yss):
+    """The grid of `_ws_cells`, each cell divided by `_ratio`."""
+    cells = _ws_cells(kern, side, [tuple(ts) for ts in tss], tuple(xs), tuple(ss),
+                      [tuple(ys) for ys in yss])
+    return [[_ratio(n, d) for n, d in row] for row in cells]
 
 
 class TestSmallestCase:
@@ -98,10 +113,12 @@ class TestSmallestCase:
         kern = Kernel(Rat(2))
         args = (Rat(2), Rat(3), Rat(5), Rat(7))
         message = re.escape(f"side must be 'l' or 'r', got {side!r}")
-        with pytest.raises(ValueError, match=message):
-            hc(kern, side, *((a,) for a in args))
+        for rep in REPRESENTATIONS:
+            with pytest.raises(ValueError, match=message):
+                hc(kern, side, *((a,) for a in args), rep)
         with pytest.raises(ValueError, match=message):
             hc_closed_11(kern, side, *args)
+        assert not kern.values  # rejected before any value is indexed
 
     @pytest.mark.parametrize("rep", ["bogus", "WS", ""])
     def test_an_unknown_rep_is_rejected(self, rep):
@@ -172,14 +189,14 @@ def grid_outcome(fn, *args):
 
 
 class TestWsBatch:
-    """`hc_ws_batch` at one t set gives, per y set, what `hc` gives with each rep."""
+    """The ws grid at one t set gives, per y set, what `hc` gives with each rep."""
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
     def test_each_set_of_the_batch_is_its_hc(self, side, a, b):
         (ts, xs, ss, *yss), q = sample_generic((a, a, b, b, b, b), 22)
         kern = Kernel(q)
-        got = hc_ws_batch(kern, side, [ts], xs, ss, yss)
+        got = ws_grid(kern, side, [ts], xs, ss, yss)
         assert len(got) == 1 and len(got[0]) == 3
         for ys, z in zip(yss, got[0]):
             for rep in REPRESENTATIONS:
@@ -191,7 +208,7 @@ class TestWsBatch:
         (ts, xs, ss, ys), q = sample_generic((a, a, b, b), 23)
         kern = Kernel(q)
         moved = (ys[0] + eps(),) + ys[1:]
-        (got,) = hc_ws_batch(kern, side, [ts], xs, ss, [ys, moved])
+        (got,) = ws_grid(kern, side, [ts], xs, ss, [ys, moved])
         assert isinstance(got[1], LaurentSeries)
         for rep in REPRESENTATIONS:
             assert got[0] == hc(kern, side, ts, xs, ss, ys, rep), rep
@@ -204,7 +221,7 @@ class TestWsBatch:
         # Every cell of a grid of two t sets by three y sets against the ws
         # formula summed term by term with K^(l,r) from a fresh kernel.
         (t1, t2, xs, ss, *yss), q = sample_generic((a, a, a, b, b, b, b), 26)
-        got = hc_ws_batch(Kernel(q), side, [t1, t2], xs, ss, yss)
+        got = ws_grid(Kernel(q), side, [t1, t2], xs, ss, yss)
         assert [len(row) for row in got] == [3, 3]
         for ts, row in zip((t1, t2), got):
             for ys, z in zip(yss, row):
@@ -213,26 +230,20 @@ class TestWsBatch:
                 assert z == ws_term_sum(Kernel(q), side, ts, xs, ss, ys)
 
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_terms_over_a_shared_denominator(self, side, monkeypatch):
-        # Every value is n/6, so term denominators share factors and cells
-        # add terms over a gcd greater than 1.
+    def test_terms_over_a_shared_denominator(self, side):
+        # Every value is n/6, so the denominators of a cell's terms share
+        # factors; each cell is still reduced and the sum of its terms.
         values = [Rat(n, 6) for n in (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35)]
         q = Rat(3, 2)
         assert is_generic(values, q)
         t1, t2, xs, ss = values[0:2], values[2:4], values[4:6], values[6:8]
         yss = [values[8:10], values[10:12]]
-        seen = []
-
-        def recorded(m, n):
-            seen.append(gcd(m, n))
-            return seen[-1]
-
-        monkeypatch.setattr(qhc.highest, "gcd", recorded)
-        got = hc_ws_batch(Kernel(q), side, [t1, t2], xs, ss, yss)
-        assert any(g > 1 for g in seen)
+        got = ws_grid(Kernel(q), side, [t1, t2], xs, ss, yss)
         for ts, row in zip((t1, t2), got):
             for ys, z in zip(yss, row):
-                assert type(z) is Rat
+                dens = [t.denominator for t in ws_terms(Kernel(q), side, ts, xs, ss, ys)]
+                assert any(gcd(m, n) > 1 for m, n in itertools.combinations(dens, 2))
+                assert type(z) is Rat and gcd(z.numerator, z.denominator) == 1
                 assert z == ws_term_sum(Kernel(q), side, ts, xs, ss, ys)
 
     @pytest.mark.parametrize("side", ["l", "r"])
@@ -241,23 +252,20 @@ class TestWsBatch:
         (ts, xs, ss, ys), q = sample_generic((2, 2, 2, 2), 27)
         value = Rat(ss[1] if met == "s" else xs[0])  # an equal value, another object
         with pytest.raises(PoleError):
-            hc_ws_batch(Kernel(q), side, [ts], xs, ss, [ys, (ys[0], value)])
-
-    @pytest.mark.parametrize("side", ["l", "r"])
-    def test_an_empty_batch(self, side):
-        (ts, xs, ss), q = sample_generic((1, 1, 1), 24)
-        assert hc_ws_batch(Kernel(q), side, [ts], xs, ss, []) == [[]]
+            ws_grid(Kernel(q), side, [ts], xs, ss, [ys, (ys[0], value)])
 
     def test_cardinalities_are_checked_per_set(self):
+        # hc checks #t = #x and #s = #y before any rep sums
         (ts, xs, ss, ys, y2), q = sample_generic((1, 1, 2, 2, 1), 25)
-        with pytest.raises(ValueError, match="cardinality mismatch"):
-            hc_ws_batch(Kernel(q), "l", [ts], xs, ss, [ys, y2])
-        with pytest.raises(ValueError, match="cardinality mismatch"):
-            hc_ws_batch(Kernel(q), "l", [ts], xs[:0], ss, [ys])
+        for rep in REPRESENTATIONS:
+            with pytest.raises(ValueError, match="cardinality mismatch"):
+                hc(Kernel(q), "l", ts, xs, ss, y2, rep)
+            with pytest.raises(ValueError, match="cardinality mismatch"):
+                hc(Kernel(q), "l", ts, xs[:0], ss, ys, rep)
 
 
 class TestWsGrid:
-    """Cell [i][j] of `hc_ws_batch` is Z(tss[i]; xs | ss; yss[j]) by every rep."""
+    """Cell [i][j] of the ws grid is Z(tss[i]; xs | ss; yss[j]) by every rep."""
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (2, 1),
@@ -265,7 +273,7 @@ class TestWsGrid:
     def test_each_cell_is_its_hc(self, side, a, b):
         (t1, t2, xs, ss, *yss), q = sample_generic((a, a, a, b, b, b, b), 28)
         kern = Kernel(q)
-        got = hc_ws_batch(kern, side, [t1, t2], xs, ss, yss)
+        got = ws_grid(kern, side, [t1, t2], xs, ss, yss)
         assert [len(row) for row in got] == [3, 3]
         for ts, row in zip((t1, t2), got):
             for ys, z in zip(yss, row):
@@ -281,7 +289,7 @@ class TestWsGrid:
         (t1, xs, ss, y1, y2), q = sample_generic((a, a, b, b, b), 29)
         kern = Kernel(q)
         moved = (t1[0] + eps(),) + t1[1:]
-        got = hc_ws_batch(kern, side, [t1, moved], xs, ss, [y1, y2])
+        got = ws_grid(kern, side, [t1, moved], xs, ss, [y1, y2])
         assert all(type(z) is Rat for z in got[0])
         assert all(isinstance(z, LaurentSeries) for z in got[1])
         for ts, row in zip((t1, moved), got):
@@ -303,21 +311,9 @@ class TestWsGrid:
                 for sb in (met + eps(), met + eps() + eps(level=2)):
                     moved = ss[:-1] + (sb,)
                     args = (side, [t1, t2], xs, moved, [y1, y2])
-                    got = grid_outcome(hc_ws_batch, Kernel(q), *args)
+                    got = grid_outcome(ws_grid, Kernel(q), *args)
                     assert got == grid_outcome(ws_series_reference, Kernel(q), *args)
                     assert all(cell[0] == "series" for cell in got[0])  # decided, and series
-
-    @pytest.mark.parametrize("side", ["l", "r"])
-    def test_no_t_sets_or_no_y_sets(self, side):
-        (t1, t2, xs, ss, ys), q = sample_generic((1, 1, 1, 2, 2), 30)
-        kern = Kernel(q)
-        assert hc_ws_batch(kern, side, [], xs, ss, [ys]) == []
-        assert hc_ws_batch(kern, side, [t1, t2], xs, ss, []) == [[], []]
-
-    def test_t_sets_of_unequal_sizes(self):
-        (t1, t2, xs, ss, ys), q = sample_generic((2, 1, 2, 1, 1), 31)
-        with pytest.raises(ValueError, match="cardinality mismatch"):
-            hc_ws_batch(Kernel(q), "l", [t1, t2], xs, ss, [ys])
 
 
 class TestBoundaries:
@@ -453,10 +449,10 @@ def prop51_rhs_per_split(kern, side, ts, xs, ss, ys, ws, zs):
 
 
 def prop51_rhs_value_sums(kern, side, ts, xs, ss, ys, ws, zs):
-    """The right side of PROP_5_1 summed as values from ``Rat(0)``, one `hc_ws_batch` per split of s.
+    """The right side of PROP_5_1 summed as values from ``Rat(0)``.
 
-    Each inner term is K^(o) Z f from `izergin_side` and the batch, each
-    outer term the s factors times the inner sum.
+    Each inner term is K^(o) Z f, with K^(o) from `izergin_side` and Z from
+    `hc`'s ws sum, each outer term the s factors times the inner sum.
     """
     b, p = len(ss), len(ys)
     u, opp, fprod = kern.usign(side), kern.other(side), kern.fprod
@@ -467,9 +463,9 @@ def prop51_rhs_value_sums(kern, side, ts, xs, ss, ys, ws, zs):
         splits = list(enumerate_partitions(xi, p - k))
         for s1, s2 in enumerate_partitions(ss, k):
             s1q = kern.shift(s1, -2)
-            zvals = hc_ws_batch(kern, side, [ts], xs, s2, [ws + x1 for x1, _ in splits])[0]
             inner = Rat(0)
-            for (x1, x2), z in zip(splits, zvals):
+            for x1, x2 in splits:
+                z = hc(kern, side, ts, xs, s2, ws + x1, "ws")
                 inner = inner + izergin_side(kern, opp, s1q + x1, ys) * z * fprod(x2, x1)
             total = total + (
                 sign * fprod(s1, s2) * fprod(ys, s1) * fprod(ws, s1) / fprod(s1, zs) * inner

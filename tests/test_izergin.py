@@ -190,8 +190,15 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-rats = st.fractions(min_value=-9, max_value=9, max_denominator=5).map(
-    lambda f: Rat(f.numerator, f.denominator))
+@functools.cache
+def over(d):
+    """Rat(n, d) for -9 d <= n <= 9 d, one strategy per denominator."""
+    return st.builds(Rat, st.integers(-9 * d, 9 * d), st.just(d))
+
+
+# The values of st.fractions(-9, 9, max_denominator=5), which builds a new
+# numerator strategy on every draw: a denominator, then a numerator over it.
+rats = st.integers(1, 5).flatmap(over)
 level1_entries = st.builds(
     lambda v, cs, extra: LaurentSeries(v, cs, math.inf if extra is None else v + extra),
     st.integers(min_value=-2, max_value=2), st.lists(rats, max_size=3),
@@ -926,11 +933,11 @@ class TestDomainWall:
 
 
 def in_order_fprod(q, us, vs):
-    """f(us, vs) as the ``Rat`` product of `Kernel.f` over the pairs, in order."""
-    kern, out = Kernel(q), Rat(1)
+    """f(us, vs) as the product from ``Rat(1)`` of (q u - v/q) / (u - v) over the pairs, in order."""
+    out = Rat(1)
     for u in us:
         for v in vs:
-            out = out * kern.f(u, v)
+            out = out * divide(q * u - v / q, u - v)
     return out
 
 
@@ -984,11 +991,11 @@ class TestIntegerProducts:
     def test_a_pole_after_a_zero_f_raises(self):
         # f(1, 4) = 0 at q = 2, and the second pair is u = v: the zero
         # numerator must not hide the pole
-        kern = Kernel(Rat(2))
+        kern, us, vs = Kernel(Rat(2)), (Rat(1), Rat(4)), (Rat(4),)
         assert kern.f(Rat(1), Rat(4)) == 0
         with pytest.raises(PoleError, match="^vanishing denominator$"):
-            kern.fprod((Rat(1), Rat(4)), (Rat(4),))
-        assert not kern._fprods
+            kern.fprod(us, vs)
+        assert (len(us), kern.indices(us + vs)) not in kern._fprods
 
     def test_k_side_with_int_and_rat_values(self):
         kern = Kernel(Rat(5, 3))
@@ -1151,6 +1158,29 @@ class TestKernelMemo:
         a, b, c = Rat(3), Rat(5), Rat(7)
         assert kern.fprod((a, b), (c,)) == kern.f(a, c) * kern.f(b, c)
         assert kern.fprod((a,), (b, c)) == kern.f(a, b) * kern.f(a, c)
+
+    @pytest.mark.parametrize("u, v", [(Rat(3), Rat(5, 2)), (Rat(3) + eps(), Rat(5, 2)),
+                                      (Rat(3), Rat(5, 2) + eps(level=2))],
+                             ids=["rational", "series-u", "series-v"])
+    def test_f_is_the_product_over_one_pair(self, u, v):
+        kern = Kernel(Rat(2))
+        got = kern.f(u, v)
+        assert got is kern.fprod((u,), (v,))
+        assert fields(got) == fields(in_order_fprod(Rat(2), (u,), (v,)))
+
+    def test_each_series_f_is_formed_once_per_kernel(self, monkeypatch):
+        # one product (q u - q^-1 v) * 1/(u - v) per series pair, whatever
+        # f-products share the pair; the rest multiply the memoised f
+        products, mul = [], LaurentSeries.__mul__
+        monkeypatch.setattr(LaurentSeries, "__mul__",
+                            lambda s, other: products.append(s) or mul(s, other))
+        kern = Kernel(Rat(2))
+        a, b, c = Rat(3) + eps(), Rat(5) + eps(), Rat(7)
+        kern.fprod((a, b), (c,))
+        assert len(products) == 2 + 1
+        kern.f(a, c)
+        kern.fprod((b, a), (c,))
+        assert len(products) == 3 + 1
 
     def test_series_rows_keep_their_argument_order(self):
         # K is symmetric in its rows, but a truncated series K may depend on

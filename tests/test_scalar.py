@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.exactnum import PoleError, Rat, eps
-from qhc.highest import hc, hc_ws_batch
+from qhc.highest import hc
 from qhc.izergin import Kernel
 from qhc.params import sample_generic
 from qhc.partitions import enumerate_partitions
@@ -139,7 +139,7 @@ class TestWPart:
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("n", range(3))
     def test_each_entry_is_its_f_products_times_its_ws_cells(self, k, n):
-        # The product of Rat values, with Z from hc_ws_batch on a fresh kernel.
+        # The product of Rat values, with Z from hc's ws sum on a fresh kernel.
         (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 81)
         splits = [list(enumerate_partitions(uC, k)), list(enumerate_partitions(uB, k)),
                   list(enumerate_partitions(vC, n)), list(enumerate_partitions(vB, n))]
@@ -151,8 +151,8 @@ class TestWPart:
             assert type(coeff) is Rat
             assert coeff == (
                 f(uB2, uB1) * f(uC1, uC2) * f(vB1, vB2) * f(vC2, vC1) * f(vC1, uC1) * f(vB2, uB2)
-                * hc_ws_batch(ref, "l", [uC2], uB2, vC1, [vB1])[0][0]
-                * hc_ws_batch(ref, "r", [uB1], uC1, vB2, [vC2])[0][0])
+                * hc(ref, "l", uC2, uB2, vC1, vB1, "ws")
+                * hc(ref, "r", uB1, uC1, vB2, vC2, "ws"))
 
     def test_a_uB_value_met_in_vC_is_a_pole(self):
         (uC, uB, vC, vB), q = sample_generic((2, 2, 2, 2), 82)
